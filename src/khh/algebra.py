@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import re
-import threading
 
 from .rationals import QQ, ZERO, qq, qq_str
 from .errors import (
@@ -84,8 +83,7 @@ def mono_divides(a: Mono, b: Mono) -> bool:
 class GradedAlgebra:
     """A connected graded commutative QQ-algebra with a normal-form engine.
 
-    Immutable once built; the Buchberger state and basis caches grow lazily
-    behind an internal lock and are safe for concurrent readers.
+    Immutable once built; the Buchberger state and basis caches grow lazily.
     """
 
     def __init__(self, name, gens, weights, relations, _rank=None):
@@ -115,7 +113,6 @@ class GradedAlgebra:
         self._queued = list(self.relations)
         self._nf_mono_cache = {}
         self._basis_cache = {}
-        self._lock = threading.RLock()
 
     # -- monomial order -----------------------------------------------
 
@@ -162,26 +159,25 @@ class GradedAlgebra:
 
     def ensure_weight(self, bound: int):
         """Complete the basis so normal forms are final below scalar weight `bound`."""
-        with self._lock:
-            if bound <= self._completed:
-                return
-            while self._queued:
-                self._gb_insert(self._queued.pop(0))
-            while self._pairs and self._pairs[0][0] <= bound:
-                _, i, j = heapq.heappop(self._pairs)
-                if i >= len(self._gb) or j >= len(self._gb):
-                    continue
-                f, g = self._gb[i], self._gb[j]
-                if f is None or g is None:
-                    continue
-                lf, lg = self.lead(f), self.lead(g)
-                if all(a == 0 or b == 0 for a, b in zip(lf, lg)):
-                    continue  # coprime leads: the S-polynomial reduces to zero
-                s = self._s_poly(f, g)
-                s = self._reduce(s)
-                if s:
-                    self._gb_insert(s)
-            self._completed = bound
+        if bound <= self._completed:
+            return
+        while self._queued:
+            self._gb_insert(self._queued.pop(0))
+        while self._pairs and self._pairs[0][0] <= bound:
+            _, i, j = heapq.heappop(self._pairs)
+            if i >= len(self._gb) or j >= len(self._gb):
+                continue
+            f, g = self._gb[i], self._gb[j]
+            if f is None or g is None:
+                continue
+            lf, lg = self.lead(f), self.lead(g)
+            if all(a == 0 or b == 0 for a, b in zip(lf, lg)):
+                continue  # coprime leads: the S-polynomial reduces to zero
+            s = self._s_poly(f, g)
+            s = self._reduce(s)
+            if s:
+                self._gb_insert(s)
+        self._completed = bound
 
     def _s_poly(self, f, g):
         lf, lg = self.lead(f), self.lead(g)
@@ -294,9 +290,8 @@ class GradedAlgebra:
     def nf_mono(self, m: Mono):
         cached = self._nf_mono_cache.get(m)
         if cached is None:
-            with self._lock:
-                cached = self.nf({m: QQ(1)})
-                self._nf_mono_cache[m] = cached
+            cached = self.nf({m: QQ(1)})
+            self._nf_mono_cache[m] = cached
         return cached
 
     def multiply(self, p, q):
@@ -347,34 +342,33 @@ class GradedAlgebra:
         if cached is not None:
             return cached
         self.ensure_weight(vec_total(wvec))
-        with self._lock:
-            leads = [self.lead(g) for g in self._gb if g is not None]
-            out = []
-            exps = [0] * self.ngens
+        leads = [self.lead(g) for g in self._gb if g is not None]
+        out = []
+        exps = [0] * self.ngens
 
-            def walk(i, remaining):
-                if i == self.ngens:
-                    if all(x == 0 for x in remaining):
-                        m = tuple(exps)
-                        if not any(mono_divides(l, m) for l in leads):
-                            out.append(m)
-                    return
-                gw = self.weights[i]
-                e = 0
-                while True:
-                    used = vec_scale(e, gw)
-                    if not vec_leq(used, remaining):
-                        break
-                    exps[i] = e
-                    walk(i + 1, vec_sub(remaining, used))
-                    e += 1
-                exps[i] = 0
+        def walk(i, remaining):
+            if i == self.ngens:
+                if all(x == 0 for x in remaining):
+                    m = tuple(exps)
+                    if not any(mono_divides(l, m) for l in leads):
+                        out.append(m)
+                return
+            gw = self.weights[i]
+            e = 0
+            while True:
+                used = vec_scale(e, gw)
+                if not vec_leq(used, remaining):
+                    break
+                exps[i] = e
+                walk(i + 1, vec_sub(remaining, used))
+                e += 1
+            exps[i] = 0
 
-            walk(0, wvec)
-            out.sort(key=self.order_key)
-            result = tuple(out)
-            self._basis_cache[wvec] = result
-            return result
+        walk(0, wvec)
+        out.sort(key=self.order_key)
+        result = tuple(out)
+        self._basis_cache[wvec] = result
+        return result
 
     def dim(self, w) -> int:
         return len(self.weight_basis(w))

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .rationals import QQ, ZERO
-from .linalg import SparseMatrix, Echelon
-from .errors import SanityError, ParseError, PreconditionError
+from .linalg import SparseMatrix
+from .errors import CompositionNonzeroError, ParseError, PreconditionError
 from .algebra import GradedAlgebra, vec_total, vec_sub, vec_leq
 
 
@@ -211,7 +211,14 @@ def parse_chain(algebra: GradedAlgebra, text: str, degree=None) -> BarChain:
 
 
 class SliceContext:
-    """Per-algebra cache of slice bases and differential matrices."""
+    """Per-algebra cache of slice bases and differential matrices.
+
+    It also owns identity verification: nothing else multiplies b or B
+    matrices.  `verify` checks b^2 = 0, B^2 = 0 or bB + Bb = 0 on one slice
+    exactly and remembers the outcome, so every consumer of a slice (HH and
+    HC dimensions, quotient spaces, the test grids) pays for each product
+    once.
+    """
 
     def __init__(self, algebra: GradedAlgebra, conv: Convention | str = "standard"):
         self.algebra = algebra
@@ -220,7 +227,7 @@ class SliceContext:
         self._indexes = {}
         self._b = {}
         self._B = {}
-        self._checked = set()
+        self._verified = {}
 
     # -- bases --------------------------------------------------------
 
@@ -451,42 +458,64 @@ class SliceContext:
         self._B[key] = mat
         return mat
 
-    def check_slice(self, n: int, w):
-        """Exact structural sanity at (n, w): b^2, B^2 and the mixed identity."""
-        w = self.algebra._coerce_weight(w)
-        key = (n, w)
-        if key in self._checked:
-            return
-        loc = f"algebra {self.algebra.name}, slice (n={n}, w={w})"
-        if n >= 1 and not (self.b_matrix(n, w) @ self.b_matrix(n + 1, w)).is_zero():
-            raise SanityError(f"b.b != 0 at {loc}")
-        if not (self.B_matrix(n + 1, w) @ self.B_matrix(n, w)).is_zero():
-            raise SanityError(f"B.B != 0 at {loc}")
-        if not self.conv.corrupt:
-            mixed = self.b_matrix(n + 1, w) @ self.B_matrix(n, w)
-            if n >= 1:
-                mixed = mixed + self.B_matrix(n - 1, w) @ self.b_matrix(n, w)
-            if not mixed.is_zero():
-                raise SanityError(f"b.B + B.b != 0 at {loc}")
-        self._checked.add(key)
+    # -- identity verification --------------------------------------------
 
-    def boundary_echelon(self, n: int, w) -> Echelon:
-        """Row-space echelon spanned by the image of b_{n+1} in C_n."""
-        mat = self.b_matrix(n + 1, w)
-        ech = Echelon(mat.rows)
-        cols = {}
-        for (i, j), v in mat.items():
-            cols.setdefault(j, {})[i] = v
-        for j in sorted(cols):
-            ech.add_row(cols[j])
-        return ech
+    def verify(self, identity: str, n: int, w):
+        """Check one identity on the (n, w) slice exactly, once per context.
+
+        "b.b" is b_n b_{n+1} = 0, "B.B" is B_{n+1} B_n = 0 and "b.B + B.b"
+        is b_{n+1} B_n + B_{n-1} b_n = 0, all at C_n in weight w; a term
+        through a negative degree is an empty matrix and vanishes.  A failure
+        raises CompositionNonzeroError, every time it is asked.
+        """
+        w = self.algebra._coerce_weight(w)
+        key = (identity, n, w)
+        holds = self._verified.get(key)
+        if holds is None:
+            b, B = self.b_matrix, self.B_matrix
+            if identity == "b.b":
+                terms = [(b(n, w), b(n + 1, w))]
+            elif identity == "B.B":
+                terms = [(B(n + 1, w), B(n, w))]
+            elif identity == "b.B + B.b":
+                terms = [(b(n + 1, w), B(n, w)), (B(n - 1, w), b(n, w))]
+            else:
+                raise ValueError(f"unknown identity {identity!r}")
+            holds = self._products_cancel(terms)
+            self._verified[key] = holds
+        if not holds:
+            raise CompositionNonzeroError(
+                f"{identity} != 0 at algebra {self.algebra.name}, slice (n={n}, w={w})"
+            )
+
+    @staticmethod
+    def _products_cancel(terms) -> bool:
+        """Is the sum of the products f @ g over terms zero?
+
+        A term with a zero factor (an empty slice, or b_1 of a commutative
+        algebra) contributes nothing and is not multiplied out.
+        """
+        total = None
+        for f, g in terms:
+            if f.is_zero() or g.is_zero():
+                continue
+            product = f @ g
+            total = product if total is None else total + product
+        return total is None or total.is_zero()
+
+    def check_slice(self, n: int, w):
+        """b^2, B^2 and, unless the convention is corrupt, bB + Bb at (n, w)."""
+        self.verify("b.b", n, w)
+        self.verify("B.B", n, w)
+        if not self.conv.corrupt:
+            self.verify("b.B + B.b", n, w)
 
     def in_boundary(self, chain: BarChain) -> bool:
         w = chain.weight()
         if w is None:
             return True
-        idx = self.index(chain.degree, w)
-        return self.boundary_echelon(chain.degree, w).contains(chain.vector(idx))
+        vec = chain.vector(self.index(chain.degree, w))
+        return self.b_matrix(chain.degree + 1, w).column_echelon().contains(vec)
 
     def is_cycle(self, chain: BarChain) -> bool:
         return self.b_chain(chain).is_zero()

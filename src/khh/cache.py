@@ -1,10 +1,11 @@
 """Optional on-disk cache for slice dimensions.
 
 Enabled by pointing KHH_CACHE_DIR at a directory: each computed cell lands
-in its own small JSON file keyed by a fingerprint of (algebra presentation,
-convention, computation kind, degree, weight).  Writes go through a
-temp-file rename so concurrent workers never observe partial files.
-Cached values are exact integers; the cache changes nothing but wall time.
+in its own small JSON file keyed by a fingerprint of (cache version,
+algebra presentation, convention, computation kind, degree, weight).
+Writes go through a temp-file rename so concurrent workers never observe
+partial files.  Cached values are exact non-negative integers; anything
+else found on disk is a miss, so the cache changes nothing but wall time.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import json
 import os
 import tempfile
 from pathlib import Path
+
+# bump whenever a change to the code could change a cached value
+VERSION = 1
 
 
 def cache_dir() -> Path | None:
@@ -26,7 +30,7 @@ def cache_dir() -> Path | None:
 
 
 def cell_key(payload, conv_name: str, kind: str, n: int, w) -> str:
-    blob = repr((payload, conv_name, kind, n, tuple(w))).encode()
+    blob = repr((VERSION, payload, conv_name, kind, n, tuple(w))).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -36,9 +40,12 @@ def get(key: str):
         return None
     path = root / f"{key}.json"
     try:
-        return int(json.loads(path.read_text())["value"])
-    except (OSError, ValueError, KeyError):
+        value = json.loads(path.read_text())["value"]
+    except (OSError, ValueError, KeyError, TypeError):
         return None
+    if type(value) is not int or value < 0:  # bool is a subclass of int
+        return None
+    return value
 
 
 def put(key: str, value: int):

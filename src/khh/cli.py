@@ -38,6 +38,16 @@ def _check_cutoffs(args, *names):
             raise PreconditionError(f"--{name.replace('_', '-')} must be >= 0")
 
 
+def _read_square(args):
+    """The --square file; squares are only computed under the standard convention."""
+    if args.convention != "standard":
+        raise PreconditionError(
+            f"--convention {args.convention}: resolution squares use the "
+            "standard convention only"
+        )
+    return ResolutionSquare.parse(_read(args.square))
+
+
 def _common_meta(args, **extra):
     meta = {"convention": args.convention}
     meta.update(extra)
@@ -161,7 +171,7 @@ def cmd_cycles(args):
 
 def cmd_tk(args):
     _check_cutoffs(args, "n_max", "max_weight", "degree_cutoff")
-    square = ResolutionSquare.parse(_read(args.square))
+    square = _read_square(args)
     square.validate(args.max_weight)
     tables = []
     table = DimensionTable(
@@ -204,7 +214,7 @@ def cmd_tk(args):
 
 
 def cmd_pic(args):
-    square = ResolutionSquare.parse(_read(args.square))
+    square = _read_square(args)
     report = pic_conductor(square, args.poly_vars, args.degree_cutoff,
                            args.max_weight)
     table = DimensionTable(
@@ -221,7 +231,7 @@ def cmd_pic(args):
 
 def cmd_cdh_omega(args):
     _check_cutoffs(args, "p", "max_weight")
-    square = ResolutionSquare.parse(_read(args.square))
+    square = _read_square(args)
     table = DimensionTable(
         f"cdh H^{args.q} of Omega^{args.p} for {square.algebra.name}", ("w",),
         metadata=_common_meta(args, p=args.p, q=args.q),
@@ -306,14 +316,9 @@ def cmd_cuspbundle(args):
 
 
 def cmd_smoothness(args):
-    report = corpus_mod.smoothness_suite(args.corpus, jobs=args.jobs)
-    table = DimensionTable(
-        "smoothness property suite", ("row",),
-        metadata=_common_meta(args, passed=str(report.passed)),
-    )
+    report = corpus_mod.smoothness_suite(args.corpus)
     lines = []
-    for k, row in enumerate(report.rows):
-        table.set((k,), 0 if row.witness is None else 1)
+    for row in report.rows:
         witness = f"witness i={row.witness[0]} w={row.witness[1]}" if row.witness else "NONE"
         lines.append(
             f"{row.name:12s} {row.jacobian:8s} d={row.krull_dim} {witness}"
@@ -343,7 +348,8 @@ def cmd_report(args):
     bundle = {}
     failures = []
     for entry in entries:
-        observed, diffs = corpus_mod.verify_entry(entry, jobs=args.jobs)
+        # --jobs is accepted but the entries still run one after another
+        observed, diffs = corpus_mod.verify_entry(entry)
         bundle[entry.name] = observed
         if diffs:
             failures.append({"entry": entry.name, "diffs": diffs})
@@ -359,10 +365,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, algebra=False, square=False, curve=False):
+    def common(p, algebra=False, square=False, curve=False, conv=False, jobs=False):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--convention", choices=sorted(CONVENTIONS), default="standard")
-        p.add_argument("--jobs", type=int, default=None)
+        if conv:
+            p.add_argument("--convention", choices=sorted(CONVENTIONS), default="standard")
+        if jobs:
+            p.add_argument("--jobs", type=int, default=None)
         if algebra:
             p.add_argument("--algebra", required=True)
         if square:
@@ -371,25 +379,25 @@ def build_parser():
             p.add_argument("--curve", required=True)
 
     p = sub.add_parser("hh", help="Hochschild homology dims per weight")
-    common(p, algebra=True)
+    common(p, algebra=True, conv=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-weight", type=int, required=True)
     p.set_defaults(func=cmd_hh)
 
     p = sub.add_parser("hc", help="cyclic homology dims per weight")
-    common(p, algebra=True)
+    common(p, algebra=True, conv=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-weight", type=int, required=True)
     p.set_defaults(func=cmd_hc)
 
     p = sub.add_parser("hodge", help="Hodge piece dims per weight")
-    common(p, algebra=True)
+    common(p, algebra=True, conv=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-weight", type=int, required=True)
     p.set_defaults(func=cmd_hodge)
 
     p = sub.add_parser("kunneth", help="polynomial-extension comparison")
-    common(p, algebra=True)
+    common(p, algebra=True, conv=True, jobs=True)
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--max-weight", type=int, required=True)
     p.add_argument("--t-cutoff", type=int, default=4)
@@ -401,7 +409,7 @@ def build_parser():
     p.set_defaults(func=cmd_cycles)
 
     p = sub.add_parser("tk", help="typical pieces of a resolution square")
-    common(p, square=True)
+    common(p, square=True, conv=True)
     p.add_argument("--n-max", type=int, default=2)
     p.add_argument("--max-weight", type=int, required=True)
     p.add_argument("--formula-check", action="store_true")
@@ -410,14 +418,14 @@ def build_parser():
     p.set_defaults(func=cmd_tk)
 
     p = sub.add_parser("pic", help="Picard growth over polynomial extensions")
-    common(p, square=True)
+    common(p, square=True, conv=True)
     p.add_argument("--poly-vars", type=int, default=1)
     p.add_argument("--degree-cutoff", type=int, default=6)
     p.add_argument("--max-weight", type=int, default=None)
     p.set_defaults(func=cmd_pic)
 
     p = sub.add_parser("cdh-omega", help="descent cohomology of form modules")
-    common(p, square=True)
+    common(p, square=True, conv=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--max-weight", type=int, required=True)
@@ -428,7 +436,7 @@ def build_parser():
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("cuspbundle", help="curve cohomology tables")
-    common(p, curve=True)
+    common(p, curve=True, conv=True)
     p.add_argument("--n-min", type=int, default=-1)
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--m", type=int, default=2)
@@ -441,7 +449,7 @@ def build_parser():
     p.set_defaults(func=cmd_smoothness)
 
     p = sub.add_parser("report", help="full corpus report (canonical JSON)")
-    common(p)
+    common(p, jobs=True)
     p.add_argument("--corpus", default=None)
     p.set_defaults(func=cmd_report)
 

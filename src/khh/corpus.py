@@ -75,7 +75,7 @@ def _cells_str(cells):
     return {",".join(str(c) for c in k): v for k, v in sorted(cells.items())}
 
 
-def compute_observed(entry: CorpusEntry, jobs=None) -> dict:
+def compute_observed(entry: CorpusEntry) -> dict:
     """Recompute every value group of one entry from its oracles."""
     meta = entry.meta
     out = {}
@@ -157,9 +157,9 @@ def compute_observed(entry: CorpusEntry, jobs=None) -> dict:
     return out
 
 
-def verify_entry(entry: CorpusEntry, jobs=None):
+def verify_entry(entry: CorpusEntry):
     """(observed, diffs): diffs list the cells where frozen values disagree."""
-    observed = compute_observed(entry, jobs)
+    observed = compute_observed(entry)
     diffs = []
     for group, payload in entry.expected.get("values", {}).items():
         frozen = payload.get("cells", payload.get("value"))
@@ -184,12 +184,12 @@ def verify_entry(entry: CorpusEntry, jobs=None):
     return observed, diffs
 
 
-def regenerate_derived(corpus_dir=None, write=False, jobs=None):
+def regenerate_derived(corpus_dir=None, write=False):
     """Recompute oracle-sourced golden values; trivial/literature values are
     asserted, never rewritten.  Returns {entry: diffs}."""
     report = {}
     for entry in load_corpus(corpus_dir):
-        observed, diffs = verify_entry(entry, jobs)
+        observed, diffs = verify_entry(entry)
         fixed_diffs = []
         changed = False
         for diff in diffs:
@@ -269,7 +269,7 @@ def krull_dim_estimate(algebra, samples: int = 9) -> int:
     return degree + 1
 
 
-def smoothness_suite(corpus_dir=None, jobs=None) -> SmoothnessReport:
+def smoothness_suite(corpus_dir=None) -> SmoothnessReport:
     """Jacobian verdict vs typical-piece witnesses over the corpus.
 
     For every member carrying a certified one-point square: if all

@@ -169,14 +169,13 @@ class ResolutionSquare:
                     continue
                 cw = vec_total(B.poly_weight(img))
                 for w in range(0, bound - cw + 1):
+                    nu_columns = self._stacked_hom_matrix(cw + w).column_echelon()
                     for m in B.weight_basis((w,)):
                         prod = B.multiply(img, {m: QQ(1)})
                         if not prod:
                             continue
-                        target_w = B._coerce_weight((cw + w,))
-                        amat = self._stacked_hom_matrix(cw + w)
                         vec = self._branch_vector(B, prod, cw + w)
-                        if amat.solve(vec) is None:
+                        if not nu_columns.contains(vec):
                             raise SquareInvalidError(
                                 f"conductor element escapes the image at weight {cw + w}"
                             )
@@ -355,6 +354,7 @@ class ResolutionSquare:
         key = ("A", n, w)
         if key not in self._spaces:
             w2 = self.algebra._coerce_weight(w)
+            self.ctx_A.verify("b.b", n, w2)
             self._spaces[key] = QuotientSpace(
                 self.ctx_A.b_matrix(n + 1, w2), self.ctx_A.b_matrix(n, w2)
             )
@@ -364,6 +364,8 @@ class ResolutionSquare:
         key = ("B", n, w)
         if key not in self._spaces:
             w2 = self.algebra._coerce_weight(w)
+            for ctx in self.branch_ctxs:
+                ctx.verify("b.b", n, w2)
             self._spaces[key] = QuotientSpace(
                 self.target_b_matrix(n + 1, w2), self.target_b_matrix(n, w2)
             )

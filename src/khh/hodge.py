@@ -8,11 +8,12 @@ extracted from the descent generating identity
              = sum_i k^i * e_n^(i)
 
 by an exact Vandermonde solve at k = 1..n.  Published variants differ in
-whether d counts descents of sigma or of its inverse; both are built and
-the one whose action commutes with b on probe slices is selected once and
-cached.  The table is self-certifying: completeness, orthogonality and the
-antisymmetrizer identity are checked exactly, and every slice application
-re-checks completeness of the acting matrices.
+whether d counts descents of sigma or of its inverse; under the place
+action used here the descents of sigma give idempotents that commute with
+b (the test suite probes both variants).  The table is self-certifying:
+completeness, orthogonality and the antisymmetrizer identity are checked
+exactly, and every slice application re-checks completeness of the acting
+matrices.
 """
 
 from __future__ import annotations
@@ -162,52 +163,8 @@ def element_matrix(element: dict, ctx, n: int, w) -> SparseMatrix:
     return SparseMatrix(len(basis), len(basis), entries)
 
 
-class _Selector:
-    """Lazily picks the descent variant that commutes with b, then caches."""
-
-    def __init__(self):
-        self.variant = None
-
-    def variant_choice(self) -> bool:
-        if self.variant is None:
-            self.variant = self._probe()
-        return self.variant
-
-    def _probe(self) -> bool:
-        from .algebra import GradedAlgebra
-        from .barcomplex import SliceContext
-
-        free2 = GradedAlgebra("hodge-probe", ("x", "y"), ((1,), (1,)), [])
-        cusp = GradedAlgebra(
-            "hodge-probe-cusp", ("x", "y"), ((2,), (3,)),
-            [{(0, 2): QQ(1), (3, 0): QQ(-1)}],
-        )
-        probes = [
-            (SliceContext(free2), [(2, (2,)), (2, (3,)), (3, (3,)), (3, (4,))]),
-            (SliceContext(cusp), [(2, (6,)), (3, (8,))]),
-        ]
-        for inverse_descents in (False, True):
-            tables = {k: _solve_idempotents(k, inverse_descents) for k in range(1, 5)}
-            ok = True
-            for ctx, cells in probes:
-                for n, w in cells:
-                    b = ctx.b_matrix(n, w)
-                    for i in range(1, n):
-                        upper = element_matrix(tables[n][i - 1], ctx, n, w)
-                        lower = element_matrix(tables[n - 1][i - 1], ctx, n - 1, w)
-                        if not (b @ upper - lower @ b).is_zero():
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
-                return inverse_descents
-        raise IdempotentSanityError("no descent variant commutes with b on the probes")
-
-
-_SELECTOR = _Selector()
+# descents of sigma, not of its inverse: the variant whose idempotents commute with b
+_INVERSE_DESCENTS = False
 
 
 @lru_cache(maxsize=None)
@@ -215,7 +172,7 @@ def eulerian_idempotents(n: int):
     """The validated table (e^(1), ..., e^(n)) as QQ[S_n] elements."""
     if n < 1:
         return ()
-    idems = _solve_idempotents(n, _SELECTOR.variant_choice())
+    idems = _solve_idempotents(n, _INVERSE_DESCENTS)
     _validate_table(n, tuple(idems))
     return tuple(idems)
 
@@ -227,9 +184,7 @@ def idempotent_matrix(ctx, n: int, w, i: int) -> SparseMatrix:
 
 def adams_matrix(ctx, n: int, w, k: int) -> SparseMatrix:
     """Chain-level psi_k on the (n, w) slice, from the descent identity."""
-    return element_matrix(
-        lambda_element(n, k, _SELECTOR.variant_choice()), ctx, n, w
-    )
+    return element_matrix(lambda_element(n, k, _INVERSE_DESCENTS), ctx, n, w)
 
 
 def check_slice_completeness(ctx, n: int, w):

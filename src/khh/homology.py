@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rationals import QQ, ZERO
-from .linalg import SparseMatrix, Echelon, QuotientSpace, homology_dim, eigenspace
+from .linalg import SparseMatrix, Echelon, QuotientSpace, eigenspace
 from .errors import (
     IdempotentSanityError,
     OracleDisagreementError,
@@ -65,11 +65,14 @@ class HomologyEngine:
             else:
                 self._hh[key] = self._cached_cell(
                     "hh", n, w,
-                    lambda: homology_dim(
-                        self.ctx.b_matrix(n + 1, w), self.ctx.b_matrix(n, w)
-                    ),
+                    lambda: _betti(*self._hh_differentials(n, w)),
                 )
         return self._hh[key]
+
+    def _hh_differentials(self, n, w):
+        """(b_{n+1}, b_n), once b_n b_{n+1} = 0 is verified."""
+        self.ctx.verify("b.b", n, w)
+        return self.ctx.b_matrix(n + 1, w), self.ctx.b_matrix(n, w)
 
     def _cached_cell(self, kind, n, w, compute):
         from . import cache
@@ -88,9 +91,7 @@ class HomologyEngine:
         w = self.algebra._coerce_weight(w)
         key = ("hh", n, w)
         if key not in self._quotients:
-            self._quotients[key] = QuotientSpace(
-                self.ctx.b_matrix(n + 1, w), self.ctx.b_matrix(n, w)
-            )
+            self._quotients[key] = QuotientSpace(*self._hh_differentials(n, w))
         return self._quotients[key]
 
     def hh_slice(self, n: int, w):
@@ -158,19 +159,32 @@ class HomologyEngine:
             else:
                 self._hc[key] = self._cached_cell(
                     "hc", n, w,
-                    lambda: homology_dim(
-                        self.total_matrix(n + 1, w), self.total_matrix(n, w)
-                    ),
+                    lambda: _betti(*self._hc_differentials(n, w)),
                 )
         return self._hc[key]
+
+    def _hc_differentials(self, n, w):
+        """(D_{n+1}, D_n), once every block of D_n D_{n+1} is verified.
+
+        From the degree-d block of T_{n+1}, the product lands in degree d - 2
+        through b.b, in degree d through b.B + B.b and in degree d + 2
+        through B.B; these land in distinct blocks, so D_n D_{n+1} = 0
+        exactly when each identity that occurs holds.
+        """
+        for k, d in enumerate(self.total_blocks(n + 1, w)):
+            if d >= 2:
+                self.ctx.verify("b.b", d - 1, w)
+            if k >= 1:
+                self.ctx.verify("b.B + B.b", d, w)
+            if k >= 2:
+                self.ctx.verify("B.B", d, w)
+        return self.total_matrix(n + 1, w), self.total_matrix(n, w)
 
     def hc_space(self, n: int, w) -> QuotientSpace:
         w = self.algebra._coerce_weight(w)
         key = ("hc", n, w)
         if key not in self._quotients:
-            self._quotients[key] = QuotientSpace(
-                self.total_matrix(n + 1, w), self.total_matrix(n, w)
-            )
+            self._quotients[key] = QuotientSpace(*self._hc_differentials(n, w))
         return self._quotients[key]
 
     # -- Hodge/Adams -------------------------------------------------------
@@ -292,6 +306,11 @@ class HomologyEngine:
             # short range: exactness at HC_n degenerates to surjectivity of I
             result.update(exact_at_hc_n=i_star.rank() == hc_n.dim, exact_at_hc_n2=True)
         return result
+
+
+def _betti(d_in: SparseMatrix, d_out: SparseMatrix) -> int:
+    """dim ker(d_out) - rank(d_in); the caller has verified d_out d_in = 0."""
+    return d_out.cols - d_out.rank() - d_in.rank()
 
 
 # -- Kunneth comparison --------------------------------------------------

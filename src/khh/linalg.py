@@ -1,12 +1,16 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices are immutable after construction and all arithmetic is exact:
-ranks come from a fraction-managed integer Gaussian elimination (rows are
-cleared to integers, every update is an exact cross-multiplication with a
-gcd strip), kernels from a deterministic rational echelon in natural
-column order.  Pivot columns for the rank path are ordered by ascending
-support, a cheap Markowitz-style choice that keeps fill-in low on the
-incidence-like differentials this package produces.
+Matrices are immutable after construction and all arithmetic is exact.
+There is one rank path and one vector path.  Ranks come from `_int_rank`,
+a fraction-managed integer Gaussian elimination (rows are cleared to
+integers, every update is an exact cross-multiplication with a gcd strip)
+with Markowitz-style pivots by ascending support, which keeps fill-in low
+on the incidence-like differentials this package produces.  Kernels,
+column-space membership and quotient classes come from `Echelon`, a
+rational echelon in natural column order, so pinned representatives stay
+put; each matrix caches its row and its column echelon.  The only check of
+a composite here is in `homology_dim`; bar and total complexes are
+verified once per identity and slice by `SliceContext`.
 """
 
 from __future__ import annotations
@@ -14,13 +18,13 @@ from __future__ import annotations
 from math import gcd
 
 from .rationals import QQ, ZERO
-from .errors import CompositionNonzeroError, NotSquareError
+from .errors import CompositionNonzeroError, NotSquareError, PreconditionError
 
 
 class SparseMatrix:
     """Immutable sparse matrix over QQ: no stored zeros, bounds-checked."""
 
-    __slots__ = ("rows", "cols", "_rowdata", "_rank", "_echelon")
+    __slots__ = ("rows", "cols", "_rowdata", "_rank", "_echelon", "_col_echelon")
 
     def __init__(self, rows, cols, entries=None):
         if rows < 0 or cols < 0:
@@ -44,6 +48,7 @@ class SparseMatrix:
         self._rowdata = tuple(row if row is not None else {} for row in rowdata)
         self._rank = None
         self._echelon = None
+        self._col_echelon = None
 
     # -- constructors -------------------------------------------------
 
@@ -202,26 +207,11 @@ class SparseMatrix:
         ech = self.echelon()
         return ech.kernel_vectors()
 
-    def column_space_contains(self, vec):
-        """Is the sparse vector (dict row->value) a combination of columns?"""
-        return self.solve(vec) is not None
-
-    def solve(self, vec):
-        """One exact solution x (dict col->value) of M x = vec, or None."""
-        nrows = self.rows
-        ech = Echelon(nrows + self.cols)
-        cols = {}
-        for (i, j), v in self.items():
-            cols.setdefault(j, {})[i] = v
-        for j in range(self.cols):
-            # column data leads, the combination is tracked in the tail block
-            row = dict(cols.get(j, {}))
-            row[nrows + j] = QQ(1)
-            ech.add_row(row)
-        combo, residual = ech.reduce_tracked(dict(vec), nrows)
-        if residual:
-            return None
-        return {j: -c for j, c in combo.items()}
+    def column_echelon(self):
+        """Echelon of the column space, columns inserted in natural order."""
+        if self._col_echelon is None:
+            self._col_echelon = self.transpose().echelon()
+        return self._col_echelon
 
 
 class Echelon:
@@ -273,20 +263,8 @@ class Echelon:
     def contains(self, row):
         return not self.reduce(dict(row))
 
-    def reduce_tracked(self, row, split):
-        """Reduce, then split the residual at column index `split`.
-
-        Returns (tail part with col >= split, head part with col < split).
-        """
-        row = self.reduce(dict(row))
-        tail = {j - split: v for j, v in row.items() if j >= split}
-        head = {j: v for j, v in row.items() if j < split}
-        return tail, head
-
     def kernel_vectors(self):
-        """Kernel of the matrix whose row space this echelon spans... not quite:
-        this is only valid when the echelon was built from the matrix rows, in
-        which case ker(M) = ker(echelon rows)."""
+        """Right null space of the rows this echelon was built from."""
         pivots = self.pivot_rows
         free_cols = [c for c in range(self.ncols) if c not in pivots]
         basis = []
@@ -405,35 +383,25 @@ class QuotientSpace:
     """Cycles modulo boundaries with exact class coordinates.
 
     Built from two consecutive differentials d_in: C' -> C and
-    d_out: C -> C''; representatives are the kernel vectors that add pivots
-    after the boundary columns, in deterministic column order.
+    d_out: C -> C'' whose composite the caller has verified;
+    representatives are the kernel vectors that add pivots after the
+    boundary columns, in deterministic column order.
     """
 
     def __init__(self, d_in: SparseMatrix, d_out: SparseMatrix):
-        if d_in.cols and d_out.rows and not (d_out @ d_in).is_zero():
-            from .errors import SanityError
-
-            raise SanityError("d_out . d_in != 0 while building a quotient space")
         self.ambient_dim = d_out.cols
-        self._ech = Echelon(2 * self.ambient_dim + 1)
-        cols = {}
-        for (i, j), v in d_in.items():
-            cols.setdefault(j, {})[i] = v
-        for j in sorted(cols):
-            self._ech.add_row(cols[j])
+        # class pivots go into a copy, so d_in's cached echelon stays the boundaries
+        self._ech = Echelon(self.ambient_dim)
+        self._ech.pivot_rows = dict(d_in.column_echelon().pivot_rows)
         self.reps = []
         for z in d_out.kernel_basis():
             row = dict(z)
             row[self.ambient_dim + len(self.reps)] = QQ(1)
-            reduced = self._ech.reduce(row)
-            if any(c < self.ambient_dim for c in reduced):
-                c = min(reduced)
-                pv = reduced[c]
-                if pv != 1:
-                    reduced = {j: v / pv for j, v in reduced.items()}
-                self._ech.pivot_rows[c] = reduced
-                self.reps.append(z)
+            row = self._ech.reduce(row)
             # dependent candidates are discarded so class coords stay well defined
+            if row and min(row) < self.ambient_dim:
+                self._ech.add_row(row)
+                self.reps.append(z)
 
     @property
     def dim(self):
@@ -441,8 +409,6 @@ class QuotientSpace:
 
     def coords(self, vec):
         """Class coordinates of a cycle vector as {rep index: QQ}."""
-        from .errors import PreconditionError
-
         reduced = self._ech.reduce(dict(vec))
         out = {}
         for c, v in reduced.items():
@@ -475,7 +441,9 @@ def homology_dim(d_in: SparseMatrix, d_out: SparseMatrix) -> int:
     """dim ker(d_out) - rank(d_in) for consecutive differentials.
 
     d_in : C_{n+1} -> C_n,  d_out : C_n -> C_{n-1}.  The composite is
-    checked exactly; a nonzero product means a differential is wrong.
+    checked exactly; a nonzero product means a differential is wrong.  Bar
+    and total complexes skip this: their slices are verified identity by
+    identity in `SliceContext`; the fiber cone is checked here.
     """
     if d_in.cols and d_out.rows:
         if d_out.cols != d_in.rows:

@@ -195,3 +195,38 @@ def test_cache_dir_round_trip(tmp_path):
     assert list(cache.glob("*.json"))
     warm = run_cli(*args, env={"KHH_CACHE_DIR": str(cache)})
     assert warm.stdout == cold.stdout
+
+
+def test_cache_ignores_malformed_values(tmp_path):
+    cache = tmp_path / "cache"
+    args = (
+        "hh", "--algebra", corpus_file("cusp", "algebra.alg"),
+        "--n", "1", "--max-weight", "5", "--format", "json",
+    )
+    cold = run_cli(*args, env={"KHH_CACHE_DIR": str(cache)})
+    assert cold.returncode == 0
+    assert json.loads(cold.stdout)["cells"]["5"] == 2
+    files = list(cache.glob("*.json"))
+    assert files
+    for bad in ('{"value": -7}', '{"value": true}'):
+        for path in files:
+            path.write_text(bad)
+        warm = run_cli(*args, env={"KHH_CACHE_DIR": str(cache)})
+        assert warm.returncode == 0
+        assert warm.stdout == cold.stdout, bad
+
+
+def test_square_verbs_reject_other_conventions():
+    proc = run_cli(
+        "tk", "--square", corpus_file("cusp", "square.sq"),
+        "--n-max", "2", "--max-weight", "8",
+        "--convention", "corrupt-b-drop-wrap", "--format", "json",
+    )
+    assert proc.returncode == 3
+    assert "standard convention" in proc.stderr
+    for argv in (
+        ("pic", "--square", corpus_file("t2t5", "square.sq")),
+        ("cdh-omega", "--square", corpus_file("cusp", "square.sq"),
+         "--p", "1", "--q", "0", "--max-weight", "4"),
+    ):
+        assert run_cli(*argv, "--convention", "b-transpose").returncode == 3

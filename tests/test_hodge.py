@@ -3,14 +3,17 @@
 import pytest
 
 from khh.rationals import QQ
-from khh.algebra import parse_algebra
+from khh.algebra import GradedAlgebra, parse_algebra
 from khh.barcomplex import SliceContext
+from khh import hodge
 from khh.hodge import (
     _convolve,
     _perms,
     _sign,
+    _solve_idempotents,
     adams_matrix,
     check_slice_completeness,
+    element_matrix,
     eulerian_idempotents,
     idempotent_matrix,
     lambda_element,
@@ -83,3 +86,32 @@ def test_adams_is_weighted_sum_of_idempotents(free2):
         ctx, n, (w,), 2
     ).scale(QQ(4))
     assert psi2 == expected
+
+
+def _variant_commutes_with_b(inverse_descents):
+    """Does one descent variant's idempotent table commute with b on probe slices?"""
+    free2 = GradedAlgebra("hodge-probe", ("x", "y"), ((1,), (1,)), [])
+    cusp = GradedAlgebra(
+        "hodge-probe-cusp", ("x", "y"), ((2,), (3,)),
+        [{(0, 2): QQ(1), (3, 0): QQ(-1)}],
+    )
+    probes = [
+        (SliceContext(free2), [(2, (2,)), (2, (3,)), (3, (3,)), (3, (4,))]),
+        (SliceContext(cusp), [(2, (6,)), (3, (8,))]),
+    ]
+    tables = {k: _solve_idempotents(k, inverse_descents) for k in range(1, 5)}
+    for ctx, cells in probes:
+        for n, w in cells:
+            b = ctx.b_matrix(n, w)
+            for i in range(1, n):
+                upper = element_matrix(tables[n][i - 1], ctx, n, w)
+                lower = element_matrix(tables[n - 1][i - 1], ctx, n - 1, w)
+                if not (b @ upper - lower @ b).is_zero():
+                    return False
+    return True
+
+
+def test_pinned_descent_variant_is_the_first_that_commutes_with_b():
+    # trying the descents of sigma first, the probe must land on the pinned variant
+    first = next(v for v in (False, True) if _variant_commutes_with_b(v))
+    assert hodge._INVERSE_DESCENTS is first is False

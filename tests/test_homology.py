@@ -4,6 +4,7 @@ import pytest
 
 from khh.algebra import GradedAlgebra
 from khh.barcomplex import chain_str
+from khh.errors import CompositionNonzeroError
 from khh.homology import HomologyEngine
 
 
@@ -109,3 +110,22 @@ def test_dual_numbers_hh_growth(dualnum):
     assert dims[2] == [0, 0, 0, 1, 0, 0]
     for n in range(1, 4):
         assert sum(dims[n]) == 1
+
+
+@pytest.mark.parametrize("conv", ["corrupt-b-drop-wrap", "corrupt-b-wrap-flip"])
+def test_hc_blockwise_check_matches_full_composite(cusp, conv):
+    # hc_dim verifies the identities inside D_n D_{n+1} one block at a time;
+    # it must fail on exactly the cells where the whole product is nonzero
+    engine = HomologyEngine(cusp, conv)
+    full, blockwise = [], []
+    for n in range(4):
+        for w in range(8):
+            product = engine.total_matrix(n, w) @ engine.total_matrix(n + 1, w)
+            if not product.is_zero():
+                full.append((n, w))
+            try:
+                engine.hc_dim(n, w)
+            except CompositionNonzeroError:
+                blockwise.append((n, w))
+    assert full
+    assert blockwise == full

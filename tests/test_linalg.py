@@ -124,11 +124,13 @@ def test_matrix_product_associative_bit_exact(seed):
     assert (a @ b) @ c == a @ (b @ c)
 
 
-def test_solve_consistent_and_inconsistent():
+def test_column_space_membership_consistent_and_inconsistent():
     m = SparseMatrix.from_dense([[1, 2], [2, 4]])
-    x = m.solve({0: QQ(3), 1: QQ(6)})
-    assert x is not None and m.apply(x) == {0: QQ(3), 1: QQ(6)}
-    assert m.solve({0: QQ(1)}) is None
+    columns = m.column_echelon()
+    assert columns.contains({0: QQ(3), 1: QQ(6)})
+    assert not columns.contains({0: QQ(1)})
+    assert columns.contains({})
+    assert m.column_echelon() is columns
 
 
 def test_quotient_space_classes():
@@ -142,3 +144,12 @@ def test_quotient_space_classes():
     # e0 + e1 is the boundary, so the two classes are opposite
     assert coords_e0 == {0: QQ(1)}
     assert coords_e1 == {0: QQ(-1)}
+
+
+def test_quotient_space_over_zero_differential_has_unit_reps():
+    # cokernel of d_in: callers read a class basis off min(rep)
+    d_in = SparseMatrix.from_dense([[1, 0], [1, 2], [0, 1], [0, 0]])
+    space = QuotientSpace(d_in, SparseMatrix.zero(0, 4))
+    assert space.dim == 4 - d_in.rank() == 2
+    assert all(rep == {min(rep): QQ(1)} for rep in space.reps)
+    assert [min(rep) for rep in space.reps] == [0, 3]
