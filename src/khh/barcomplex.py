@@ -516,6 +516,3 @@ class SliceContext:
             return True
         vec = chain.vector(self.index(chain.degree, w))
         return self.b_matrix(chain.degree + 1, w).column_echelon().contains(vec)
-
-    def is_cycle(self, chain: BarChain) -> bool:
-        return self.b_chain(chain).is_zero()

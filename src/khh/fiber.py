@@ -93,6 +93,8 @@ class ResolutionSquare:
         self._spaces = {}
         self._maps = {}
         self._cones = {}
+        self._stacked = {}
+        self._target_b = {}
         self._conv = convention("standard")
 
     # -- parsing --------------------------------------------------------
@@ -220,19 +222,20 @@ class ResolutionSquare:
 
     def _stacked_hom_matrix(self, w) -> SparseMatrix:
         """nu on the weight-w algebra slices, stacked over branches."""
-        A = self.algebra
-        basis = A.weight_basis((w,))
+        cached = self._stacked.get(w)
+        if cached is not None:
+            return cached
         blocks = []
         total_rows = 0
-        for B, hom in self.branches:
+        for _, hom in self.branches:
             mat = hom.matrix_on_weight((w,))
-            blocks.append((total_rows, mat))
+            blocks.append((total_rows, 0, mat))
             total_rows += mat.rows
-        entries = {}
-        for off, mat in blocks:
-            for (i, j), v in mat.items():
-                entries[(off + i, j)] = v
-        return SparseMatrix(total_rows, len(basis), entries)
+        mat = SparseMatrix.from_blocks(
+            total_rows, len(self.algebra.weight_basis((w,))), blocks
+        )
+        self._stacked[w] = mat
+        return mat
 
     # -- chain-level machinery ---------------------------------------------
 
@@ -253,15 +256,21 @@ class ResolutionSquare:
 
     def target_b_matrix(self, n: int, w) -> SparseMatrix:
         """Block-diagonal b over the branches."""
-        entries = {}
+        w = self.algebra._coerce_weight(w)
+        key = (n, w)
+        cached = self._target_b.get(key)
+        if cached is not None:
+            return cached
+        blocks = []
         roff = coff = 0
         for ctx in self.branch_ctxs:
             mat = ctx.b_matrix(n, w)
-            for (i, j), v in mat.items():
-                entries[(roff + i, coff + j)] = v
+            blocks.append((roff, coff, mat))
             roff += mat.rows
             coff += mat.cols
-        return SparseMatrix(roff, coff, entries)
+        mat = SparseMatrix.from_blocks(roff, coff, blocks)
+        self._target_b[key] = mat
+        return mat
 
     def chain_map_matrix(self, n: int, w) -> SparseMatrix:
         """Induced map C_n(A) -> sum of C_n(branch) on the weight-w slice."""
@@ -329,22 +338,14 @@ class ResolutionSquare:
         dimB_q1 = self.target_dim(q + 1, w) if q + 1 >= 0 else 0
         dimA_q1 = self.ctx_A.dim(q - 1, w) if q - 1 >= 0 else 0
         dimB_q = self.target_dim(q, w) if q >= 0 else 0
-        entries = {}
+        blocks = []
         if q >= 1:
-            for (i, j), v in self.ctx_A.b_matrix(q, w).items():
-                entries[(i, j)] = v
+            blocks.append((0, 0, self.ctx_A.b_matrix(q, w)))
         if q >= 0:
-            for (i, j), v in self.chain_map_matrix(q, w).items():
-                entries[(dimA_q1 + i, j)] = v
+            blocks.append((dimA_q1, 0, self.chain_map_matrix(q, w)))
         if q + 1 >= 1:
-            for (i, j), v in self.target_b_matrix(q + 1, w).items():
-                key2 = (dimA_q1 + i, dimA_q + j)
-                s = entries.get(key2, ZERO) - v
-                if s:
-                    entries[key2] = s
-                else:
-                    entries.pop(key2, None)
-        mat = SparseMatrix(dimA_q1 + dimB_q, dimA_q + dimB_q1, entries)
+            blocks.append((dimA_q1, dimA_q, self.target_b_matrix(q + 1, w).scale(-1)))
+        mat = SparseMatrix.from_blocks(dimA_q1 + dimB_q, dimA_q + dimB_q1, blocks)
         self._cones[key] = mat
         return mat
 
@@ -430,14 +431,12 @@ class ResolutionSquare:
         eA = sA.induced_matrix(
             hodge_mod.idempotent_matrix(self.ctx_A, q, w2, p), sA
         )
-        eB_entries = {}
+        blocks = []
         roff = 0
         for ctx in self.branch_ctxs:
-            emat = hodge_mod.idempotent_matrix(ctx, q, w2, p)
-            for (i, j), v in emat.items():
-                eB_entries[(roff + i, roff + j)] = v
+            blocks.append((roff, roff, hodge_mod.idempotent_matrix(ctx, q, w2, p)))
             roff += ctx.dim(q, w2)
-        eB_chain = SparseMatrix(roff, roff, eB_entries)
+        eB_chain = SparseMatrix.from_blocks(roff, roff, blocks)
         eB = sB.induced_matrix(eB_chain, sB)
         dim_pA = eA.rank()
         dim_pB = eB.rank()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rationals import QQ, ZERO
+from .rationals import QQ
 from .linalg import SparseMatrix, Echelon, QuotientSpace, eigenspace
 from .errors import (
     IdempotentSanityError,
@@ -129,24 +129,13 @@ class HomologyEngine:
             dst_off.append(pos)
             pos += self.ctx.dim(d, w)
         dst_total = pos
-        entries = {}
+        blocks = []
         for k, deg in enumerate(src_degs):
             if deg >= 1:
-                bmat = self.ctx.b_matrix(deg, w)
-                off_s, off_d = src_off[k], dst_off[k]
-                for (i, j), v in bmat.items():
-                    entries[(off_d + i, off_s + j)] = v
+                blocks.append((dst_off[k], src_off[k], self.ctx.b_matrix(deg, w)))
             if k >= 1:
-                Bmat = self.ctx.B_matrix(deg, w)
-                off_s, off_d = src_off[k], dst_off[k - 1]
-                for (i, j), v in Bmat.items():
-                    key2 = (off_d + i, off_s + j)
-                    s = entries.get(key2, ZERO) + v
-                    if s:
-                        entries[key2] = s
-                    else:
-                        entries.pop(key2, None)
-        mat = SparseMatrix(dst_total, src_total, entries)
+                blocks.append((dst_off[k - 1], src_off[k], self.ctx.B_matrix(deg, w)))
+        mat = SparseMatrix.from_blocks(dst_total, src_total, blocks)
         self._total_mats[key] = mat
         return mat
 

@@ -1,43 +1,59 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices are immutable after construction and all arithmetic is exact.
+A `SparseMatrix` stores its rows as dicts of Python ints over one positive
+common denominator `den`: entry (i, j) is ``_rowdata[i][j] / den``.  The
+storage is canonical (no stored zeros, gcd(content, den) = 1), so equal
+matrices compare equal.  Every differential this package builds is
+integral and has den = 1; rational operators such as the Eulerian
+idempotents carry their 1/n! factors in `den`.  Products, sums, scaling,
+transposes, block assembly (`from_blocks`) and ranks run on ints alone,
+with the denominators multiplied or brought to a common multiple; `rank`
+hands the int rows straight to `_int_rank`, since scaling by `den` does
+not change the row space.  QQ re-enters at the edges: `items` yields QQ
+entries, `apply` returns QQ vectors, and `echelon` builds a QQ `Echelon`.
+
 There is one rank path and one vector path.  Ranks come from `_int_rank`,
-a fraction-managed integer Gaussian elimination (rows are cleared to
-integers, every update is an exact cross-multiplication with a gcd strip)
-with Markowitz-style pivots by ascending support, which keeps fill-in low
-on the incidence-like differentials this package produces.  Kernels,
-column-space membership and quotient classes come from `Echelon`, a
-rational echelon in natural column order, so pinned representatives stay
-put; each matrix caches its row and its column echelon.  The only check of
-a composite here is in `homology_dim`; bar and total complexes are
-verified once per identity and slice by `SliceContext`.
+a fraction-managed integer Gaussian elimination (every update is an exact
+cross-multiplication with a gcd strip) with Markowitz-style pivots by
+ascending support, which keeps fill-in low on the incidence-like
+differentials this package produces.  Kernels, column-space membership and
+quotient classes come from `Echelon`, a rational echelon in natural column
+order, so pinned representatives stay put; each matrix caches its row and
+its column echelon.  The only check of a composite here is in
+`homology_dim`; bar and total complexes are verified once per identity and
+slice by `SliceContext`.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .rationals import QQ, ZERO
 from .errors import CompositionNonzeroError, NotSquareError, PreconditionError
 
 
 class SparseMatrix:
-    """Immutable sparse matrix over QQ: no stored zeros, bounds-checked."""
+    """Immutable sparse matrix over QQ: int rows over a common denominator."""
 
-    __slots__ = ("rows", "cols", "_rowdata", "_rank", "_echelon", "_col_echelon")
+    __slots__ = ("rows", "cols", "den", "_rowdata", "_rank", "_echelon", "_col_echelon")
 
     def __init__(self, rows, cols, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        self.rows = rows
-        self.cols = cols
         rowdata = [None] * rows
+        fractional = False
         if entries:
             for (i, j), v in entries.items() if isinstance(entries, dict) else entries:
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise IndexError(f"entry ({i},{j}) outside {rows}x{cols}")
-                v = QQ(v)
-                if v == 0:
+                if type(v) is not int:
+                    if not isinstance(v, QQ):
+                        v = QQ(v)
+                    if v.denominator == 1:
+                        v = int(v.numerator)
+                    else:
+                        fractional = True
+                if not v:
                     continue
                 row = rowdata[i]
                 if row is None:
@@ -45,10 +61,42 @@ class SparseMatrix:
                 if j in row:
                     raise ValueError(f"duplicate entry at ({i},{j})")
                 row[j] = v
-        self._rowdata = tuple(row if row is not None else {} for row in rowdata)
+        rowdata = [row if row is not None else {} for row in rowdata]
+        den = 1
+        if fractional:
+            for row in rowdata:
+                for v in row.values():
+                    den = lcm(den, int(v.denominator))
+            for row in rowdata:
+                for j, v in row.items():
+                    row[j] = int(v.numerator) * (den // int(v.denominator))
+        self._adopt(rows, cols, rowdata, den)
+
+    def _adopt(self, rows, cols, rowdata, den):
+        """Take int rows without stored zeros over den > 0, in lowest terms."""
+        if den != 1:
+            g = den
+            for row in rowdata:
+                if row:
+                    g = gcd(g, *row.values())
+                    if g == 1:
+                        break
+            if g != 1:
+                rowdata = [{j: v // g for j, v in row.items()} for row in rowdata]
+                den //= g
+        self.rows = rows
+        self.cols = cols
+        self.den = den
+        self._rowdata = tuple(rowdata)
         self._rank = None
         self._echelon = None
         self._col_echelon = None
+
+    @classmethod
+    def _of_rows(cls, rows, cols, rowdata, den=1):
+        mat = cls.__new__(cls)
+        mat._adopt(rows, cols, rowdata, den)
+        return mat
 
     # -- constructors -------------------------------------------------
 
@@ -60,7 +108,7 @@ class SparseMatrix:
         for i, row in enumerate(data):
             for j, v in enumerate(row):
                 if v:
-                    entries[(i, j)] = QQ(v)
+                    entries[(i, j)] = v
         return cls(rows, cols, entries)
 
     @classmethod
@@ -76,8 +124,39 @@ class SparseMatrix:
         return cls(rows, ncols, entries)
 
     @classmethod
+    def from_blocks(cls, rows, cols, blocks):
+        """The rows x cols sum of blocks placed at offsets.
+
+        blocks: iterable of (row offset, col offset, SparseMatrix); each block
+        must fit, and entries of overlapping blocks add up.
+        """
+        blocks = list(blocks)
+        den = 1
+        for _, _, block in blocks:
+            den = lcm(den, block.den)
+        rowdata = [{} for _ in range(rows)]
+        for r0, c0, block in blocks:
+            if r0 < 0 or c0 < 0 or r0 + block.rows > rows or c0 + block.cols > cols:
+                raise IndexError(
+                    f"{block.rows}x{block.cols} block at ({r0},{c0}) outside {rows}x{cols}"
+                )
+            f = den // block.den
+            for i, brow in enumerate(block._rowdata, r0):
+                if not brow:
+                    continue
+                row = rowdata[i]
+                for j, v in brow.items():
+                    j += c0
+                    s = row.get(j, 0) + v * f
+                    if s:
+                        row[j] = s
+                    else:
+                        del row[j]
+        return cls._of_rows(rows, cols, rowdata, den)
+
+    @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): QQ(1) for i in range(n)})
+        return cls._of_rows(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def zero(cls, rows, cols):
@@ -85,16 +164,11 @@ class SparseMatrix:
 
     # -- accessors ----------------------------------------------------
 
-    def row(self, i):
-        return self._rowdata[i]
-
-    def entry(self, i, j):
-        return self._rowdata[i].get(j, ZERO)
-
     def items(self):
+        den = self.den
         for i, row in enumerate(self._rowdata):
             for j, v in row.items():
-                yield (i, j), v
+                yield (i, j), QQ(v) if den == 1 else QQ(v, den)
 
     def nnz(self):
         return sum(len(row) for row in self._rowdata)
@@ -108,6 +182,7 @@ class SparseMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
+            and self.den == other.den
             and self._rowdata == other._rowdata
         )
 
@@ -117,46 +192,43 @@ class SparseMatrix:
     # -- arithmetic ---------------------------------------------------
 
     def transpose(self):
-        entries = {(j, i): v for (i, j), v in self.items()}
-        return SparseMatrix(self.cols, self.rows, entries)
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._rowdata):
+            for j, v in row.items():
+                out[j][i] = v
+        return SparseMatrix._of_rows(self.cols, self.rows, out, self.den)
 
     def __add__(self, other):
         self._check_shape(other)
-        entries = {k: v for k, v in self.items()}
-        for k, v in other.items():
-            s = entries.get(k, ZERO) + v
-            if s:
-                entries[k] = s
-            else:
-                entries.pop(k, None)
-        return SparseMatrix(self.rows, self.cols, entries)
+        return SparseMatrix.from_blocks(self.rows, self.cols, [(0, 0, self), (0, 0, other)])
 
     def __sub__(self, other):
-        return self + other.scale(QQ(-1))
+        return self + other.scale(-1)
 
     def scale(self, c):
         c = QQ(c)
         if c == 0:
             return SparseMatrix.zero(self.rows, self.cols)
-        return SparseMatrix(self.rows, self.cols, {k: c * v for k, v in self.items()})
+        num = int(c.numerator)
+        rowdata = [{j: num * v for j, v in row.items()} for row in self._rowdata]
+        return SparseMatrix._of_rows(self.rows, self.cols, rowdata, self.den * int(c.denominator))
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        entries = {}
         orows = other._rowdata
-        for i, row in enumerate(self._rowdata):
+        out = []
+        for row in self._rowdata:
             acc = {}
             for k, a in row.items():
                 for j, b in orows[k].items():
-                    acc[j] = acc.get(j, ZERO) + a * b
-            for j, v in acc.items():
-                if v:
-                    entries[(i, j)] = v
-        return SparseMatrix(self.rows, other.cols, entries)
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: v for j, v in acc.items() if v})
+        return SparseMatrix._of_rows(self.rows, other.cols, out, self.den * other.den)
 
     def apply(self, vec):
         """Matrix times sparse vector (dict col->value) -> dict row->value."""
+        den = self.den
         out = {}
         for i, row in enumerate(self._rowdata):
             s = ZERO
@@ -165,7 +237,7 @@ class SparseMatrix:
                 if b is not None:
                     s += a * b
             if s:
-                out[i] = s
+                out[i] = s if den == 1 else s / den
         return out
 
     def _check_shape(self, other):
@@ -176,29 +248,16 @@ class SparseMatrix:
 
     def rank(self):
         if self._rank is None:
-            self._rank = _int_rank(self._int_rows(), self.cols)
+            self._rank = _int_rank(self._rowdata, self.cols)
         return self._rank
-
-    def _int_rows(self):
-        """Rows cleared to integers; row scaling does not change the row space."""
-        out = []
-        for row in self._rowdata:
-            if not row:
-                continue
-            mult = 1
-            for v in row.values():
-                d = v.denominator
-                if d != 1:
-                    mult = mult * d // gcd(mult, d)
-            out.append({j: int(v * mult) for j, v in row.items()})
-        return out
 
     def echelon(self):
         if self._echelon is None:
+            # den scales every row alike, so the int rows span the same space
             ech = Echelon(self.cols)
             for row in self._rowdata:
                 if row:
-                    ech.add_row(dict(row))
+                    ech.add_row({j: QQ(v) for j, v in row.items()})
             self._echelon = ech
         return self._echelon
 
@@ -224,10 +283,6 @@ class Echelon:
     def __init__(self, ncols):
         self.ncols = ncols
         self.pivot_rows = {}  # pivot col -> row dict (pivot value normalized to 1)
-
-    @property
-    def rank(self):
-        return len(self.pivot_rows)
 
     def reduce(self, row):
         """Residual of row modulo the current row space (row is consumed)."""

@@ -115,3 +115,16 @@ def test_pinned_descent_variant_is_the_first_that_commutes_with_b():
     # trying the descents of sigma first, the probe must land on the pinned variant
     first = next(v for v in (False, True) if _variant_commutes_with_b(v))
     assert hodge._INVERSE_DESCENTS is first is False
+
+
+def test_idempotent_denominators_divide_factorial_and_slice_stays_complete(cusp):
+    from math import factorial
+
+    ctx = SliceContext(cusp)
+    n, w = 3, (9,)
+    for i in range(1, n + 1):
+        mat = idempotent_matrix(ctx, n, w, i)
+        assert factorial(n) % mat.den == 0
+        assert all(isinstance(v, QQ) and factorial(n) % v.denominator == 0 for _, v in mat.items())
+    assert any(idempotent_matrix(ctx, n, w, i).den > 1 for i in range(1, n + 1))
+    check_slice_completeness(ctx, n, w)

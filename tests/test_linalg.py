@@ -1,6 +1,8 @@
 """Exact sparse linear algebra: frozen examples and exactness properties."""
 
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,3 +155,103 @@ def test_quotient_space_over_zero_differential_has_unit_reps():
     assert space.dim == 4 - d_in.rank() == 2
     assert all(rep == {min(rep): QQ(1)} for rep in space.reps)
     assert [min(rep) for rep in space.reps] == [0, 3]
+
+
+# -- int storage against a dense Fraction reference ------------------------
+
+_ENTRIES = st.one_of(
+    st.just(QQ(0)),
+    st.integers(-3, 3).map(QQ),
+    st.builds(QQ, st.integers(-3, 3), st.integers(1, 4)),
+)
+
+
+def _draw_dense(draw, rows, cols):
+    return [[draw(_ENTRIES) for _ in range(cols)] for _ in range(rows)]
+
+
+def _sparse(dense, cols):
+    entries = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
+    return SparseMatrix(len(dense), cols, entries)
+
+
+def _to_dense(m):
+    out = [[Fraction(0)] * m.cols for _ in range(m.rows)]
+    for (i, j), v in m.items():
+        out[i][j] = Fraction(v)
+    return out
+
+
+def _ref_mul(a, b, inner, cols):
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
+            for i in range(len(a))]
+
+
+def _ref_rank(dense):
+    rows = [list(r) for r in dense]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for k in range(len(rows)):
+            if k != r and rows[k][c]:
+                f = rows[k][c] / rows[r][c]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        r += 1
+    return r
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_int_storage_agrees_with_dense_fraction_reference(data):
+    n, k, m = (data.draw(st.integers(0, 4)) for _ in range(3))
+    da, db = _draw_dense(data.draw, n, k), _draw_dense(data.draw, n, k)
+    dc = _draw_dense(data.draw, k, m)
+    a, b, c = _sparse(da, k), _sparse(db, k), _sparse(dc, m)
+    scalar = data.draw(_ENTRIES)
+
+    assert _to_dense(a) == da
+    assert _to_dense(a @ c) == _ref_mul(da, dc, k, m)
+    assert _to_dense(a + b) == [[x + y for x, y in zip(r, s)] for r, s in zip(da, db)]
+    assert _to_dense(a - b) == [[x - y for x, y in zip(r, s)] for r, s in zip(da, db)]
+    assert _to_dense(a.scale(scalar)) == [[scalar * x for x in r] for r in da]
+    assert _to_dense(a.transpose()) == [[da[i][j] for i in range(n)] for j in range(k)]
+    for prod in (a @ c, a + b, a - b, a.scale(scalar), a.transpose()):
+        assert all(isinstance(v, QQ) for _, v in prod.items())
+
+    r = _ref_rank(da)
+    assert a.rank() == r
+    kernel = a.kernel_basis()
+    assert len(kernel) == k - r
+    dense_kernel = [[v.get(j, Fraction(0)) for j in range(k)] for v in kernel]
+    assert _ref_rank(dense_kernel) == len(kernel)
+    for vec in dense_kernel:
+        assert all(row == [0] for row in _ref_mul(da, [[x] for x in vec], k, 1))
+
+    columns = a.column_echelon()
+    target = [data.draw(_ENTRIES) for _ in range(n)]
+    inside = _ref_rank([row + [t] for row, t in zip(da, target)]) == r
+    assert columns.contains({i: t for i, t in enumerate(target) if t}) == inside
+    vec = [data.draw(_ENTRIES) for _ in range(k)]
+    image = a.apply({j: x for j, x in enumerate(vec) if x})
+    ref_image = _ref_mul(da, [[x] for x in vec], k, 1)
+    assert image == {i: row[0] for i, row in enumerate(ref_image) if row[0]}
+    assert all(isinstance(v, QQ) for v in image.values())
+    assert columns.contains(image)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fraction_and_scaled_int_builds_compare_equal(data):
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    dense = _draw_dense(data.draw, rows, cols)
+    den = lcm(1, *(v.denominator for row in dense for v in row))
+    from_fractions = _sparse(dense, cols)
+    ints = {(i, j): int(v * den) for i, row in enumerate(dense) for j, v in enumerate(row) if v}
+    from_ints = SparseMatrix(rows, cols, ints).scale(QQ(1, den))
+    assert from_fractions == from_ints
+    assert SparseMatrix.from_blocks(rows, cols, [(0, 0, from_ints)]) == from_fractions
+    assert from_fractions.scale(den) == SparseMatrix(rows, cols, ints)
+    assert (from_fractions.scale(QQ(1, 2)) == from_fractions) == from_fractions.is_zero()
