@@ -22,6 +22,7 @@ from .fiber import ResolutionSquare, pic_conductor, nk0_crosscheck
 from .curve import parse_curve_file, cusp_bundle_tables, DivisorGroup
 from .tables import DimensionTable, canonical_json, render
 from . import corpus as corpus_mod
+from .workpool import resolve_jobs
 
 
 def _read(path: str) -> str:
@@ -110,6 +111,7 @@ def cmd_hodge(args):
 
 def cmd_kunneth(args):
     _check_cutoffs(args, "n_max", "max_weight", "t_cutoff")
+    resolve_jobs(args.jobs)
     algebra = parse_algebra(_read(args.algebra))
     report = verify_kunneth(
         algebra, args.t_cutoff, args.n_max, args.max_weight,
@@ -344,6 +346,7 @@ def cmd_smoothness(args):
 
 
 def cmd_report(args):
+    resolve_jobs(args.jobs)
     entries = corpus_mod.load_corpus(args.corpus)
     bundle = {}
     failures = []

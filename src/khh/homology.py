@@ -91,7 +91,9 @@ class HomologyEngine:
         w = self.algebra._coerce_weight(w)
         key = ("hh", n, w)
         if key not in self._quotients:
-            self._quotients[key] = QuotientSpace(*self._hh_differentials(n, w))
+            space = QuotientSpace(*self._hh_differentials(n, w))
+            _check_space_dim(space, self.hh_dim(n, w), "HH", n, w)
+            self._quotients[key] = space
         return self._quotients[key]
 
     def hh_slice(self, n: int, w):
@@ -173,7 +175,9 @@ class HomologyEngine:
         w = self.algebra._coerce_weight(w)
         key = ("hc", n, w)
         if key not in self._quotients:
-            self._quotients[key] = QuotientSpace(*self._hc_differentials(n, w))
+            space = QuotientSpace(*self._hc_differentials(n, w))
+            _check_space_dim(space, self.hc_dim(n, w), "HC", n, w)
+            self._quotients[key] = space
         return self._quotients[key]
 
     # -- Hodge/Adams -------------------------------------------------------
@@ -300,6 +304,15 @@ class HomologyEngine:
 def _betti(d_in: SparseMatrix, d_out: SparseMatrix) -> int:
     """dim ker(d_out) - rank(d_in); the caller has verified d_out d_in = 0."""
     return d_out.cols - d_out.rank() - d_in.rank()
+
+
+def _check_space_dim(space: QuotientSpace, dim: int, kind: str, n: int, w) -> None:
+    """The echelon's class count must equal the dimension from the ranks."""
+    if space.dim != dim:
+        raise OracleDisagreementError(
+            f"{kind}_{n} at weight {w}: {space.dim} classes from the quotient, "
+            f"dimension {dim} from the ranks"
+        )
 
 
 # -- Kunneth comparison --------------------------------------------------

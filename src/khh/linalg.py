@@ -8,20 +8,23 @@ integral and has den = 1; rational operators such as the Eulerian
 idempotents carry their 1/n! factors in `den`.  Products, sums, scaling,
 transposes, block assembly (`from_blocks`) and ranks run on ints alone,
 with the denominators multiplied or brought to a common multiple; `rank`
-hands the int rows straight to `_int_rank`, since scaling by `den` does
-not change the row space.  QQ re-enters at the edges: `items` yields QQ
-entries, `apply` returns QQ vectors, and `echelon` builds a QQ `Echelon`.
+hands the int rows straight to `_int_rank`, and `echelon` to `Echelon`,
+since scaling by `den` does not change the row space.  QQ re-enters only
+at the edges: `items` yields QQ entries, `apply` returns QQ vectors, and
+kernel vectors, residuals and class coordinates come out as QQ.
 
-There is one rank path and one vector path.  Ranks come from `_int_rank`,
-a fraction-managed integer Gaussian elimination (every update is an exact
-cross-multiplication with a gcd strip) with Markowitz-style pivots by
-ascending support, which keeps fill-in low on the incidence-like
+There is one rank path and one vector path, both fraction-free in the
+style of Bareiss (every update is an exact cross-multiplication followed
+by a gcd strip).  Ranks come from `_int_rank`, with Markowitz-style pivots
+by ascending support, which keeps fill-in low on the incidence-like
 differentials this package produces.  Kernels, column-space membership and
-quotient classes come from `Echelon`, a rational echelon in natural column
-order, so pinned representatives stay put; each matrix caches its row and
-its column echelon.  The only check of a composite here is in
-`homology_dim`; bar and total complexes are verified once per identity and
-slice by `SliceContext`.
+quotient classes come from `Echelon`, an int echelon in natural column
+order whose pivot rows are primitive with a positive pivot; it gives the
+same QQ values as a rational echelon with pivots scaled to 1, so pinned
+representatives stay put.  Each matrix caches its row and its column
+echelon.  The only check of a composite here is in `homology_dim`; bar and
+total complexes are verified once per identity and slice by
+`SliceContext`.
 """
 
 from __future__ import annotations
@@ -257,7 +260,7 @@ class SparseMatrix:
             ech = Echelon(self.cols)
             for row in self._rowdata:
                 if row:
-                    ech.add_row({j: QQ(v) for j, v in row.items()})
+                    ech.add_row(row)
             self._echelon = ech
         return self._echelon
 
@@ -274,73 +277,130 @@ class SparseMatrix:
 
 
 class Echelon:
-    """Incremental rational row echelon in natural column order.
+    """Incremental fraction-free row echelon in natural column order.
 
-    Stores one pivot row per pivot column; rows are reduced against all
-    earlier pivots on insertion, so membership tests are a simple sweep.
+    Stores one pivot row per pivot column: a primitive int row whose pivot,
+    its leftmost entry, is positive.  A row being reduced is carried as
+    ints over a positive scale s (its value is row / s); each step is the
+    cross-multiplication (p/g)*row - (a/g)*prow, followed by a strip of
+    gcd(content, s).  Rows are reduced against all earlier pivots on
+    insertion, so membership tests are a simple sweep.  QQ appears only at
+    the edges: incoming QQ rows are lifted over their common denominator,
+    and `reduce` returns QQ values.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.pivot_rows = {}  # pivot col -> row dict (pivot value normalized to 1)
+        self.pivot_rows = {}  # pivot col -> primitive int row, pivot > 0
 
-    def reduce(self, row):
-        """Residual of row modulo the current row space (row is consumed)."""
+    def _reduce(self, row, s):
+        """(residual, scale) of the int row / s modulo the row space; row is consumed."""
         pivots = self.pivot_rows
         while row:
             c = min(row)
             prow = pivots.get(c)
             if prow is None:
-                return row
-            a = row.pop(c)
-            for j, v in prow.items():
-                if j == c:
-                    continue
-                s = row.get(j, ZERO) - a * v
-                if s:
-                    row[j] = s
-                else:
-                    row.pop(j, None)
-        return row
+                break
+            s *= _eliminate(row, prow, c)
+            if s != 1:
+                h = _content(row, s)
+                if h != 1:
+                    for j in row:
+                        row[j] //= h
+                    s //= h
+        return row, s
 
-    def add_row(self, row):
-        """Insert a row; returns the new pivot column, or None if dependent."""
-        row = self.reduce(row)
-        if not row:
-            return None
+    def _insert(self, row):
+        """Store a reduced nonzero int row as a primitive pivot row."""
         c = min(row)
-        pv = row[c]
-        if pv != 1:
-            row = {j: v / pv for j, v in row.items()}
+        h = _content(row)
+        if row[c] < 0:
+            h = -h
+        if h != 1:
+            row = {j: v // h for j, v in row.items()}
         self.pivot_rows[c] = row
         return c
 
+    def reduce(self, row):
+        """Residual of a row modulo the current row space, as QQ values."""
+        row, s = self._reduce(*_lift(row))
+        return {j: QQ(v, s) for j, v in row.items()}
+
+    def add_row(self, row):
+        """Insert a row; returns the new pivot column, or None if dependent."""
+        row, _ = self._reduce(*_lift(row))
+        return self._insert(row) if row else None
+
     def contains(self, row):
-        return not self.reduce(dict(row))
+        return not self._reduce(*_lift(row))[0]
 
     def kernel_vectors(self):
-        """Right null space of the rows this echelon was built from."""
+        """Right null space of the rows this echelon was built from.
+
+        One integer back-substitution: the reduced echelon R is built from
+        the last pivot up, and the vector of free column f has v[f] = 1 and
+        v[p] = -R_p[f] / R_p[p] at each pivot p.
+        """
         pivots = self.pivot_rows
-        free_cols = [c for c in range(self.ncols) if c not in pivots]
-        basis = []
-        pivot_cols_desc = sorted(pivots, reverse=True)
-        for f in free_cols:
-            v = {f: QQ(1)}
-            for c in pivot_cols_desc:
-                if c > f:
-                    continue
-                prow = pivots[c]
-                s = ZERO
-                for j, a in prow.items():
-                    if j == c:
-                        continue
-                    b = v.get(j)
-                    if b is not None:
-                        s += a * b
-                if s:
-                    v[c] = -s
-            basis.append(v)
-        return basis
+        reduced = {}
+        for c in sorted(pivots, reverse=True):
+            row = dict(pivots[c])
+            # each R_k is zero at every other pivot, so one step clears column k
+            for k in [k for k in row if k in reduced]:
+                _eliminate(row, reduced[k], k)
+            h = _content(row)
+            reduced[c] = row if h == 1 else {j: v // h for j, v in row.items()}
+        one = QQ(1)
+        basis = {f: {f: one} for f in range(self.ncols) if f not in pivots}
+        for c, row in reduced.items():
+            p = row[c]
+            for f, v in row.items():
+                if f != c:
+                    basis[f][c] = QQ(-v, p)
+        return list(basis.values())
+
+
+def _eliminate(row, prow, c):
+    """row <- (p/g)*row - (a/g)*prow with a = row[c], p = prow[c] > 0.
+
+    Clears column c in place and returns the factor p/g the row was scaled by.
+    """
+    a = row[c]
+    p = prow[c]
+    g = gcd(a, p)
+    m = p // g
+    a //= g
+    if m != 1:
+        for j in row:
+            row[j] *= m
+    # the pivot entry cancels too: m*row[c] == a*p
+    for j, v in prow.items():
+        t = row.get(j, 0) - a * v
+        if t:
+            row[j] = t
+        else:
+            del row[j]
+    return m
+
+
+def _content(row, h=0):
+    """gcd of h and the entries of an int row."""
+    for v in row.values():
+        h = gcd(h, v)
+        if h == 1:
+            break
+    return h
+
+
+def _lift(row):
+    """(ints, s) with row == ints / s and s > 0 the common denominator; a new dict."""
+    s = 1
+    for v in row.values():
+        if type(v) is not int:
+            s = lcm(s, int(v.denominator))
+    if s == 1:
+        return {j: int(v) for j, v in row.items()}, 1
+    return {j: int(v.numerator) * (s // int(v.denominator)) for j, v in row.items()}, s
 
 
 def _int_rank(rows, ncols):
@@ -450,12 +510,12 @@ class QuotientSpace:
         self._ech.pivot_rows = dict(d_in.column_echelon().pivot_rows)
         self.reps = []
         for z in d_out.kernel_basis():
-            row = dict(z)
-            row[self.ambient_dim + len(self.reps)] = QQ(1)
-            row = self._ech.reduce(row)
+            row, s = _lift(z)
+            row[self.ambient_dim + len(self.reps)] = s
+            row, _ = self._ech._reduce(row, s)
             # dependent candidates are discarded so class coords stay well defined
             if row and min(row) < self.ambient_dim:
-                self._ech.add_row(row)
+                self._ech._insert(row)
                 self.reps.append(z)
 
     @property
@@ -464,12 +524,12 @@ class QuotientSpace:
 
     def coords(self, vec):
         """Class coordinates of a cycle vector as {rep index: QQ}."""
-        reduced = self._ech.reduce(dict(vec))
+        reduced, s = self._ech._reduce(*_lift(vec))
         out = {}
         for c, v in reduced.items():
             if c < self.ambient_dim:
                 raise PreconditionError("vector is not a cycle in this slice")
-            out[c - self.ambient_dim] = -v
+            out[c - self.ambient_dim] = QQ(-v, s)
         return out
 
     def induced_matrix(self, op: SparseMatrix, target: "QuotientSpace") -> SparseMatrix:

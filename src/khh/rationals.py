@@ -4,9 +4,10 @@ All coefficients in this package are exact rationals: arbitrary-precision
 integers over a positive denominator, always in lowest terms.  gmpy2's mpq
 is used when available; the stdlib Fraction is a drop-in fallback with
 identical semantics for everything we rely on (normalization, hashing,
-comparisons).  Matrix products and ranks do not use this type: `linalg`
-stores int rows over a common denominator, and QQ appears only in normal
-forms, chain coefficients, echelons and quotient classes.
+comparisons).  Linear algebra does not compute in this type: `linalg`
+stores int rows over a common denominator and eliminates on ints, and QQ
+appears only in normal forms, chain coefficients and the vectors and class
+coordinates that `linalg` hands back.
 """
 
 from __future__ import annotations

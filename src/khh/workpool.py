@@ -10,23 +10,31 @@ how many workers run.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 from .algebra import GradedAlgebra
+from .errors import PreconditionError
 
 _ENGINES: dict = {}
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    if jobs is not None:
-        return max(1, jobs)
-    env = os.environ.get("KHH_JOBS")
-    if env:
+    """Worker count: jobs, else KHH_JOBS, else the cores (at most 8).
+
+    A count below 1, or a KHH_JOBS that is not an integer, is rejected.
+    """
+    source = "jobs"
+    if jobs is None:
+        env = os.environ.get("KHH_JOBS")
+        if not env:
+            return min(8, os.cpu_count() or 1)
+        source = "KHH_JOBS"
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
+            raise PreconditionError(f"KHH_JOBS={env!r} is not an integer") from None
+    if jobs < 1:
+        raise PreconditionError(f"{source} must be at least 1, got {jobs}")
+    return jobs
 
 
 def _algebra_payload(algebra: GradedAlgebra):
@@ -83,6 +91,9 @@ def map_cells(algebra: GradedAlgebra, conv_name: str, cells, jobs: int | None):
     njobs = resolve_jobs(jobs)
     if njobs <= 1 or len(tasks) <= 2:
         return [_run_cell(t) for t in tasks]
+    # imported here so that the CLI's early `resolve_jobs` check loads no pool
+    from concurrent.futures import ProcessPoolExecutor
+
     # largest weights first so the long poles start immediately
     order = sorted(range(len(tasks)), key=lambda i: -(sum(tasks[i][4]) + tasks[i][3]))
     results: list = [None] * len(tasks)

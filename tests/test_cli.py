@@ -230,3 +230,35 @@ def test_square_verbs_reject_other_conventions():
          "--p", "1", "--q", "0", "--max-weight", "4"),
     ):
         assert run_cli(*argv, "--convention", "b-transpose").returncode == 3
+
+
+def test_invalid_job_counts_exit_3():
+    kunneth = (
+        "kunneth", "--algebra", corpus_file("cusp", "algebra.alg"),
+        "--n-max", "1", "--max-weight", "4", "--t-cutoff", "1", "--format", "json",
+    )
+    for argv, env in (
+        (kunneth + ("--jobs", "-3"), None),
+        (kunneth + ("--jobs", "0"), None),
+        (kunneth, {"KHH_JOBS": "abc"}),
+        (kunneth, {"KHH_JOBS": "0"}),
+        (("report", "--jobs", "-7"), None),
+        (("report",), {"KHH_JOBS": "abc"}),
+    ):
+        proc = run_cli(*argv, env=env)
+        assert proc.returncode == 3, (argv, env)
+        assert proc.stdout == ""
+        assert "jobs" in proc.stderr.lower()
+
+
+def test_valid_job_counts_still_run(tmp_path):
+    kunneth = (
+        "kunneth", "--algebra", corpus_file("cusp", "algebra.alg"),
+        "--n-max", "1", "--max-weight", "4", "--t-cutoff", "1", "--format", "json",
+    )
+    assert run_cli(*kunneth, "--jobs", "2").returncode == 0
+    assert run_cli(*kunneth, env={"KHH_JOBS": "2"}).returncode == 0
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "q").symlink_to(default_corpus_dir() / "q")
+    assert run_cli("report", "--corpus", str(corpus), "--jobs", "2").returncode == 0

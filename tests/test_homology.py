@@ -2,10 +2,13 @@
 
 import pytest
 
+from khh import cli
 from khh.algebra import GradedAlgebra
 from khh.barcomplex import chain_str
-from khh.errors import CompositionNonzeroError
+from khh.corpus import default_corpus_dir
+from khh.errors import CompositionNonzeroError, OracleDisagreementError
 from khh.homology import HomologyEngine
+from khh.linalg import Echelon, SparseMatrix
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +81,78 @@ def test_hodge_split_single_piece_at_n1(cusp_engine, free1_engine):
 
 
 def test_hodge_representatives_are_cycles(cusp_engine):
-    reps = cusp_engine.hodge_representatives(2, 8, 2)
-    for rep in reps:
-        assert cusp_engine.ctx.b_chain(rep).is_zero()
+    # HH_2 of the cusp is zero at weight 8, so weight 7 keeps the loop honest
+    assert cusp_engine.hodge_representatives(2, 7, 2)
+    for w in (7, 8):
+        for rep in cusp_engine.hodge_representatives(2, w, 2):
+            assert cusp_engine.ctx.b_chain(rep).is_zero()
+
+
+def test_representatives_are_pinned(cusp_engine, free2):
+    # which chains come out, not only that they are cycles: frozen from the
+    # Fraction echelon so a change of elimination cannot move them
+    dim, reps = cusp_engine.hh_slice(1, 5)
+    assert dim == 2
+    assert [chain_str(r) for r in reps] == ["y[x]", "x[y]"]
+    assert cusp_engine.hodge_representatives(2, 8, 2) == []
+    assert [chain_str(c) for c in cusp_engine.hodge_representatives(2, 7, 2)] == [
+        "-x[x|y] + x[y|x]"
+    ]
+    assert [chain_str(c) for c in cusp_engine.hodge_representatives(1, 7, 1)] == [
+        "x*y[x]", "x^2[y]"
+    ]
+    free2_reps = HomologyEngine(free2).report(2, 5, with_reps=True).representatives
+    assert free2_reps == {
+        (1, (1,), 1): ["[x]", "[y]"],
+        (1, (2,), 1): ["x[x]", "x[y]", "y[x]", "y[y]"],
+        (1, (3,), 1): ["x^2[x]", "x^2[y]", "x*y[x]", "x*y[y]", "y^2[x]", "y^2[y]"],
+        (1, (4,), 1): ["x^3[x]", "x^3[y]", "x^2*y[x]", "x^2*y[y]",
+                       "x*y^2[x]", "x*y^2[y]", "y^3[x]", "y^3[y]"],
+        (1, (5,), 1): ["x^4[x]", "x^4[y]", "x^3*y[x]", "x^3*y[y]", "x^2*y^2[x]",
+                       "x^2*y^2[y]", "x*y^3[x]", "x*y^3[y]", "y^4[x]", "y^4[y]"],
+        (2, (2,), 2): ["-[x|y] + [y|x]"],
+        (2, (3,), 2): ["-x[x|y] + x[y|x]", "-y[x|y] + y[y|x]"],
+        (2, (4,), 2): ["-x^2[x|y] + x^2[y|x]", "-x*y[x|y] + x*y[y|x]",
+                       "-y^2[x|y] + y^2[y|x]"],
+        (2, (5,), 2): ["-x^3[x|y] + x^3[y|x]", "-x^2*y[x|y] + x^2*y[y|x]",
+                       "-x*y^2[x|y] + x*y^2[y|x]", "-y^3[x|y] + y^3[y|x]"],
+    }
+
+
+def _keep_first_kernel_vector(monkeypatch):
+    kernel_basis = SparseMatrix.kernel_basis
+    monkeypatch.setattr(SparseMatrix, "kernel_basis", lambda m: kernel_basis(m)[:1])
+
+
+def _drop_last_boundary_pivot(monkeypatch):
+    column_echelon = SparseMatrix.column_echelon
+
+    def lossy(m):
+        ech = Echelon(m.rows)
+        ech.pivot_rows = dict(column_echelon(m).pivot_rows)
+        if ech.pivot_rows:
+            del ech.pivot_rows[max(ech.pivot_rows)]
+        return ech
+
+    monkeypatch.setattr(SparseMatrix, "column_echelon", lossy)
+
+
+@pytest.mark.parametrize("kind, plant", [
+    ("hh", _keep_first_kernel_vector),
+    ("hh", _drop_last_boundary_pivot),
+    ("hc", _drop_last_boundary_pivot),
+])
+def test_quotient_dim_checked_against_ranks(cusp, monkeypatch, kind, plant):
+    # a fault planted in the vector path must not pass as a class count; at
+    # (1, 5) the boundary (1, 1, -1) meets every basis chain, so dropping any
+    # single kernel vector still leaves a spanning set and is no fault here
+    plant(monkeypatch)
+    engine = HomologyEngine(cusp)
+    with pytest.raises(OracleDisagreementError, match="from the ranks"):
+        getattr(engine, f"{kind}_space")(1, 5)
+    if kind == "hh":
+        algebra = str(default_corpus_dir() / "cusp" / "algebra.alg")
+        assert cli.main(["hodge", "--algebra", algebra, "--n", "1", "--max-weight", "5"]) == 5
 
 
 def test_sbi_exactness(cusp_engine, free1_engine):

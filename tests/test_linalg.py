@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -255,3 +255,168 @@ def test_fraction_and_scaled_int_builds_compare_equal(data):
     assert SparseMatrix.from_blocks(rows, cols, [(0, 0, from_ints)]) == from_fractions
     assert from_fractions.scale(den) == SparseMatrix(rows, cols, ints)
     assert (from_fractions.scale(QQ(1, 2)) == from_fractions) == from_fractions.is_zero()
+
+
+# -- the int echelon against the Fraction echelon it replaced ----------------
+
+
+class _FractionEchelon:
+    """The former rational echelon (pivots scaled to 1), kept as an oracle."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.pivot_rows = {}
+
+    def reduce(self, row):
+        pivots = self.pivot_rows
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                return row
+            a = row.pop(c)
+            for j, v in prow.items():
+                if j == c:
+                    continue
+                s = row.get(j, Fraction(0)) - a * v
+                if s:
+                    row[j] = s
+                else:
+                    row.pop(j, None)
+        return row
+
+    def add_row(self, row):
+        row = self.reduce(row)
+        if not row:
+            return None
+        c = min(row)
+        pv = row[c]
+        if pv != 1:
+            row = {j: v / pv for j, v in row.items()}
+        self.pivot_rows[c] = row
+        return c
+
+    def kernel_vectors(self):
+        pivots = self.pivot_rows
+        free_cols = [c for c in range(self.ncols) if c not in pivots]
+        basis = []
+        pivot_cols_desc = sorted(pivots, reverse=True)
+        for f in free_cols:
+            v = {f: Fraction(1)}
+            for c in pivot_cols_desc:
+                if c > f:
+                    continue
+                prow = pivots[c]
+                s = Fraction(0)
+                for j, a in prow.items():
+                    if j == c:
+                        continue
+                    b = v.get(j)
+                    if b is not None:
+                        s += a * b
+                if s:
+                    v[c] = -s
+            basis.append(v)
+        return basis
+
+
+def _ref_echelon(dense, cols):
+    ech = _FractionEchelon(cols)
+    for row in dense:
+        ech.add_row({j: Fraction(v) for j, v in enumerate(row) if v})
+    return ech
+
+
+def _ref_quotient(d_in, d_out, ambient):
+    """(reps, echelon) of the former QuotientSpace, on dense Fraction input."""
+    columns = [[row[j] for row in d_in] for j in range(len(d_in[0]) if d_in else 0)]
+    ech = _ref_echelon(columns, ambient)
+    reps = []
+    for z in _ref_echelon(d_out, ambient).kernel_vectors():
+        row = ech.reduce({**z, ambient + len(reps): Fraction(1)})
+        if row and min(row) < ambient:
+            ech.add_row(row)
+            reps.append(z)
+    return reps, ech
+
+
+def _ref_coords(ech, ambient, vec):
+    reduced = ech.reduce({j: Fraction(v) for j, v in vec.items()})
+    assert all(c >= ambient for c in reduced)
+    return {c - ambient: -v for c, v in reduced.items()}
+
+
+def _assert_primitive_pivot_rows(ech):
+    for c, row in ech.pivot_rows.items():
+        assert c == min(row) and row[c] > 0
+        assert all(type(v) is int and v for v in row.values())
+        assert gcd(*row.values()) == 1
+
+
+def _is_qq_dict(vec):
+    return all(isinstance(v, QQ) for v in vec.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_int_echelon_matches_fraction_echelon(data):
+    # a pair d_out @ d_in = 0: d_in of rank <= t, rows of d_out in its left kernel
+    m, k, t, r = (data.draw(st.integers(0, n)) for n in (5, 5, 4, 4))
+    d_in = _ref_mul(_draw_dense(data.draw, m, t), _draw_dense(data.draw, t, k), t, k)
+    left_kernel = _ref_echelon([[row[i] for row in d_in] for i in range(k)], m).kernel_vectors()
+    d_out = [
+        [sum((c * v.get(i, 0) for c, v in zip(coeffs, left_kernel)), Fraction(0)) for i in range(m)]
+        for coeffs in (
+            [data.draw(_ENTRIES) for _ in left_kernel] for _ in range(r)
+        )
+    ]
+    a_in, a_out = _sparse(d_in, k), _sparse(d_out, m)
+    assert (a_out @ a_in).is_zero()
+
+    kernel = a_out.kernel_basis()
+    assert kernel == _ref_echelon(d_out, m).kernel_vectors()
+    assert all(_is_qq_dict(v) for v in kernel)
+    _assert_primitive_pivot_rows(a_out.echelon())
+    _assert_primitive_pivot_rows(a_in.column_echelon())
+
+    space = QuotientSpace(a_in, a_out)
+    ref_reps, ref_ech = _ref_quotient(d_in, d_out, m)
+    assert space.reps == ref_reps
+    _assert_primitive_pivot_rows(space._ech)
+
+    # a cycle: a random mix of kernel vectors plus a random boundary
+    mix = {}
+    for z in kernel:
+        c = data.draw(_ENTRIES)
+        for j, v in z.items():
+            mix[j] = mix.get(j, 0) + c * v
+    boundary = a_in.apply({j: data.draw(_ENTRIES) for j in range(k)})
+    cycle = {j: v for j, v in ((j, mix.get(j, 0) + boundary.get(j, 0)) for j in range(m)) if v}
+    coords = space.coords(cycle)
+    assert coords == _ref_coords(ref_ech, m, cycle) and _is_qq_dict(coords)
+    columns = _ref_echelon([[row[j] for row in d_in] for j in range(k)], m)
+    for vec in (boundary, cycle, {j: data.draw(_ENTRIES) for j in range(m)}):
+        vec = {j: v for j, v in vec.items() if v}
+        assert a_in.column_echelon().contains(vec) == (not columns.reduce(dict(vec)))
+
+    # lam*I + d_in H maps cycles to cycles and is lam on classes
+    lam = data.draw(_ENTRIES)
+    h = _sparse(_draw_dense(data.draw, k, m), m)
+    op = SparseMatrix.identity(m).scale(lam) + a_in @ h
+    induced = space.induced_matrix(op, space)
+    ref_entries = {}
+    for j, rep in enumerate(ref_reps):
+        for i, v in _ref_coords(ref_ech, m, op.apply(rep)).items():
+            ref_entries[(i, j)] = v
+    assert induced == SparseMatrix(len(ref_reps), len(ref_reps), ref_entries)
+    assert induced == SparseMatrix.identity(space.dim).scale(lam)
+
+
+def test_int_echelon_over_empty_and_negative_pivots():
+    # 0 x n and n x 0 shapes, zero rows and columns, negative leading entries
+    assert SparseMatrix.zero(0, 3).kernel_basis() == [{0: 1}, {1: 1}, {2: 1}]
+    assert SparseMatrix.zero(3, 0).kernel_basis() == []
+    m = SparseMatrix.from_dense([[0, -2, 4, 0], [0, 0, 0, 0], [0, -3, 0, 6]])
+    assert m.echelon().pivot_rows == {1: {1: 1, 2: -2}, 2: {2: 1, 3: -1}}
+    assert m.kernel_basis() == [{0: 1}, {3: 1, 2: 1, 1: 2}]
+    assert m.echelon().reduce({1: QQ(1, 2), 3: QQ(1, 3)}) == {3: QQ(4, 3)}
