@@ -249,13 +249,6 @@ class GradedAlgebra:
         self._nf_mono_cache.clear()
         self._basis_cache.clear()
 
-    def groebner_leads(self, bound: int):
-        self.ensure_weight(bound)
-        return sorted(
-            (self.lead(g) for g in self._gb if g is not None),
-            key=self.order_key,
-        )
-
     def reduced_relations(self, bound: int):
         """The reduced basis completed through scalar weight `bound`.
 
@@ -273,9 +266,6 @@ class GradedAlgebra:
             reduced[lead] = g[lead]
             out.append(reduced)
         return out
-
-    def is_free(self, probe: int = 24) -> bool:
-        return not self.reduced_relations(probe)
 
     # -- normal forms ---------------------------------------------------
 
@@ -525,10 +515,6 @@ class GradedHom:
             out = poly_add(out, poly_scale(c, self.apply_mono(m)))
         return self.codomain.nf(out)
 
-    def kernel_dim(self, w) -> int:
-        """Dimension of the weight-w kernel slice."""
-        return len(self.kernel_slice(w))
-
     def matrix_on_weight(self, w):
         """Sparse matrix of the map on weight-w monomial bases."""
         from .linalg import SparseMatrix
@@ -541,9 +527,6 @@ class GradedHom:
             for im, c in self.apply_mono(m).items():
                 entries[(index[im], j)] = c
         return SparseMatrix(len(cod), len(dom), entries)
-
-    def kernel_slice(self, w):
-        return self.matrix_on_weight(w).kernel_basis()
 
     @classmethod
     def identity(cls, algebra: GradedAlgebra):

@@ -10,6 +10,12 @@ piece TK_n.  A nilpotent-kernel collapse (dual numbers onto their
 reduction) is accepted as the degenerate square where the blow-up is the
 reduced subscheme.
 
+The algebra and each branch get their own HomologyEngine, so every HH
+dimension, quotient space and induced Hodge idempotent of the fiber comes
+from the same checked layer as `khh hh`.  Only the fiber-level objects
+stack the branches: the cone differential and the class map (with the
+block-diagonal idempotents that act on its target).
+
 The same conductor data drives the units Mayer-Vietoris computations:
 Picard growth over polynomial extensions via unipotent units of the
 finite quotient rings, the seminormalization for monomial curves, and the
@@ -37,8 +43,7 @@ from .algebra import (
     split_blocks,
     vec_total,
 )
-from .barcomplex import SliceContext, convention
-from . import hodge as hodge_mod
+from .homology import HomologyEngine
 from .kahler import DifferentialForms
 
 
@@ -73,8 +78,25 @@ def quotient_dim(algebra: GradedAlgebra, gens, w) -> int:
     return mat.rows - mat.rank()
 
 
+def _block_diagonal(mats) -> SparseMatrix:
+    """The matrices placed corner to corner along the diagonal."""
+    blocks = []
+    rows = cols = 0
+    for mat in mats:
+        blocks.append((rows, cols, mat))
+        rows += mat.rows
+        cols += mat.cols
+    return SparseMatrix.from_blocks(rows, cols, blocks)
+
+
 class ResolutionSquare:
-    """A singular algebra, its normalization branches, and the conductor."""
+    """A singular algebra, its normalization branches, and the conductor.
+
+    `engine_A` computes the homology of the algebra and `branch_engines`
+    that of each branch, one HomologyEngine apiece on the standard
+    convention.  The square adds the chain maps, one per branch, and what
+    stacks the branches: the cone differentials and the class maps.
+    """
 
     def __init__(self, algebra, branches, conductor, probe: int = 14):
         if not branches:
@@ -88,14 +110,11 @@ class ResolutionSquare:
         self.kernel_nilpotent = False
         self.center_is_exceptional = False
         self._validated_upto = -1
-        self._ctx_A = None
-        self._ctx_B = None
-        self._spaces = {}
+        self.engine_A = HomologyEngine(algebra)
+        self.branch_engines = tuple(HomologyEngine(B) for B, _ in self.branches)
         self._maps = {}
         self._cones = {}
         self._stacked = {}
-        self._target_b = {}
-        self._conv = convention("standard")
 
     # -- parsing --------------------------------------------------------
 
@@ -239,66 +258,32 @@ class ResolutionSquare:
 
     # -- chain-level machinery ---------------------------------------------
 
-    @property
-    def ctx_A(self) -> SliceContext:
-        if self._ctx_A is None:
-            self._ctx_A = SliceContext(self.algebra, self._conv)
-        return self._ctx_A
-
-    @property
-    def branch_ctxs(self):
-        if self._ctx_B is None:
-            self._ctx_B = tuple(SliceContext(B, self._conv) for B, _ in self.branches)
-        return self._ctx_B
-
-    def target_dim(self, n: int, w) -> int:
-        return sum(ctx.dim(n, w) for ctx in self.branch_ctxs)
-
-    def target_b_matrix(self, n: int, w) -> SparseMatrix:
-        """Block-diagonal b over the branches."""
-        w = self.algebra._coerce_weight(w)
-        key = (n, w)
-        cached = self._target_b.get(key)
-        if cached is not None:
-            return cached
-        blocks = []
-        roff = coff = 0
-        for ctx in self.branch_ctxs:
-            mat = ctx.b_matrix(n, w)
-            blocks.append((roff, coff, mat))
-            roff += mat.rows
-            coff += mat.cols
-        mat = SparseMatrix.from_blocks(roff, coff, blocks)
-        self._target_b[key] = mat
-        return mat
-
-    def chain_map_matrix(self, n: int, w) -> SparseMatrix:
-        """Induced map C_n(A) -> sum of C_n(branch) on the weight-w slice."""
+    def chain_map_matrix(self, n: int, w) -> tuple:
+        """Induced maps C_n(A) -> C_n(branch) on the weight-w slice, one per branch."""
         w = self.algebra._coerce_weight(w)
         key = (n, w)
         cached = self._maps.get(key)
         if cached is not None:
             return cached
-        src = self.ctx_A.basis(n, w)
-        entries = {}
-        offset = 0
-        for (B, hom), ctx in zip(self.branches, self.branch_ctxs):
-            index = ctx.index(n, w)
+        src = self.engine_A.ctx.basis(n, w)
+        mats = []
+        for (_, hom), engine in zip(self.branches, self.branch_engines):
+            index = engine.ctx.index(n, w)
+            entries = {}
             for j, tensor in enumerate(src):
                 for t, c in self._tensor_image(hom, tensor).items():
                     i = index.get(t)
                     if i is None:
                         continue
-                    key2 = (offset + i, j)
-                    s = entries.get(key2, ZERO) + c
+                    s = entries.get((i, j), ZERO) + c
                     if s:
-                        entries[key2] = s
+                        entries[(i, j)] = s
                     else:
-                        entries.pop(key2, None)
-            offset += ctx.dim(n, w)
-        mat = SparseMatrix(offset, len(src), entries)
-        self._maps[key] = mat
-        return mat
+                        entries.pop((i, j), None)
+            mats.append(SparseMatrix(len(index), len(src), entries))
+        mats = tuple(mats)
+        self._maps[key] = mats
+        return mats
 
     @staticmethod
     def _tensor_image(hom: GradedHom, tensor):
@@ -328,58 +313,51 @@ class ResolutionSquare:
         return acc
 
     def cone_matrix(self, q: int, w) -> SparseMatrix:
-        """D_q of the shifted cone G: G_q = C_q(A) + C_{q+1}(targets)."""
+        """D_q of the shifted cone G: G_q = C_q(A) + C_{q+1}(branches).
+
+        Rows are C_{q-1}(A) then each branch's C_q; columns are C_q(A) then
+        each branch's C_{q+1}.  Branch k contributes its chain map and -b.
+        """
         w = self.algebra._coerce_weight(w)
         key = (q, w)
         cached = self._cones.get(key)
         if cached is not None:
             return cached
-        dimA_q = self.ctx_A.dim(q, w) if q >= 0 else 0
-        dimB_q1 = self.target_dim(q + 1, w) if q + 1 >= 0 else 0
-        dimA_q1 = self.ctx_A.dim(q - 1, w) if q - 1 >= 0 else 0
-        dimB_q = self.target_dim(q, w) if q >= 0 else 0
+        ctx_A = self.engine_A.ctx
         blocks = []
         if q >= 1:
-            blocks.append((0, 0, self.ctx_A.b_matrix(q, w)))
-        if q >= 0:
-            blocks.append((dimA_q1, 0, self.chain_map_matrix(q, w)))
-        if q + 1 >= 1:
-            blocks.append((dimA_q1, dimA_q, self.target_b_matrix(q + 1, w).scale(-1)))
-        mat = SparseMatrix.from_blocks(dimA_q1 + dimB_q, dimA_q + dimB_q1, blocks)
+            blocks.append((0, 0, ctx_A.b_matrix(q, w)))
+        maps = self.chain_map_matrix(q, w) if q >= 0 else ()
+        roff = ctx_A.dim(q - 1, w)
+        coff = ctx_A.dim(q, w)
+        for k, engine in enumerate(self.branch_engines):
+            if q >= 0:
+                blocks.append((roff, 0, maps[k]))
+                blocks.append((roff, coff, engine.ctx.b_matrix(q + 1, w).scale(-1)))
+            roff += engine.ctx.dim(q, w)
+            coff += engine.ctx.dim(q + 1, w)
+        mat = SparseMatrix.from_blocks(roff, coff, blocks)
         self._cones[key] = mat
         return mat
 
-    # -- homology-level spaces and maps -------------------------------------
-
-    def space_A(self, n: int, w) -> QuotientSpace:
-        key = ("A", n, w)
-        if key not in self._spaces:
-            w2 = self.algebra._coerce_weight(w)
-            self.ctx_A.verify("b.b", n, w2)
-            self._spaces[key] = QuotientSpace(
-                self.ctx_A.b_matrix(n + 1, w2), self.ctx_A.b_matrix(n, w2)
-            )
-        return self._spaces[key]
-
-    def space_B(self, n: int, w) -> QuotientSpace:
-        key = ("B", n, w)
-        if key not in self._spaces:
-            w2 = self.algebra._coerce_weight(w)
-            for ctx in self.branch_ctxs:
-                ctx.verify("b.b", n, w2)
-            self._spaces[key] = QuotientSpace(
-                self.target_b_matrix(n + 1, w2), self.target_b_matrix(n, w2)
-            )
-        return self._spaces[key]
+    # -- homology-level maps ----------------------------------------------
 
     def class_map(self, n: int, w) -> SparseMatrix:
-        """HH_n(A) -> HH_n(targets) on classes."""
+        """HH_n(A) -> sum of HH_n(branch) on classes, branches stacked."""
         if n < 0:
             return SparseMatrix.zero(0, 0)
-        return self.space_A(n, w).induced_matrix(
-            self.chain_map_matrix(n, self.algebra._coerce_weight(w)),
-            self.space_B(n, w),
-        )
+        source = self.engine_A.hh_space(n, w)
+        blocks = []
+        roff = 0
+        for engine, chain_map in zip(self.branch_engines, self.chain_map_matrix(n, w)):
+            block = source.induced_matrix(chain_map, engine.hh_space(n, w))
+            blocks.append((roff, 0, block))
+            roff += block.rows
+        return SparseMatrix.from_blocks(roff, source.dim, blocks)
+
+    def _target_hh(self, n: int, w) -> int:
+        """dim of HH_n of the branches together; 0 for n < 0."""
+        return sum(engine.hh_dim(n, w) for engine in self.branch_engines)
 
     # -- fiber dimensions ----------------------------------------------------
 
@@ -389,28 +367,15 @@ class ResolutionSquare:
         q = -m
         cone = homology_dim(self.cone_matrix(q + 1, w), self.cone_matrix(q, w))
         # long exact sequence bookkeeping, computed independently
-        hA_q = self._hh_A(q, w)
-        hB_q = self._hh_B(q, w)
-        r_q = self.class_map(q, w).rank() if q >= 0 else 0
-        r_q1 = self.class_map(q + 1, w).rank() if q + 1 >= 0 else 0
-        hB_q1 = self._hh_B(q + 1, w)
-        expect = (hA_q - r_q) + (hB_q1 - r_q1)
+        r_q = self.class_map(q, w).rank()
+        r_q1 = self.class_map(q + 1, w).rank()
+        expect = (self.engine_A.hh_dim(q, w) - r_q) + (self._target_hh(q + 1, w) - r_q1)
         if cone != expect:
             raise OracleDisagreementError(
                 f"cone homology {cone} != LES bookkeeping {expect} at "
                 f"(m={m}, w={w})"
             )
         return cone
-
-    def _hh_A(self, q, w):
-        if q < 0:
-            return 0
-        return self.space_A(q, w).dim
-
-    def _hh_B(self, q, w):
-        if q < 0:
-            return 0
-        return self.space_B(q, w).dim
 
     def tk(self, n: int, w) -> int:
         """Typical piece: H^{1-n} of the fiber at weight w."""
@@ -422,31 +387,19 @@ class ResolutionSquare:
         """(dim_A, dim_B, rank of the map) on Hodge piece p at degree q."""
         if q < 0 or p < 0 or (q >= 1 and not 1 <= p <= q) or (q == 0 and p != 0):
             return 0, 0, 0
-        sA = self.space_A(q, w)
-        sB = self.space_B(q, w)
         mat = self.class_map(q, w)
         if q == 0:
-            return sA.dim, sB.dim, mat.rank()
-        w2 = self.algebra._coerce_weight(w)
-        eA = sA.induced_matrix(
-            hodge_mod.idempotent_matrix(self.ctx_A, q, w2, p), sA
+            return self.engine_A.hh_dim(0, w), self._target_hh(0, w), mat.rank()
+        eA = self.engine_A.hodge_class_matrix(q, w, p)
+        eB = _block_diagonal(
+            [engine.hodge_class_matrix(q, w, p) for engine in self.branch_engines]
         )
-        blocks = []
-        roff = 0
-        for ctx in self.branch_ctxs:
-            blocks.append((roff, roff, hodge_mod.idempotent_matrix(ctx, q, w2, p)))
-            roff += ctx.dim(q, w2)
-        eB_chain = SparseMatrix.from_blocks(roff, roff, blocks)
-        eB = sB.induced_matrix(eB_chain, sB)
-        dim_pA = eA.rank()
-        dim_pB = eB.rank()
-        rank_p = (mat @ eA).rank()
         # the map respects the splitting; certify on this slice
-        if ((eB @ mat) - (mat @ eA)).rank() != 0:
+        if not ((eB @ mat) - (mat @ eA)).is_zero():
             raise OracleDisagreementError(
                 f"chain map fails to commute with e^({p}) at (q={q}, w={w})"
             )
-        return dim_pA, dim_pB, rank_p
+        return eA.rank(), eB.rank(), (mat @ eA).rank()
 
     def tk_hodge(self, n: int, w, i: int) -> int:
         """H^{1-n} of the (i-1)-st Hodge piece of the fiber."""

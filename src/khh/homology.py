@@ -53,6 +53,7 @@ class HomologyEngine:
         self._hc = {}
         self._total_mats = {}
         self._quotients = {}
+        self._hodge_classes = {}
 
     # -- Hochschild -----------------------------------------------------
 
@@ -190,10 +191,7 @@ class HomologyEngine:
         w = self.algebra._coerce_weight(w)
         hodge.check_slice_completeness(self.ctx, n, w)
         space = self.hh_space(n, w)
-        dims = []
-        for i in range(1, n + 1):
-            mat = space.induced_matrix(hodge.idempotent_matrix(self.ctx, n, w, i), space)
-            dims.append(mat.rank())
+        dims = [self.hodge_class_matrix(n, w, i).rank() for i in range(1, n + 1)]
         total = space.dim
         if sum(dims) != total:
             raise IdempotentSanityError(
@@ -207,6 +205,17 @@ class HomologyEngine:
                 f"{tuple(dims)} at (n={n}, w={w})"
             )
         return HodgeSplit(tuple(dims), total, eigendims)
+
+    def hodge_class_matrix(self, n: int, w, i: int) -> SparseMatrix:
+        """e_n^(i) induced on the classes of hh_space(n, w)."""
+        w = self.algebra._coerce_weight(w)
+        key = (n, w, i)
+        if key not in self._hodge_classes:
+            space = self.hh_space(n, w)
+            self._hodge_classes[key] = space.induced_matrix(
+                hodge.idempotent_matrix(self.ctx, n, w, i), space
+            )
+        return self._hodge_classes[key]
 
     def hodge_representatives(self, n: int, w, i: int):
         """Cycle representatives spanning the i-th Hodge piece of HH_n."""
@@ -261,31 +270,23 @@ class HomologyEngine:
         hc_n2 = self.hc_space(n - 2, w) if n >= 2 else None
         hh_n1 = self.hh_space(n - 1, w) if n >= 1 else None
         dim_cn = self.ctx.dim(n, w)
+        t_n = self.total_matrix(n, w).cols
         # I: C_n included as block 0 of T_n
-        inc = SparseMatrix(
-            self.total_matrix(n, w).cols,
-            dim_cn,
-            {(i, i): QQ(1) for i in range(dim_cn)},
-        )
+        inc = SparseMatrix.from_blocks(t_n, dim_cn, [(0, 0, SparseMatrix.identity(dim_cn))])
         i_star = hh_n.induced_matrix(inc, hc_n)
         result = {"n": n, "w": w}
         if hc_n2 is not None:
-            t_n_cols = self.total_matrix(n, w).cols
-            proj = SparseMatrix(
-                t_n_cols - dim_cn,
-                t_n_cols,
-                {(i, dim_cn + i): QQ(1) for i in range(t_n_cols - dim_cn)},
+            # S: T_n -> T_{n-2} drops the leading block
+            proj = SparseMatrix.from_blocks(
+                t_n - dim_cn, t_n, [(0, dim_cn, SparseMatrix.identity(t_n - dim_cn))]
             )
             s_star = hc_n.induced_matrix(proj, hc_n2)
             # connecting map: B of the leading block of a T_{n-2} cycle
-            Bmat = self.ctx.B_matrix(n - 2, w)
-            entries = {}
-            for j, rep in enumerate(hc_n2.reps):
-                lead = {i: v for i, v in rep.items() if i < self.ctx.dim(n - 2, w)}
-                img = Bmat.apply(lead)
-                for i, v in hh_n1.coords(img).items():
-                    entries[(i, j)] = v
-            del_star = SparseMatrix(hh_n1.dim, hc_n2.dim, entries)
+            dim_cn2 = self.ctx.dim(n - 2, w)
+            lead = SparseMatrix.from_blocks(
+                dim_cn2, hc_n2.ambient_dim, [(0, 0, SparseMatrix.identity(dim_cn2))]
+            )
+            del_star = hc_n2.induced_matrix(self.ctx.B_matrix(n - 2, w) @ lead, hh_n1)
             exact_at_hcn = (
                 (s_star @ i_star).is_zero()
                 and i_star.rank() == hc_n.dim - s_star.rank()

@@ -53,7 +53,7 @@ class SparseMatrix:
                     if not isinstance(v, QQ):
                         v = QQ(v)
                     if v.denominator == 1:
-                        v = int(v.numerator)
+                        v = v.numerator
                     else:
                         fractional = True
                 if not v:
@@ -69,10 +69,10 @@ class SparseMatrix:
         if fractional:
             for row in rowdata:
                 for v in row.values():
-                    den = lcm(den, int(v.denominator))
+                    den = lcm(den, v.denominator)
             for row in rowdata:
                 for j, v in row.items():
-                    row[j] = int(v.numerator) * (den // int(v.denominator))
+                    row[j] = v.numerator * (den // v.denominator)
         self._adopt(rows, cols, rowdata, den)
 
     def _adopt(self, rows, cols, rowdata, den):
@@ -212,9 +212,9 @@ class SparseMatrix:
         c = QQ(c)
         if c == 0:
             return SparseMatrix.zero(self.rows, self.cols)
-        num = int(c.numerator)
+        num = c.numerator
         rowdata = [{j: num * v for j, v in row.items()} for row in self._rowdata]
-        return SparseMatrix._of_rows(self.rows, self.cols, rowdata, self.den * int(c.denominator))
+        return SparseMatrix._of_rows(self.rows, self.cols, rowdata, self.den * c.denominator)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -397,10 +397,10 @@ def _lift(row):
     s = 1
     for v in row.values():
         if type(v) is not int:
-            s = lcm(s, int(v.denominator))
+            s = lcm(s, v.denominator)
     if s == 1:
         return {j: int(v) for j, v in row.items()}, 1
-    return {j: int(v.numerator) * (s // int(v.denominator)) for j, v in row.items()}, s
+    return {j: v.numerator * (s // v.denominator) for j, v in row.items()}, s
 
 
 def _int_rank(rows, ncols):

@@ -1,10 +1,8 @@
 """Exact rational arithmetic.
 
 All coefficients in this package are exact rationals: arbitrary-precision
-integers over a positive denominator, always in lowest terms.  gmpy2's mpq
-is used when available; the stdlib Fraction is a drop-in fallback with
-identical semantics for everything we rely on (normalization, hashing,
-comparisons).  Linear algebra does not compute in this type: `linalg`
+integers over a positive denominator, always in lowest terms, as the
+stdlib Fraction.  Linear algebra does not compute in this type: `linalg`
 stores int rows over a common denominator and eliminates on ints, and QQ
 appears only in normal forms, chain coefficients and the vectors and class
 coordinates that `linalg` hands back.
@@ -12,14 +10,7 @@ coordinates that `linalg` hands back.
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as QQ  # type: ignore[import-untyped]
-
-    _BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as QQ  # type: ignore[assignment]
-
-    _BACKEND = "fractions"
+from fractions import Fraction as QQ
 
 ZERO = QQ(0)
 ONE = QQ(1)
@@ -42,6 +33,3 @@ def qq_str(value) -> str:
     num, den = value.numerator, value.denominator
     return str(num) if den == 1 else f"{num}/{den}"
 
-
-def backend() -> str:
-    return _BACKEND

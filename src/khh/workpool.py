@@ -39,7 +39,7 @@ def resolve_jobs(jobs: int | None) -> int:
 
 def _algebra_payload(algebra: GradedAlgebra):
     rels = tuple(
-        tuple(sorted((m, (int(c.numerator), int(c.denominator))) for m, c in rel.items()))
+        tuple(sorted((m, (c.numerator, c.denominator)) for m, c in rel.items()))
         for rel in algebra.relations
     )
     return (algebra.name, algebra.gens, algebra.weights, rels, algebra.weight_rank)

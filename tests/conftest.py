@@ -1,7 +1,17 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import khh
 from khh.algebra import parse_algebra
 from khh.corpus import default_corpus_dir, load_corpus
+
+# CLI subprocesses import the same khh as the tests, installed or not
+_SRC = str(Path(khh.__file__).resolve().parent.parent)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+)
 
 
 def read_corpus_text(name, filename):

@@ -11,8 +11,13 @@ from khh.fiber import (
     seminormalization,
 )
 from khh.kahler import torsion_dims
-from khh.errors import SquareInvalidError, UnsupportedDimensionError
+from khh.errors import (
+    OracleDisagreementError,
+    SquareInvalidError,
+    UnsupportedDimensionError,
+)
 from conftest import read_corpus_text
+from test_homology import _keep_first_kernel_vector
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +36,13 @@ def dual_square():
 def axes_square():
     square = ResolutionSquare.parse(read_corpus_text("axes", "square.sq"))
     return square.validate(10)
+
+
+@pytest.fixture(scope="module")
+def two_branch_square():
+    # the coordinate axes xy = 0 normalize to two lines
+    square = ResolutionSquare.parse(read_corpus_text("axes", "square.sq"))
+    return square.validate(8)
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +180,45 @@ def test_tk_formula_check_beyond_the_cusp(t2t5_square, dual_square):
     square.validate(9)
     report = square.tk_formula_check(3, 9)
     assert report.cellwise_equal and report.aggregate_equal
+
+
+def test_two_branch_square_tk(two_branch_square):
+    assert len(two_branch_square.branches) == 2
+    tk = {
+        (n, w): two_branch_square.tk(n, w)
+        for n in range(3)
+        for w in range(7)
+        if two_branch_square.tk(n, w)
+    }
+    assert tk == {(0, 0): 1, (2, 2): 1}
+
+
+def test_two_branch_square_tk_hodge(two_branch_square):
+    pieces = {
+        (n, w, i): two_branch_square.tk_hodge(n, w, i)
+        for n in range(1, 3)
+        for w in range(7)
+        for i in range(1, n + 1)
+        if two_branch_square.tk_hodge(n, w, i)
+    }
+    assert pieces == {(2, 2, 2): 1}
+    # the pieces i = 1, ..., n + 1 split tk
+    for n in range(3):
+        for w in range(7):
+            total = sum(two_branch_square.tk_hodge(n, w, i) for i in range(1, n + 2))
+            assert total == two_branch_square.tk(n, w), (n, w)
+
+
+def test_two_branch_square_formula_check(two_branch_square):
+    report = two_branch_square.tk_formula_check(3, 6)
+    assert report.cellwise_equal and report.aggregate_equal
+
+
+def test_fiber_class_count_checked_against_ranks(monkeypatch):
+    # the fiber reads HH of A and of each branch through HomologyEngine, so a
+    # fault in the vector path surfaces as a class count, not as wrong tk
+    square = ResolutionSquare.parse(read_corpus_text("cusp", "square.sq"))
+    square.validate(12)
+    _keep_first_kernel_vector(monkeypatch)
+    with pytest.raises(OracleDisagreementError, match="classes from the quotient"):
+        square.tk(2, 5)

@@ -3,12 +3,13 @@
 import pytest
 
 from khh import cli
-from khh.algebra import GradedAlgebra
+from khh.algebra import GradedAlgebra, parse_algebra
 from khh.barcomplex import chain_str
 from khh.corpus import default_corpus_dir
 from khh.errors import CompositionNonzeroError, OracleDisagreementError
 from khh.homology import HomologyEngine
 from khh.linalg import Echelon, SparseMatrix
+from conftest import read_corpus_text
 
 
 @pytest.fixture(scope="module")
@@ -155,13 +156,21 @@ def test_quotient_dim_checked_against_ranks(cusp, monkeypatch, kind, plant):
         assert cli.main(["hodge", "--algebra", algebra, "--n", "1", "--max-weight", "5"]) == 5
 
 
-def test_sbi_exactness(cusp_engine, free1_engine):
-    for n, w in [(1, 4), (2, 5), (2, 6), (3, 8), (2, 7)]:
-        result = cusp_engine.sbi_check(n, w)
-        assert result["exact_at_hc_n"] and result["exact_at_hc_n2"], (n, w)
-    for n, w in [(1, 3), (2, 4), (3, 5)]:
-        result = free1_engine.sbi_check(n, w)
-        assert result["exact_at_hc_n"] and result["exact_at_hc_n2"], (n, w)
+def test_sbi_exactness(cusp_engine, free1_engine, dualnum):
+    # cusp (5, 11) and dualnum (4, 3), (6, 5) have HC_{n-2} = HH_{n-1} = Q
+    # with T_{n-2} in two or more blocks, so exactness there needs the
+    # connecting map to read the leading block; at cone (2, 3) it needs S
+    # to drop the leading block of T_n
+    cone_engine = HomologyEngine(parse_algebra(read_corpus_text("cone", "algebra.alg")))
+    for engine, cells in [
+        (cusp_engine, [(1, 4), (2, 5), (2, 6), (3, 8), (2, 7), (5, 11)]),
+        (free1_engine, [(1, 3), (2, 4), (3, 5)]),
+        (HomologyEngine(dualnum), [(4, 3), (6, 5)]),
+        (cone_engine, [(2, 3)]),
+    ]:
+        for n, w in cells:
+            result = engine.sbi_check(n, w)
+            assert result["exact_at_hc_n"] and result["exact_at_hc_n2"], (n, w)
 
 
 def test_report_table_consistency(cusp_engine):
