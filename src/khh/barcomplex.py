@@ -22,6 +22,7 @@ from .rationals import QQ, ZERO
 from .linalg import SparseMatrix
 from .errors import CompositionNonzeroError, ParseError, PreconditionError
 from .algebra import GradedAlgebra, vec_total, vec_sub, vec_leq
+from . import hodge
 
 
 @dataclass(frozen=True)
@@ -227,6 +228,7 @@ class SliceContext:
         self._indexes = {}
         self._b = {}
         self._B = {}
+        self._idempotents = {}
         self._verified = {}
 
     # -- bases --------------------------------------------------------
@@ -441,6 +443,15 @@ class SliceContext:
         mat = SparseMatrix(len(dst_index), len(src), entries)
         self._b[key] = mat
         return mat
+
+    def idempotent_matrix(self, n: int, w, i: int) -> SparseMatrix:
+        """e_n^(i) on the (n, w) slice (1 <= i <= n), built once per context."""
+        w = self.algebra._coerce_weight(w)
+        key = (n, w, i)
+        cached = self._idempotents.get(key)
+        if cached is None:
+            cached = self._idempotents[key] = hodge.idempotent_matrix(self, n, w, i)
+        return cached
 
     def B_matrix(self, n: int, w) -> SparseMatrix:
         w = self.algebra._coerce_weight(w)

@@ -22,7 +22,7 @@ from .fiber import ResolutionSquare, pic_conductor, nk0_crosscheck
 from .curve import parse_curve_file, cusp_bundle_tables, DivisorGroup
 from .tables import DimensionTable, canonical_json, render
 from . import corpus as corpus_mod
-from .workpool import resolve_jobs
+from .workpool import map_tasks, resolve_jobs
 
 
 def _read(path: str) -> str:
@@ -348,11 +348,10 @@ def cmd_smoothness(args):
 def cmd_report(args):
     resolve_jobs(args.jobs)
     entries = corpus_mod.load_corpus(args.corpus)
+    results = map_tasks(corpus_mod.verify_entry, entries, args.jobs)
     bundle = {}
     failures = []
-    for entry in entries:
-        # --jobs is accepted but the entries still run one after another
-        observed, diffs = corpus_mod.verify_entry(entry)
+    for entry, (observed, diffs) in zip(entries, results):
         bundle[entry.name] = observed
         if diffs:
             failures.append({"entry": entry.name, "diffs": diffs})

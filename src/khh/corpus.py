@@ -20,6 +20,7 @@ from .homology import HomologyEngine
 from .kahler import DifferentialForms, jacobian_smooth
 from .fiber import ResolutionSquare, pic_conductor, nk0_crosscheck, seminormalization
 from .curve import parse_curve_file, cusp_bundle_tables
+from .workpool import _algebra_payload
 
 
 def default_corpus_dir() -> Path:
@@ -33,7 +34,6 @@ class CorpusEntry:
     meta: dict
     expected: dict
     _algebra: object = None
-    _square: object = None
     _curve: object = None
 
     @property
@@ -44,9 +44,11 @@ class CorpusEntry:
 
     @property
     def square(self):
-        if self._square is None and (self.path / "square.sq").exists():
-            self._square = ResolutionSquare.parse((self.path / "square.sq").read_text())
-        return self._square
+        """A fresh parse on every access, so that the square and its engines
+        live only as long as the caller holds them."""
+        if (self.path / "square.sq").exists():
+            return ResolutionSquare.parse((self.path / "square.sq").read_text())
+        return None
 
     @property
     def curve_data(self):
@@ -79,9 +81,14 @@ def compute_observed(entry: CorpusEntry) -> dict:
     """Recompute every value group of one entry from its oracles."""
     meta = entry.meta
     out = {}
+    sq = entry.square
     if entry.algebra is not None:
         alg = entry.algebra
-        engine = HomologyEngine(alg)
+        if sq is not None and _algebra_payload(sq.algebra) == _algebra_payload(alg):
+            # the fiber reuses the bases, matrices and ranks computed here
+            engine = sq.engine_A
+        else:
+            engine = HomologyEngine(alg)
         n_max = meta.get("n_max", 3)
         w_max = meta.get("w_max", 8)
         hh = {}
@@ -112,8 +119,7 @@ def compute_observed(entry: CorpusEntry) -> dict:
                 for w in range(w_max + 1):
                     omega[(p, w)] = forms.dim(p, (w,))
             out["omega"] = _cells_str(omega)
-    if entry.square is not None:
-        sq = entry.square
+    if sq is not None:
         sq.validate(meta.get("w_max", 8))
         tk_i_max = meta.get("tk_i_max")
         if tk_i_max is not None:
@@ -288,9 +294,9 @@ def smoothness_suite(corpus_dir=None) -> SmoothnessReport:
             d = krull_dim_estimate(alg)
         witness = None
         note = ""
-        has_square = entry.square is not None
+        sq = entry.square
+        has_square = sq is not None
         if has_square:
-            sq = entry.square
             sq.validate(entry.meta.get("w_max", 8))
             if not sq.center_is_exceptional:
                 has_square = False

@@ -13,7 +13,7 @@ action used here the descents of sigma give idempotents that commute with
 b (the test suite probes both variants).  The table is self-certifying:
 completeness, orthogonality and the antisymmetrizer identity are checked
 exactly, and every slice application re-checks completeness of the acting
-matrices.
+matrices, which each SliceContext builds once per slice and caches.
 """
 
 from __future__ import annotations
@@ -188,11 +188,15 @@ def adams_matrix(ctx, n: int, w, k: int) -> SparseMatrix:
 
 
 def check_slice_completeness(ctx, n: int, w):
-    """Sum of acting idempotent matrices must be the identity, exactly."""
+    """Sum of acting idempotent matrices must be the identity, exactly.
+
+    It sums the context's cached matrices, the ones every consumer of the
+    slice reads.
+    """
     dim = ctx.dim(n, w)
     total = SparseMatrix.zero(dim, dim)
     for i in range(1, n + 1):
-        total = total + idempotent_matrix(ctx, n, w, i)
+        total = total + ctx.idempotent_matrix(n, w, i)
     if total != SparseMatrix.identity(dim):
         raise IdempotentSanityError(
             f"idempotent matrices do not sum to the identity on (n={n}, w={w})"

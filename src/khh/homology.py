@@ -213,7 +213,7 @@ class HomologyEngine:
         if key not in self._hodge_classes:
             space = self.hh_space(n, w)
             self._hodge_classes[key] = space.induced_matrix(
-                hodge.idempotent_matrix(self.ctx, n, w, i), space
+                self.ctx.idempotent_matrix(n, w, i), space
             )
         return self._hodge_classes[key]
 
@@ -221,7 +221,7 @@ class HomologyEngine:
         """Cycle representatives spanning the i-th Hodge piece of HH_n."""
         w = self.algebra._coerce_weight(w)
         space = self.hh_space(n, w)
-        emat = hodge.idempotent_matrix(self.ctx, n, w, i)
+        emat = self.ctx.idempotent_matrix(n, w, i)
         basis = self.ctx.basis(n, w)
         picked = []
         ech = Echelon(space.dim)

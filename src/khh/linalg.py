@@ -404,13 +404,16 @@ def _lift(row):
 
 
 def _int_rank(rows, ncols):
-    """Rank of integer rows by fraction-managed Markowitz elimination.
+    """Rank of integer rows by fraction-free elimination in sparse pivot order.
 
-    Pivots are picked greedily by (col count - 1) * (row length - 1) with
-    unit pivot values preferred; singleton columns therefore cascade first,
-    which keeps fill-in near zero on the incidence-like differentials this
-    package produces.  Each update is pv*row - a*pivot followed by a content
-    strip, so entries stay integral and small.
+    The next pivot column is the one with the fewest live rows (a heap of
+    column counts, refreshed lazily as rows fill in or cancel); singleton
+    columns therefore cascade first, which keeps fill-in near zero on the
+    incidence-like differentials this package produces.  Among that
+    column's rows the pivot row is one with a unit entry there if any, then
+    the shortest, then the first.  Each update is (pv/g)*row - (a/g)*pivot
+    with g = gcd(a, pv), followed by a content strip, so entries stay
+    integral and small.
     """
     import heapq as _hq
 

@@ -1,10 +1,12 @@
-"""Process-pool fan-out for per-cell slice computations.
+"""Process-pool fan-out: one helper, `map_tasks`, for every parallel verb.
 
-Cells for distinct (n, w) are independent; the algebra is shipped to the
-workers by its presentation data and each worker keeps one engine per
-(algebra, convention) so bases and matrices are reused within a process.
-Results come back in task order, so reports stay deterministic no matter
-how many workers run.
+`map_cells` ships one task per slice weight (w, j).  Weights never mix in
+the bar complex, its B operator or the idempotents, so a task holds every
+(kind, n) cell of its weight, builds a HomologyEngine from the algebra's
+presentation data and drops it on return; a worker's memory is one
+weight's slices at a time.  `khh report` maps the corpus entries over the
+same helper.  Results come back in task order, so reports stay
+deterministic no matter how many workers run.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ from __future__ import annotations
 import os
 
 from .algebra import GradedAlgebra
-from .errors import PreconditionError
-
-_ENGINES: dict = {}
+from .errors import PreconditionError, SanityError
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -37,6 +37,27 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
+def map_tasks(fn, tasks, jobs: int | None) -> list:
+    """[fn(t) for t in tasks], in task order, over a pool of `jobs` processes.
+
+    With one job (or one task) everything runs in this process.  An
+    exception raised by fn reaches the caller unchanged, and the tasks not
+    yet started are cancelled.
+    """
+    tasks = list(tasks)
+    njobs = min(resolve_jobs(jobs), len(tasks))
+    if njobs <= 1:
+        return [fn(t) for t in tasks]
+    # imported here so that the CLI's early `resolve_jobs` check loads no pool
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=njobs)
+    try:
+        return list(pool.map(fn, tasks))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _algebra_payload(algebra: GradedAlgebra):
     rels = tuple(
         tuple(sorted((m, (c.numerator, c.denominator)) for m, c in rel.items()))
@@ -53,22 +74,8 @@ def _rebuild_algebra(payload) -> GradedAlgebra:
     return GradedAlgebra(name, gens, weights, relations, _rank=rank)
 
 
-def _engine_for(payload, conv_name):
-    from .homology import HomologyEngine
-
-    key = (payload, conv_name)
-    engine = _ENGINES.get(key)
-    if engine is None:
-        engine = HomologyEngine(_rebuild_algebra(payload), conv_name)
-        _ENGINES[key] = engine
-    return engine
-
-
-def _run_cell(args):
-    payload, conv_name, kind, n, w = args
-    from .errors import SanityError
-
-    engine = _engine_for(payload, conv_name)
+def _run_cell(engine, kind, n, w):
+    """One cell's dimension, or None where an exact sanity identity failed."""
     try:
         if kind == "hh":
             return engine.hh_dim(n, w)
@@ -79,25 +86,31 @@ def _run_cell(args):
         return None  # reported as a located sanity failure by the caller
 
 
+def _run_weight(task):
+    """The cells of one slice weight, on an engine that lives for this task."""
+    from .homology import HomologyEngine
+
+    payload, conv_name, w, cells = task
+    engine = HomologyEngine(_rebuild_algebra(payload), conv_name)
+    return [_run_cell(engine, kind, n, w) for kind, n in cells]
+
+
 def map_cells(algebra: GradedAlgebra, conv_name: str, cells, jobs: int | None):
-    """Compute [(kind, n, w, j)] cells of A (bigraded) in task order.
+    """Compute [(kind, n, w, j)] cells of A (bigraded) in cell order.
 
     Cells are (kind, n, w, j) with the slice weight vector (w, j); results
     are dims or None where an exact sanity identity failed (corrupt
     conventions).
     """
     payload = _algebra_payload(algebra)
-    tasks = [(payload, conv_name, kind, n, (w, j)) for (kind, n, w, j) in cells]
-    njobs = resolve_jobs(jobs)
-    if njobs <= 1 or len(tasks) <= 2:
-        return [_run_cell(t) for t in tasks]
-    # imported here so that the CLI's early `resolve_jobs` check loads no pool
-    from concurrent.futures import ProcessPoolExecutor
-
+    by_weight: dict = {}
+    for kind, n, w, j in cells:
+        by_weight.setdefault((w, j), []).append((kind, n))
     # largest weights first so the long poles start immediately
-    order = sorted(range(len(tasks)), key=lambda i: -(sum(tasks[i][4]) + tasks[i][3]))
-    results: list = [None] * len(tasks)
-    with ProcessPoolExecutor(max_workers=njobs) as pool:
-        for idx, value in zip(order, pool.map(_run_cell, [tasks[i] for i in order])):
-            results[idx] = value
-    return results
+    weights = sorted(by_weight, key=lambda wj: -sum(wj))
+    tasks = [(payload, conv_name, wj, by_weight[wj]) for wj in weights]
+    values = {}
+    for wj, results in zip(weights, map_tasks(_run_weight, tasks, jobs)):
+        for (kind, n), value in zip(by_weight[wj], results):
+            values[(kind, n, wj)] = value
+    return [values[(kind, n, (w, j))] for kind, n, w, j in cells]

@@ -262,3 +262,33 @@ def test_valid_job_counts_still_run(tmp_path):
     corpus.mkdir()
     (corpus / "q").symlink_to(default_corpus_dir() / "q")
     assert run_cli("report", "--corpus", str(corpus), "--jobs", "2").returncode == 0
+
+
+def _linked_corpus(tmp_path, *names):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in names:
+        (corpus / name).symlink_to(default_corpus_dir() / name)
+    return corpus
+
+
+def test_report_bytes_identical_across_job_counts(tmp_path):
+    corpus = _linked_corpus(tmp_path, "q", "dualnum", "cusp")
+    runs = [
+        run_cli("report", "--corpus", str(corpus), "--format", "json", "--jobs", jobs)
+        for jobs in ("1", "2")
+    ]
+    assert [proc.returncode for proc in runs] == [0, 0]
+    assert sorted(json.loads(runs[0].stdout)["entries"]) == ["cusp", "dualnum", "q"]
+    assert runs[0].stdout == runs[1].stdout
+
+
+def test_report_worker_parse_error_keeps_exit_code(tmp_path):
+    corpus = _linked_corpus(tmp_path, "q", "dualnum")
+    (corpus / "bad").mkdir()
+    (corpus / "bad" / "algebra.alg").write_text("algebra f\nvars x:1\nrel x + %\n")
+    for jobs in ("1", "2"):
+        proc = run_cli("report", "--corpus", str(corpus), "--format", "json", "--jobs", jobs)
+        assert proc.returncode == 2, (jobs, proc.stderr)
+        assert proc.stdout == ""
+        assert "line 3" in proc.stderr

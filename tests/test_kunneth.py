@@ -50,3 +50,15 @@ def test_parallel_matches_serial(cusp):
     assert [(c.kind, c.n, c.w, c.j, c.left, c.right) for c in serial.cells] == [
         (c.kind, c.n, c.w, c.j, c.left, c.right) for c in parallel.cells
     ]
+
+
+def test_parallel_matches_serial_on_corrupt_convention(cusp):
+    def cells(jobs):
+        report = verify_kunneth(
+            cusp, t_cutoff=1, n_max=2, w_max=5, conv="corrupt-b-drop-wrap", jobs=jobs
+        )
+        return [(c.kind, c.n, c.w, c.j, c.left, c.right, c.status) for c in report.cells]
+
+    serial = cells(1)
+    assert any(c[-1] == "sanity" and c[4] is None for c in serial)
+    assert serial == cells(2)
