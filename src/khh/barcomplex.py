@@ -1,9 +1,16 @@
-"""Normalized bar complex slices: bases, b, Connes B, shuffle products.
+"""Normalized bar complex slices: bases, b, Connes B, shuffle products,
+and Connes' cyclic complex.
 
 A chain in degree n is a QQ-combination of tensors m0[m1|...|mn] whose
 entries are normal-form monomials, entries in positions >= 1 of positive
 weight.  Everything is sliced by total weight, where each slice is finite
 because the algebra is connected with positive generator weights.
+
+Connes' complex C^lambda_n is the quotient of the positive-weight tensors
+(head included) by the signed rotation t = (-1)^n rotation, with the b
+that the bar complex induces on it.  A slice keeps the lexicographically
+least rotation of each orbit as its basis vector; an orbit whose
+stabilizer acts by -1 is zero in the quotient and has no basis vector.
 
 Sign conventions (the literature's standard ones): b merges leftward with
 (-1)^i and wraps with (-1)^n; B rotates with (-1)^{n i} and drops rotations
@@ -215,10 +222,10 @@ class SliceContext:
     """Per-algebra cache of slice bases and differential matrices.
 
     It also owns identity verification: nothing else multiplies b or B
-    matrices.  `verify` checks b^2 = 0, B^2 = 0 or bB + Bb = 0 on one slice
-    exactly and remembers the outcome, so every consumer of a slice (HH and
-    HC dimensions, quotient spaces, the test grids) pays for each product
-    once.
+    matrices.  `verify` checks b^2 = 0, B^2 = 0, bB + Bb = 0 or b^2 = 0 on
+    Connes' complex on one slice exactly and remembers the outcome, so every
+    consumer of a slice (HH and HC dimensions, quotient spaces, the test
+    grids) pays for each product once.
     """
 
     def __init__(self, algebra: GradedAlgebra, conv: Convention | str = "standard"):
@@ -228,6 +235,10 @@ class SliceContext:
         self._indexes = {}
         self._b = {}
         self._B = {}
+        self._cyclic_indexes = {}
+        self._cyclic_bases = {}
+        self._cyclic_b = {}
+        self._products = {}
         self._idempotents = {}
         self._verified = {}
 
@@ -301,6 +312,17 @@ class SliceContext:
     def _reverse(self, tensor):
         return (tensor[0], *reversed(tensor[1:]))
 
+    def _product(self, a, b):
+        """nf(a*b) as ((monomial, coeff), ...); integral coefficients are ints."""
+        key = (a, b)
+        cached = self._products.get(key)
+        if cached is None:
+            cached = self._products[key] = tuple(
+                (m, c.numerator if c.denominator == 1 else c)
+                for m, c in self.algebra.mono_mul(a, b).items()
+            )
+        return cached
+
     def b_tensor(self, tensor):
         """b of one tensor as {tensor: coeff}."""
         if self.conv.reverse_tensors:
@@ -309,14 +331,13 @@ class SliceContext:
         return self._b_tensor_std(tensor)
 
     def _b_tensor_std(self, tensor):
-        alg = self.algebra
         n = len(tensor) - 1
         out = {}
         if n == 0:
             return out
 
         def emit(t, c):
-            s = out.get(t, ZERO) + c
+            s = out.get(t, 0) + c
             if s:
                 out[t] = s
             else:
@@ -324,17 +345,15 @@ class SliceContext:
 
         for i in range(n):
             sign = -1 if i % 2 else 1
-            prod = alg.mono_mul(tensor[i], tensor[i + 1])
             rest = tensor[:i] + tensor[i + 2 :]
-            for m, c in prod.items():
+            for m, c in self._product(tensor[i], tensor[i + 1]):
                 emit(rest[:i] + (m,) + rest[i:], sign * c)
         if not self.conv.b_drop_wrap:
             sign = -1 if n % 2 else 1
             if self.conv.b_wrap_flip:
                 sign = -sign
-            prod = alg.mono_mul(tensor[n], tensor[0])
             body = tensor[1:n]
-            for m, c in prod.items():
+            for m, c in self._product(tensor[n], tensor[0]):
                 emit((m, *body), sign * c)
         return out
 
@@ -356,7 +375,7 @@ class SliceContext:
                 continue  # the old head is a scalar here: dies in the normalized complex
             sign = -1 if (n * i) % 2 else 1
             t = (unit, *rotated)
-            s = out.get(t, ZERO) + QQ(sign)
+            s = out.get(t, 0) + sign
             if s:
                 out[t] = s
             else:
@@ -469,15 +488,96 @@ class SliceContext:
         self._B[key] = mat
         return mat
 
+    # -- Connes' cyclic complex ---------------------------------------------
+
+    def _cyclic_canon(self, tensor):
+        """(representative, sign) with tensor = sign * representative in
+        C^lambda, or None where the tensor's orbit is zero there.
+
+        Each rotation costs the sign (-1)^n, so rotating by k costs
+        (-1)^{nk}; an orbit of length L whose n*L is odd is fixed by a
+        rotation of sign -1 and vanishes.  Under reversed tensors the
+        rotation is conjugated by the reversal as well.
+        """
+        if self.conv.reverse_tensors:
+            found = self._cyclic_canon_std(self._reverse(tensor))
+            return None if found is None else (self._reverse(found[0]), found[1])
+        return self._cyclic_canon_std(tensor)
+
+    @staticmethod
+    def _cyclic_canon_std(tensor):
+        n = len(tensor) - 1
+        period = next(k for k in range(1, n + 2) if tensor[k:] + tensor[:k] == tensor)
+        if n * period % 2:
+            return None
+        k = min(range(period), key=lambda i: tensor[i:] + tensor[:i])
+        return tensor[k:] + tensor[:k], -1 if n * k % 2 else 1
+
+    def cyclic_index(self, n: int, w) -> dict:
+        """{tensor: (basis position, sign) or None} over C^lambda_n at weight w.
+
+        Covers every positive-head tensor of `basis(n, w)`; None marks the
+        tensors of vanishing orbits.
+        """
+        w = self.algebra._coerce_weight(w)
+        key = (n, w)
+        cached = self._cyclic_indexes.get(key)
+        if cached is not None:
+            return cached
+        unit = (0,) * self.algebra.ngens
+        canon = {}
+        reps = []
+        for tensor in self.basis(n, w):
+            if tensor[0] != unit:
+                canon[tensor] = self._cyclic_canon(tensor)
+                if canon[tensor] == (tensor, 1):
+                    reps.append(tensor)
+        position = {t: i for i, t in enumerate(reps)}
+        index = {
+            t: None if found is None else (position[found[0]], found[1])
+            for t, found in canon.items()
+        }
+        self._cyclic_indexes[key] = index
+        self._cyclic_bases[key] = tuple(reps)
+        return index
+
+    def cyclic_basis(self, n: int, w) -> tuple:
+        """Orbit representatives of C^lambda_n at weight w, in basis order."""
+        w = self.algebra._coerce_weight(w)
+        self.cyclic_index(n, w)
+        return self._cyclic_bases[(n, w)]
+
+    def cyclic_b_matrix(self, n: int, w) -> SparseMatrix:
+        """b : C^lambda_n -> C^lambda_{n-1} at weight w."""
+        w = self.algebra._coerce_weight(w)
+        key = (n, w)
+        cached = self._cyclic_b.get(key)
+        if cached is not None:
+            return cached
+        src = self.cyclic_basis(n, w)
+        dst_index = self.cyclic_index(n - 1, w)
+        dst_dim = len(self.cyclic_basis(n - 1, w))
+        entries = {}
+        for j, tensor in enumerate(src):
+            for t, c in self.b_tensor(tensor).items():
+                hit = dst_index[t]
+                if hit is not None:
+                    ij = (hit[0], j)
+                    entries[ij] = entries.get(ij, 0) + hit[1] * c
+        mat = SparseMatrix(dst_dim, len(src), entries)
+        self._cyclic_b[key] = mat
+        return mat
+
     # -- identity verification --------------------------------------------
 
     def verify(self, identity: str, n: int, w):
         """Check one identity on the (n, w) slice exactly, once per context.
 
         "b.b" is b_n b_{n+1} = 0, "B.B" is B_{n+1} B_n = 0 and "b.B + B.b"
-        is b_{n+1} B_n + B_{n-1} b_n = 0, all at C_n in weight w; a term
-        through a negative degree is an empty matrix and vanishes.  A failure
-        raises CompositionNonzeroError, every time it is asked.
+        is b_{n+1} B_n + B_{n-1} b_n = 0, all at C_n in weight w; "cyclic
+        b.b" is b_n b_{n+1} = 0 on Connes' complex.  A term through a
+        negative degree is an empty matrix and vanishes.  A failure raises
+        CompositionNonzeroError, every time it is asked.
         """
         w = self.algebra._coerce_weight(w)
         key = (identity, n, w)
@@ -490,6 +590,9 @@ class SliceContext:
                 terms = [(B(n + 1, w), B(n, w))]
             elif identity == "b.B + B.b":
                 terms = [(b(n + 1, w), B(n, w)), (B(n - 1, w), b(n, w))]
+            elif identity == "cyclic b.b":
+                cb = self.cyclic_b_matrix
+                terms = [(cb(n, w), cb(n + 1, w))]
             else:
                 raise ValueError(f"unknown identity {identity!r}")
             holds = self._products_cancel(terms)

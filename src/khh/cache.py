@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 # bump whenever a change to the code could change a cached value
-VERSION = 1
+VERSION = 2
 
 
 def cache_dir() -> Path | None:

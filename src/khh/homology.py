@@ -1,11 +1,16 @@
 """Hochschild and cyclic homology per (degree, weight) slice.
 
-HH_n comes from the normalized bar complex slice, HC_n from the (b, B)
-total complex truncated at the connectedness bound (each weight slice of
-the bicomplex is finite, so the truncation is exact bookkeeping, not an
-approximation).  Class-level work (representatives, Hodge projections,
-SBI maps) runs through QuotientSpace, which keeps exact class coordinates
-over a cycles-mod-boundaries echelon.
+HH_n comes from the normalized bar complex slice.  In positive weight HC_n
+comes from Connes' complex C^lambda (Loday, Cyclic Homology, Thm 2.1.5),
+and each dimension is checked against Goodwillie's HC_n = sum_k (-1)^k
+HH_{n-k}, which holds over Q in positive weight because S vanishes there.
+Weight 0, the corrupt conventions and every class-level HC computation
+(`hc_space`, SBI) use the (b, B) total complex truncated at the
+connectedness bound (each weight slice of the bicomplex is finite, so the
+truncation is exact bookkeeping, not an approximation); `hc_space` then
+checks its class count against the Connes dimension.  Class-level work
+(representatives, Hodge projections, SBI maps) runs through QuotientSpace,
+which keeps exact class coordinates over a cycles-mod-boundaries echelon.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .errors import (
     PreconditionError,
     SanityError,
 )
-from .algebra import GradedAlgebra
+from .algebra import GradedAlgebra, vec_total
 from .barcomplex import BarChain, SliceContext, Convention, convention, chain_str
 from . import hodge
 
@@ -143,17 +148,30 @@ class HomologyEngine:
         return mat
 
     def hc_dim(self, n: int, w) -> int:
+        """HC_n at weight w: Connes' complex in positive weight, where the
+        Goodwillie sum of HH dimensions must agree, else the total complex."""
+        if n < 0:
+            return 0
         w = self.algebra._coerce_weight(w)
         key = (n, w)
         if key not in self._hc:
-            if n < 0:
-                self._hc[key] = 0
-            else:
-                self._hc[key] = self._cached_cell(
-                    "hc", n, w,
-                    lambda: _betti(*self._hc_differentials(n, w)),
-                )
+            connes = not self.conv.corrupt and vec_total(w) > 0
+            differentials = self._connes_differentials if connes else self._hc_differentials
+            value = self._cached_cell("hc", n, w, lambda: _betti(*differentials(n, w)))
+            if connes:
+                goodwillie = sum((-1) ** k * self.hh_dim(n - k, w) for k in range(n + 1))
+                if value != goodwillie:
+                    raise OracleDisagreementError(
+                        f"HC_{n} at weight {w}: {value} from Connes' complex, "
+                        f"{goodwillie} from the alternating sum of HH"
+                    )
+            self._hc[key] = value
         return self._hc[key]
+
+    def _connes_differentials(self, n, w):
+        """(b_{n+1}, b_n) on Connes' complex, once their product is verified."""
+        self.ctx.verify("cyclic b.b", n, w)
+        return self.ctx.cyclic_b_matrix(n + 1, w), self.ctx.cyclic_b_matrix(n, w)
 
     def _hc_differentials(self, n, w):
         """(D_{n+1}, D_n), once every block of D_n D_{n+1} is verified.
