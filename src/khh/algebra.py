@@ -327,6 +327,11 @@ class GradedAlgebra:
 
     def weight_basis(self, w) -> tuple:
         """Ordered monomial basis of the weight-w component (w int or vector)."""
+        # only coerced vectors are stored, so a hit on the raw argument is valid
+        # and anything else (ints, lists, invalid vectors) goes through coercion
+        cached = self._basis_cache.get(w) if type(w) is tuple else None
+        if cached is not None:
+            return cached
         wvec = self._coerce_weight(w)
         cached = self._basis_cache.get(wvec)
         if cached is not None:

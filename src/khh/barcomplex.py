@@ -6,6 +6,14 @@ entries are normal-form monomials, entries in positions >= 1 of positive
 weight.  Everything is sliced by total weight, where each slice is finite
 because the algebra is connected with positive generator weights.
 
+The order of a slice basis is a contract: kernel vectors, pinned
+representatives and the report bytes all read positions in it.  Tensors
+are sorted by the slot weights of m1..mn, each slot by (total weight,
+weight vector), then by the head's position in the weight basis of the
+weight left over, then by each entry's position in its own weight basis.
+`basis` builds this order in one pass over memoized compositions of the
+weight into bar slots.
+
 Connes' complex C^lambda_n is the quotient of the positive-weight tensors
 (head included) by the signed rotation t = (-1)^n rotation, with the b
 that the bar complex induces on it.  A slice keeps the lexicographically
@@ -23,7 +31,7 @@ transpose variant bracketed by the cusp cycle search).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .rationals import QQ, ZERO
 from .linalg import SparseMatrix
@@ -251,46 +259,40 @@ class SliceContext:
         if cached is not None:
             return cached
         alg = self.algebra
-        if n < 0:
-            result: tuple = ()
-            self._bases[key] = result
-            return result
-        positive = [v for v in alg.weight_vectors_upto(w) if vec_total(v) > 0]
-        positive.sort(key=lambda v: (vec_total(v), v))
-        min_pos = min((vec_total(v) for v in positive), default=None)
         out = []
+        if n >= 0:
+            positive = [v for v in alg.weight_vectors_upto(w) if vec_total(v) > 0]
+            positive.sort(key=lambda v: (vec_total(v), v))
+            memo = {}
 
-        def fill(slots, prefix):
-            """Extend prefix (list of monomials) over remaining weight slots."""
-            if not slots:
-                out.append(tuple(prefix))
-                return
-            for m in alg.weight_basis(slots[0]):
-                prefix.append(m)
-                fill(slots[1:], prefix)
-                prefix.pop()
+            def slots(k, remaining):
+                """The ways to fill k bar slots within `remaining`, as a tree
+                shared between branches: the head's weight basis at k = 0 (the
+                head takes the weight left over, possibly zero), else
+                [(weight basis of v, slots(k - 1, remaining - v))] over the
+                slot weights v in basis order, without empty branches."""
+                found = memo.get((k, remaining))
+                if found is None:
+                    if k == 0:
+                        found = alg.weight_basis(remaining)
+                    else:
+                        found = []
+                        for v in positive:
+                            if vec_leq(v, remaining):
+                                rest = slots(k - 1, vec_sub(remaining, v))
+                                if rest:
+                                    found.append((alg.weight_basis(v), rest))
+                    memo[(k, remaining)] = found
+                return found
 
-        def compose(i, remaining, chosen):
-            if i == n:
-                # the head takes whatever weight is left (possibly zero)
-                if alg.dim(remaining) > 0:
-                    fill([remaining] + chosen, [])
-                return
-            if min_pos is None:
-                return
-            left = n - i
-            if vec_total(remaining) < left * min_pos:
-                return
-            for v in positive:
-                if vec_leq(v, remaining):
-                    chosen.append(v)
-                    compose(i + 1, vec_sub(remaining, v), chosen)
-                    chosen.pop()
+            def walk(node, chosen):
+                if len(chosen) == n:
+                    out.extend(product(node, *chosen))  # head, then m_1 .. m_n
+                else:
+                    for entries, rest in node:
+                        walk(rest, chosen + (entries,))
 
-        if n == 0:
-            fill([w], [])
-        else:
-            compose(0, w, [])
+            walk(slots(n, w), ())
         result = tuple(out)
         self._bases[key] = result
         return result
@@ -336,25 +338,28 @@ class SliceContext:
         if n == 0:
             return out
 
-        def emit(t, c):
-            s = out.get(t, 0) + c
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-
         for i in range(n):
             sign = -1 if i % 2 else 1
-            rest = tensor[:i] + tensor[i + 2 :]
+            before, after = tensor[:i], tensor[i + 2 :]
             for m, c in self._product(tensor[i], tensor[i + 1]):
-                emit(rest[:i] + (m,) + rest[i:], sign * c)
+                t = before + (m,) + after
+                s = out.get(t, 0) + sign * c
+                if s:
+                    out[t] = s
+                else:
+                    out.pop(t, None)
         if not self.conv.b_drop_wrap:
             sign = -1 if n % 2 else 1
             if self.conv.b_wrap_flip:
                 sign = -sign
             body = tensor[1:n]
             for m, c in self._product(tensor[n], tensor[0]):
-                emit((m, *body), sign * c)
+                t = (m, *body)
+                s = out.get(t, 0) + sign * c
+                if s:
+                    out[t] = s
+                else:
+                    out.pop(t, None)
         return out
 
     def B_tensor(self, tensor):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .rationals import QQ, ZERO
 from .linalg import SparseMatrix
@@ -147,20 +147,22 @@ def permutation_action(perm, tensor):
 
 
 def element_matrix(element: dict, ctx, n: int, w) -> SparseMatrix:
-    """Action of a QQ[S_n] element on the (n, w) slice."""
+    """Action of a QQ[S_n] element on the (n, w) slice.
+
+    The element is scaled to ints over the common denominator of its
+    coefficients (a divisor of n!), so the entries are summed as ints.
+    """
+    den = lcm(*(c.denominator for c in element.values()))
+    scaled = [(perm, c.numerator * (den // c.denominator)) for perm, c in element.items()]
     basis = ctx.basis(n, w)
     index = ctx.index(n, w)
-    entries = {}
+    rows = [{} for _ in basis]
     for j, tensor in enumerate(basis):
-        for perm, c in element.items():
-            t = permutation_action(perm, tensor)
-            key = (index[t], j)
-            s = entries.get(key, ZERO) + c
-            if s:
-                entries[key] = s
-            else:
-                entries.pop(key, None)
-    return SparseMatrix(len(basis), len(basis), entries)
+        for perm, c in scaled:
+            row = rows[index[permutation_action(perm, tensor)]]
+            row[j] = row.get(j, 0) + c
+    rowdata = [{j: v for j, v in row.items() if v} for row in rows]
+    return SparseMatrix._of_rows(len(basis), len(basis), rowdata, den)
 
 
 # descents of sigma, not of its inverse: the variant whose idempotents commute with b

@@ -1,10 +1,14 @@
 """Bar complex slices: differentials, normalization, shuffle products."""
 
+import hashlib
 import random
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from khh.rationals import QQ
+from khh.algebra import GradedAlgebra
 from khh.barcomplex import BarChain, SliceContext, chain_str, parse_chain
 from khh.errors import SanityError
 
@@ -129,3 +133,73 @@ def test_chain_homogeneity_enforced(cusp):
     chain = parse_chain(cusp, "x[y] + y[y]")
     with pytest.raises(PreconditionError):
         chain.weight()
+
+
+# -- basis order: the documented key, by brute force ---------------------------
+
+
+def _reference_basis(algebra, n, w):
+    """Every tensor of C_n at weight w, sorted by the documented key: the slot
+    weights of m_1..m_n, each by (total, vector), then the head's and then
+    each entry's position in the weight basis of its weight."""
+    positive = [
+        v for v in product(*(range(x + 1) for x in w)) if sum(v) and algebra.dim(v)
+    ]
+    keyed = []
+    for slots in product(positive, repeat=n):
+        head_w = tuple(x - sum(col) for x, *col in zip(w, *slots))
+        if min(head_w) < 0:
+            continue
+        for tensor in product(*(algebra.weight_basis(v) for v in (head_w, *slots))):
+            position = tuple(
+                algebra.weight_basis(algebra.mono_weight(m)).index(m) for m in tensor
+            )
+            keyed.append(((tuple((sum(v), v) for v in slots), position), tensor))
+    keyed.sort()
+    return tuple(tensor for _, tensor in keyed)
+
+
+@st.composite
+def small_rank_one_algebras(draw):
+    """(weights, monomial relations) of a connected rank-1 graded algebra:
+    1-2 generators of weight <= 3 and at most one monomial relation."""
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    relations = []
+    if draw(st.booleans()):
+        relations.append(tuple(draw(st.integers(0, 2)) for _ in weights))
+    return weights, tuple(r for r in relations if sum(r) >= 2)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(small_rank_one_algebras())
+@example(((2, 3), ((0, 2),)))  # the monomial cusp y^2
+@example(((1,), ()))  # the free algebra on one generator
+def test_basis_follows_documented_order(spec):
+    weights, relations = spec
+    gens = ("x", "y")[: len(weights)]
+    algebra = GradedAlgebra(
+        "random", gens, [(w,) for w in weights], [{m: QQ(1)} for m in relations]
+    )
+    extension = algebra.with_polynomial_generator("t")
+    for alg, window in ((algebra, [(6,)]), (extension, [(3, 1), (2, 2), (1, 3)])):
+        ctx = SliceContext(alg)
+        for w in window:
+            for n in range(5):
+                assert ctx.basis(n, w) == _reference_basis(alg, n, w), (spec, n, w)
+
+
+# sha256 of the cusp[t] bases below, recorded from the recursive enumerator
+# that the memoized one replaced
+CUSP_T_BASES_SHA256 = "aa0cd46daec558dce3086603f3ddb1e6177a536247240edce326749f4e39bc43"
+
+
+def test_cusp_t_bases_are_pinned(cusp):
+    """The bases of cusp[t] at n <= 4, (w, j) <= (9, 4) keep their order:
+    kernel vectors and pinned representatives read it."""
+    ctx = SliceContext(cusp.with_polynomial_generator("t"))
+    digest = hashlib.sha256()
+    for n in range(5):
+        for w in range(10):
+            for j in range(5):
+                digest.update(repr((n, w, j, ctx.basis(n, (w, j)))).encode())
+    assert digest.hexdigest() == CUSP_T_BASES_SHA256
