@@ -139,27 +139,27 @@ def _validate_table(n: int, idems):
         raise IdempotentSanityError(f"e^({n}) is not the antisymmetrizer at n={n}")
 
 
-def permutation_action(perm, tensor):
-    """Place permutation of the bar entries: out[perm(i)] = in[i]."""
-    inv = _inverse(perm)
-    body = tensor[1:]
-    return (tensor[0],) + tuple(body[inv[i]] for i in range(len(body)))
-
-
 def element_matrix(element: dict, ctx, n: int, w) -> SparseMatrix:
     """Action of a QQ[S_n] element on the (n, w) slice.
 
-    The element is scaled to ints over the common denominator of its
-    coefficients (a divisor of n!), so the entries are summed as ints.
+    A permutation acts by place permutation of the bar entries, the head
+    fixed: out[perm(i)] = in[i], read off as out[k] = in[inv(k)] with each
+    inverse taken once.  The element is scaled to ints over the common
+    denominator of its coefficients (a divisor of n!), so the entries are
+    summed as ints.
     """
     den = lcm(*(c.denominator for c in element.values()))
-    scaled = [(perm, c.numerator * (den // c.denominator)) for perm, c in element.items()]
+    scaled = [
+        (tuple(k + 1 for k in _inverse(perm)), c.numerator * (den // c.denominator))
+        for perm, c in element.items()
+    ]
     basis = ctx.basis(n, w)
     index = ctx.index(n, w)
     rows = [{} for _ in basis]
     for j, tensor in enumerate(basis):
-        for perm, c in scaled:
-            row = rows[index[permutation_action(perm, tensor)]]
+        head = tensor[:1]
+        for inv, c in scaled:
+            row = rows[index[head + tuple([tensor[k] for k in inv])]]
             row[j] = row.get(j, 0) + c
     rowdata = [{j: v for j, v in row.items() if v} for row in rows]
     return SparseMatrix._of_rows(len(basis), len(basis), rowdata, den)

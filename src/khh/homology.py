@@ -10,7 +10,7 @@ connectedness bound (each weight slice of the bicomplex is finite, so the
 truncation is exact bookkeeping, not an approximation); `hc_space` then
 checks its class count against the Connes dimension.  Class-level work
 (representatives, Hodge projections, SBI maps) runs through QuotientSpace,
-which keeps exact class coordinates over a cycles-mod-boundaries echelon.
+which keeps exact class coordinates over a cycles-mod-boundaries factor.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rationals import QQ
-from .linalg import SparseMatrix, Echelon, QuotientSpace, eigenspace
+from .linalg import SparseMatrix, Factor, QuotientSpace, eigenspace
 from .errors import (
     IdempotentSanityError,
     OracleDisagreementError,
@@ -242,7 +242,7 @@ class HomologyEngine:
         emat = self.ctx.idempotent_matrix(n, w, i)
         basis = self.ctx.basis(n, w)
         picked = []
-        ech = Echelon(space.dim)
+        ech = Factor(space.dim)
         for rep in space.reps:
             img = emat.apply(rep)
             if ech.add_row(space.coords(img)) is not None:
@@ -326,7 +326,7 @@ def _betti(d_in: SparseMatrix, d_out: SparseMatrix) -> int:
 
 
 def _check_space_dim(space: QuotientSpace, dim: int, kind: str, n: int, w) -> None:
-    """The echelon's class count must equal the dimension from the ranks."""
+    """The quotient's class count must equal the dimension from the ranks."""
     if space.dim != dim:
         raise OracleDisagreementError(
             f"{kind}_{n} at weight {w}: {space.dim} classes from the quotient, "

@@ -7,28 +7,29 @@ matrices compare equal.  Every differential this package builds is
 integral and has den = 1; rational operators such as the Eulerian
 idempotents carry their 1/n! factors in `den`.  Products, sums, scaling,
 transposes, block assembly (`from_blocks`) and ranks run on ints alone,
-with the denominators multiplied or brought to a common multiple; `rank`
-hands the int rows straight to `_int_rank`, and `echelon` to `Echelon`,
-since scaling by `den` does not change the row space.  QQ re-enters only
-at the edges: `items` yields QQ entries, `apply` returns QQ vectors, and
-kernel vectors, residuals and class coordinates come out as QQ.
+with the denominators multiplied or brought to a common multiple; the
+factors take the int rows as they are, since scaling by `den` does not
+change the row space.  QQ re-enters only at the edges: `items` yields QQ
+entries, `apply` returns QQ vectors, and kernel vectors, residuals and
+class coordinates come out as QQ.
 
-There is one rank path and one vector path, both fraction-free in the
-style of Bareiss (every update is an exact cross-multiplication followed
-by a gcd strip).  Ranks come from `_int_rank`, with Markowitz-style pivots
-by ascending support, which keeps fill-in low on the incidence-like
-differentials this package produces.  Kernels, column-space membership and
-quotient classes come from `Echelon`, an int echelon in natural column
-order whose pivot rows are primitive with a positive pivot; it gives the
-same QQ values as a rational echelon with pivots scaled to 1, so pinned
-representatives stay put.  Each matrix caches its row and its column
-echelon.  The only check of a composite here is in `homology_dim`; bar and
-total complexes are verified once per identity and slice by
-`SliceContext`.
+There is one eliminator, `Factor`, fraction-free in the style of Bareiss
+(every update is an exact cross-multiplication followed by a gcd strip),
+with two pivot rules.  Markowitz pivots keep fill-in low on the
+incidence-like differentials this package produces; they serve `rank`,
+which keeps only the count and never reads a cached factor, and the cached
+`column_echelon`, which answers membership and seeds every `QuotientSpace`.
+None of those answers depends on the pivot order.  Kernels do: the basis
+is the reduced one for the free columns, so `echelon` and `kernel_basis`
+use natural column order, whose free columns, and hence the pinned
+representatives, are those of a rational echelon with pivots scaled to 1.
+The only check of a composite here is in `homology_dim`; bar and total
+complexes are verified once per identity and slice by `SliceContext`.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .rationals import QQ, ZERO
@@ -251,57 +252,144 @@ class SparseMatrix:
 
     def rank(self):
         if self._rank is None:
-            self._rank = _int_rank(self._rowdata, self.cols)
+            # only the count is kept: the factor's fill-in dies with the call
+            self._rank = len(Factor(self.cols, self._rowdata).pivot_rows)
         return self._rank
 
     def echelon(self):
+        """Natural-order factor of the rows (den scales every row alike)."""
         if self._echelon is None:
-            # den scales every row alike, so the int rows span the same space
-            ech = Echelon(self.cols)
-            for row in self._rowdata:
-                if row:
-                    ech.add_row(row)
-            self._echelon = ech
+            self._echelon = Factor(self.cols, self._rowdata, markowitz=False)
         return self._echelon
 
     def kernel_basis(self):
         """Exact basis of the right null space, deterministic in column order."""
-        ech = self.echelon()
-        return ech.kernel_vectors()
+        return self.echelon().kernel_vectors()
 
     def column_echelon(self):
-        """Echelon of the column space, columns inserted in natural order."""
+        """Markowitz factor of the column space."""
         if self._col_echelon is None:
-            self._col_echelon = self.transpose().echelon()
+            self._col_echelon = Factor(self.rows, self.transpose()._rowdata)
         return self._col_echelon
 
 
-class Echelon:
-    """Incremental fraction-free row echelon in natural column order.
+class Factor:
+    """Fraction-free factor of a row space, pivot rows kept in pivot order.
 
-    Stores one pivot row per pivot column: a primitive int row whose pivot,
-    its leftmost entry, is positive.  A row being reduced is carried as
-    ints over a positive scale s (its value is row / s); each step is the
-    cross-multiplication (p/g)*row - (a/g)*prow, followed by a strip of
-    gcd(content, s).  Rows are reduced against all earlier pivots on
-    insertion, so membership tests are a simple sweep.  QQ appears only at
-    the edges: incoming QQ rows are lifted over their common denominator,
-    and `reduce` returns QQ values.
+    Each pivot row is a primitive int row, positive at its pivot and zero at
+    every earlier pivot column, so fill-in from a pivot row lands only on
+    later pivots: `reduce` is one sweep in pivot order, and the rank is the
+    number of pivots.  Rows given at construction are eliminated at once;
+    `add_row` appends pivots.  QQ rows are lifted over their common
+    denominator, and `reduce` returns QQ values.
     """
 
-    def __init__(self, ncols):
+    def __init__(self, ncols, rows=(), markowitz=True):
         self.ncols = ncols
-        self.pivot_rows = {}  # pivot col -> primitive int row, pivot > 0
+        self.pivot_rows = {}  # pivot col -> primitive int row, in pivot order
+        self._position = {}  # pivot col -> its index in pivot order
+        self._eliminate_rows([dict(row) for row in rows if row], markowitz)
+
+    def _eliminate_rows(self, rows, markowitz):
+        """Eliminate private int rows, recording each pivot row as chosen.
+
+        The next pivot column is the least heap key, refreshed lazily as rows
+        fill in or cancel: (live rows, column) for Markowitz, so singleton
+        columns cascade first, or the column alone for natural order, which
+        leaves each pivot the leftmost entry of its row.  The pivot row is
+        one with a unit entry there if any, then the shortest, then the
+        first; each update is (pv/g)*row - (a/g)*pivot, g = gcd(a, pv).
+        """
+        count = len if markowitz else (lambda rids: 0)
+        colrows = {}
+        for ridx, row in enumerate(rows):
+            for c in row:
+                colrows.setdefault(c, set()).add(ridx)
+        heap = [(count(rids), c) for c, rids in colrows.items()]
+        heapify(heap)
+        while heap:
+            cnt, c = heappop(heap)
+            rids = colrows.get(c)
+            if not rids:
+                continue
+            if count(rids) != cnt:
+                heappush(heap, (count(rids), c))
+                continue
+            pividx = min(rids, key=lambda r: (abs(rows[r][c]) != 1, len(rows[r]), r))
+            prow = rows[pividx]
+            self._append(prow, c)
+            pv = prow[c]
+            for j in prow:
+                s = colrows.get(j)
+                if s is not None:
+                    s.discard(pividx)
+            refreshed = set()
+            for ridx in colrows.pop(c):
+                row = rows[ridx]
+                a = row.pop(c)
+                g = gcd(a, pv)
+                ma = pv // g
+                mp = a // g
+                if ma != 1:
+                    for j in row:
+                        row[j] *= ma
+                for j, v in prow.items():
+                    if j == c:
+                        continue
+                    old = row.get(j)
+                    if old is None:
+                        row[j] = -mp * v
+                        colrows.setdefault(j, set()).add(ridx)
+                        refreshed.add(j)
+                    else:
+                        s = old - mp * v
+                        if s:
+                            row[j] = s
+                        else:
+                            del row[j]
+                            cs = colrows.get(j)
+                            if cs is not None:
+                                cs.discard(ridx)
+                                refreshed.add(j)
+                h = _content(row)
+                if h > 1:
+                    for j in row:
+                        row[j] //= h
+            for j in refreshed:
+                s = colrows.get(j)
+                if s:
+                    heappush(heap, (count(s), j))
+
+    def _append(self, row, c):
+        """Record a nonzero int row, zero at every pivot, with pivot c; made
+        primitive with a positive pivot in place."""
+        h = _content(row)
+        if row[c] < 0:
+            h = -h
+        if h != 1:
+            for j in row:
+                row[j] //= h
+        self._position[c] = len(self.pivot_rows)
+        self.pivot_rows[c] = row
+        return c
 
     def _reduce(self, row, s):
-        """(residual, scale) of the int row / s modulo the row space; row is consumed."""
-        pivots = self.pivot_rows
-        while row:
-            c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                break
-            s *= _eliminate(row, prow, c)
+        """(residual, scale) of the int row / s modulo the row space; row is consumed.
+
+        The residual is zero at every pivot column.
+        """
+        pivots, position = self.pivot_rows, self._position
+        heap = [(position[c], c) for c in row if c in position]
+        heapify(heap)
+        while heap:
+            c = heappop(heap)[1]
+            if c not in row:
+                continue  # cancelled, or queued twice
+            m, filled = _eliminate(row, pivots[c], c)
+            for j in filled:
+                if j in position:
+                    heappush(heap, (position[j], j))
+            s *= m
             if s != 1:
                 h = _content(row, s)
                 if h != 1:
@@ -310,16 +398,12 @@ class Echelon:
                     s //= h
         return row, s
 
-    def _insert(self, row):
-        """Store a reduced nonzero int row as a primitive pivot row."""
-        c = min(row)
-        h = _content(row)
-        if row[c] < 0:
-            h = -h
-        if h != 1:
-            row = {j: v // h for j, v in row.items()}
-        self.pivot_rows[c] = row
-        return c
+    def copy(self):
+        """A factor of the same rows that further pivots can go into."""
+        out = Factor(self.ncols)
+        out.pivot_rows = dict(self.pivot_rows)
+        out._position = dict(self._position)
+        return out
 
     def reduce(self, row):
         """Residual of a row modulo the current row space, as QQ values."""
@@ -329,21 +413,22 @@ class Echelon:
     def add_row(self, row):
         """Insert a row; returns the new pivot column, or None if dependent."""
         row, _ = self._reduce(*_lift(row))
-        return self._insert(row) if row else None
+        return self._append(row, min(row)) if row else None
 
     def contains(self, row):
         return not self._reduce(*_lift(row))[0]
 
     def kernel_vectors(self):
-        """Right null space of the rows this echelon was built from.
+        """Right null space of the rows this factor was built from.
 
-        One integer back-substitution: the reduced echelon R is built from
-        the last pivot up, and the vector of free column f has v[f] = 1 and
-        v[p] = -R_p[f] / R_p[p] at each pivot p.
+        One integer back-substitution: the reduced rows R are built from the
+        last pivot back, and the vector of free column f has v[f] = 1 and
+        v[p] = -R_p[f] / R_p[p] at each pivot p.  Only the natural factor
+        gives the reduced basis in natural free columns.
         """
         pivots = self.pivot_rows
         reduced = {}
-        for c in sorted(pivots, reverse=True):
+        for c in reversed(pivots):
             row = dict(pivots[c])
             # each R_k is zero at every other pivot, so one step clears column k
             for k in [k for k in row if k in reduced]:
@@ -363,7 +448,8 @@ class Echelon:
 def _eliminate(row, prow, c):
     """row <- (p/g)*row - (a/g)*prow with a = row[c], p = prow[c] > 0.
 
-    Clears column c in place and returns the factor p/g the row was scaled by.
+    Clears column c in place; returns the factor p/g the row was scaled by
+    and the columns it filled in.
     """
     a = row[c]
     p = prow[c]
@@ -373,14 +459,19 @@ def _eliminate(row, prow, c):
     if m != 1:
         for j in row:
             row[j] *= m
+    filled = []
     # the pivot entry cancels too: m*row[c] == a*p
     for j, v in prow.items():
-        t = row.get(j, 0) - a * v
-        if t:
-            row[j] = t
+        t = a * v
+        old = row.get(j)
+        if old is None:
+            row[j] = -t
+            filled.append(j)
+        elif old != t:
+            row[j] = old - t
         else:
             del row[j]
-    return m
+    return m, filled
 
 
 def _content(row, h=0):
@@ -403,114 +494,20 @@ def _lift(row):
     return {j: v.numerator * (s // v.denominator) for j, v in row.items()}, s
 
 
-def _int_rank(rows, ncols):
-    """Rank of integer rows by fraction-free elimination in sparse pivot order.
-
-    The next pivot column is the one with the fewest live rows (a heap of
-    column counts, refreshed lazily as rows fill in or cancel); singleton
-    columns therefore cascade first, which keeps fill-in near zero on the
-    incidence-like differentials this package produces.  Among that
-    column's rows the pivot row is one with a unit entry there if any, then
-    the shortest, then the first.  Each update is (pv/g)*row - (a/g)*pivot
-    with g = gcd(a, pv), followed by a content strip, so entries stay
-    integral and small.
-    """
-    import heapq as _hq
-
-    rows = [dict(r) for r in rows if r]
-    if not rows or ncols == 0:
-        return 0
-    colrows = {}
-    for ridx, row in enumerate(rows):
-        for c in row:
-            colrows.setdefault(c, set()).add(ridx)
-    heap = [(len(rids), c) for c, rids in colrows.items()]
-    _hq.heapify(heap)
-    rank = 0
-    while heap:
-        cnt, c = _hq.heappop(heap)
-        rids = colrows.get(c)
-        if not rids:
-            continue
-        if len(rids) != cnt:
-            _hq.heappush(heap, (len(rids), c))
-            continue
-        # among this column's rows, prefer unit pivot values and short rows
-        best_key = None
-        pividx = -1
-        for ridx in rids:
-            row = rows[ridx]
-            key = (abs(row[c]) != 1, len(row), ridx)
-            if best_key is None or key < best_key:
-                best_key, pividx = key, ridx
-        prow = rows[pividx]
-        pv = prow[c]
-        for j in prow:
-            s = colrows.get(j)
-            if s is not None:
-                s.discard(pividx)
-        rank += 1
-        victims = list(colrows.pop(c))
-        refreshed = set()
-        for ridx in victims:
-            row = rows[ridx]
-            a = row.pop(c)
-            g = gcd(a, pv)
-            ma = pv // g
-            mp = a // g
-            if ma < 0:
-                ma, mp = -ma, -mp
-            if ma != 1:
-                for j in row:
-                    row[j] *= ma
-            for j, v in prow.items():
-                if j == c:
-                    continue
-                old = row.get(j)
-                if old is None:
-                    row[j] = -mp * v
-                    colrows.setdefault(j, set()).add(ridx)
-                    refreshed.add(j)
-                else:
-                    s = old - mp * v
-                    if s:
-                        row[j] = s
-                    else:
-                        del row[j]
-                        cs = colrows.get(j)
-                        if cs is not None:
-                            cs.discard(ridx)
-                            refreshed.add(j)
-            if row:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    for j in row:
-                        row[j] //= g
-        for j in refreshed:
-            s = colrows.get(j)
-            if s:
-                _hq.heappush(heap, (len(s), j))
-    return rank
-
-
 class QuotientSpace:
     """Cycles modulo boundaries with exact class coordinates.
 
     Built from two consecutive differentials d_in: C' -> C and
     d_out: C -> C'' whose composite the caller has verified;
-    representatives are the kernel vectors that add pivots after the
-    boundary columns, in deterministic column order.
+    representatives are the kernel vectors of d_out, in natural column
+    order, that are independent of the boundaries and of the earlier
+    representatives.
     """
 
     def __init__(self, d_in: SparseMatrix, d_out: SparseMatrix):
         self.ambient_dim = d_out.cols
-        # class pivots go into a copy, so d_in's cached echelon stays the boundaries
-        self._ech = Echelon(self.ambient_dim)
-        self._ech.pivot_rows = dict(d_in.column_echelon().pivot_rows)
+        # class pivots go into a copy, so d_in's cached factor stays the boundaries
+        self._ech = d_in.column_echelon().copy()
         self.reps = []
         for z in d_out.kernel_basis():
             row, s = _lift(z)
@@ -518,7 +515,7 @@ class QuotientSpace:
             row, _ = self._ech._reduce(row, s)
             # dependent candidates are discarded so class coords stay well defined
             if row and min(row) < self.ambient_dim:
-                self._ech._insert(row)
+                self._ech._append(row, min(row))
                 self.reps.append(z)
 
     @property

@@ -346,18 +346,23 @@ def _ref_coords(ech, ambient, vec):
     return {c - ambient: -v for c, v in reduced.items()}
 
 
-def _assert_primitive_pivot_rows(ech):
-    for c, row in ech.pivot_rows.items():
-        assert c == min(row) and row[c] > 0
+def _assert_primitive_pivot_rows(factor, natural=False):
+    # primitive, positive at the pivot and zero at every earlier pivot column
+    earlier = []
+    for c, row in factor.pivot_rows.items():
+        assert row[c] > 0 and not any(k in row for k in earlier)
         assert all(type(v) is int and v for v in row.values())
         assert gcd(*row.values()) == 1
+        if natural:
+            assert c == min(row) and all(k < c for k in earlier)
+        earlier.append(c)
 
 
 def _is_qq_dict(vec):
     return all(isinstance(v, QQ) for v in vec.values())
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data())
 def test_int_echelon_matches_fraction_echelon(data):
     # a pair d_out @ d_in = 0: d_in of rank <= t, rows of d_out in its left kernel
@@ -376,8 +381,12 @@ def test_int_echelon_matches_fraction_echelon(data):
     kernel = a_out.kernel_basis()
     assert kernel == _ref_echelon(d_out, m).kernel_vectors()
     assert all(_is_qq_dict(v) for v in kernel)
-    _assert_primitive_pivot_rows(a_out.echelon())
+    _assert_primitive_pivot_rows(a_out.echelon(), natural=True)
     _assert_primitive_pivot_rows(a_in.column_echelon())
+    # the Markowitz rank against the natural, the column and the Fraction factors
+    for a, dense, cols in ((a_in, d_in, k), (a_out, d_out, m)):
+        assert a.rank() == len(a.echelon().pivot_rows) == len(a.column_echelon().pivot_rows)
+        assert a.rank() == len(_ref_echelon(dense, cols).pivot_rows)
 
     space = QuotientSpace(a_in, a_out)
     ref_reps, ref_ech = _ref_quotient(d_in, d_out, m)
