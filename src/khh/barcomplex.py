@@ -575,14 +575,14 @@ class SliceContext:
 
     # -- identity verification --------------------------------------------
 
-    def verify(self, identity: str, n: int, w):
-        """Check one identity on the (n, w) slice exactly, once per context.
+    def holds(self, identity: str, n: int, w) -> bool:
+        """Does one identity hold on the (n, w) slice?  Checked exactly, once
+        per context.
 
         "b.b" is b_n b_{n+1} = 0, "B.B" is B_{n+1} B_n = 0 and "b.B + B.b"
         is b_{n+1} B_n + B_{n-1} b_n = 0, all at C_n in weight w; "cyclic
         b.b" is b_n b_{n+1} = 0 on Connes' complex.  A term through a
-        negative degree is an empty matrix and vanishes.  A failure raises
-        CompositionNonzeroError, every time it is asked.
+        negative degree is an empty matrix and vanishes.
         """
         w = self.algebra._coerce_weight(w)
         key = (identity, n, w)
@@ -600,9 +600,14 @@ class SliceContext:
                 terms = [(cb(n, w), cb(n + 1, w))]
             else:
                 raise ValueError(f"unknown identity {identity!r}")
-            holds = self._products_cancel(terms)
-            self._verified[key] = holds
-        if not holds:
+            holds = self._verified[key] = self._products_cancel(terms)
+        return holds
+
+    def verify(self, identity: str, n: int, w):
+        """`holds`, raising CompositionNonzeroError, every time it is asked,
+        where the identity fails."""
+        w = self.algebra._coerce_weight(w)
+        if not self.holds(identity, n, w):
             raise CompositionNonzeroError(
                 f"{identity} != 0 at algebra {self.algebra.name}, slice (n={n}, w={w})"
             )

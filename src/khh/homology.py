@@ -11,6 +11,14 @@ truncation is exact bookkeeping, not an approximation); `hc_space` then
 checks its class count against the Connes dimension.  Class-level work
 (representatives, Hodge projections, SBI maps) runs through QuotientSpace,
 which keeps exact class coordinates over a cycles-mod-boundaries factor.
+
+Each dimension is dim C_n - rank d_n - rank d_{n+1}, and the ranks are
+chain-compressed (the lemma in `linalg`): where d_{m-1} d_m = 0 has been
+verified exactly, d_m is ranked without its rows at the pivot columns of
+d_{m-1}'s factor, itself compressed the same way.  Where that identity
+fails, which only the corrupt conventions reach, d_m is ranked in full.
+The quotient path factors the full matrices, so the class count it checks
+against the ranks comes from a separate elimination.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ class HomologyEngine:
         self._hh = {}
         self._hc = {}
         self._total_mats = {}
+        self._ranks = {}
         self._quotients = {}
         self._hodge_classes = {}
 
@@ -70,15 +79,9 @@ class HomologyEngine:
                 self._hh[key] = 0
             else:
                 self._hh[key] = self._cached_cell(
-                    "hh", n, w,
-                    lambda: _betti(*self._hh_differentials(n, w)),
+                    "hh", n, w, lambda: self._homology_dim("bar", n, w)
                 )
         return self._hh[key]
-
-    def _hh_differentials(self, n, w):
-        """(b_{n+1}, b_n), once b_n b_{n+1} = 0 is verified."""
-        self.ctx.verify("b.b", n, w)
-        return self.ctx.b_matrix(n + 1, w), self.ctx.b_matrix(n, w)
 
     def _cached_cell(self, kind, n, w, compute):
         from . import cache
@@ -97,7 +100,7 @@ class HomologyEngine:
         w = self.algebra._coerce_weight(w)
         key = ("hh", n, w)
         if key not in self._quotients:
-            space = QuotientSpace(*self._hh_differentials(n, w))
+            space = QuotientSpace(*self._differentials("bar", n, w))
             _check_space_dim(space, self.hh_dim(n, w), "HH", n, w)
             self._quotients[key] = space
         return self._quotients[key]
@@ -156,8 +159,8 @@ class HomologyEngine:
         key = (n, w)
         if key not in self._hc:
             connes = not self.conv.corrupt and vec_total(w) > 0
-            differentials = self._connes_differentials if connes else self._hc_differentials
-            value = self._cached_cell("hc", n, w, lambda: _betti(*differentials(n, w)))
+            complex_ = "connes" if connes else "total"
+            value = self._cached_cell("hc", n, w, lambda: self._homology_dim(complex_, n, w))
             if connes:
                 goodwillie = sum((-1) ** k * self.hh_dim(n - k, w) for k in range(n + 1))
                 if value != goodwillie:
@@ -168,36 +171,79 @@ class HomologyEngine:
             self._hc[key] = value
         return self._hc[key]
 
-    def _connes_differentials(self, n, w):
-        """(b_{n+1}, b_n) on Connes' complex, once their product is verified."""
-        self.ctx.verify("cyclic b.b", n, w)
-        return self.ctx.cyclic_b_matrix(n + 1, w), self.ctx.cyclic_b_matrix(n, w)
-
-    def _hc_differentials(self, n, w):
-        """(D_{n+1}, D_n), once every block of D_n D_{n+1} is verified.
-
-        From the degree-d block of T_{n+1}, the product lands in degree d - 2
-        through b.b, in degree d through b.B + B.b and in degree d + 2
-        through B.B; these land in distinct blocks, so D_n D_{n+1} = 0
-        exactly when each identity that occurs holds.
-        """
-        for k, d in enumerate(self.total_blocks(n + 1, w)):
-            if d >= 2:
-                self.ctx.verify("b.b", d - 1, w)
-            if k >= 1:
-                self.ctx.verify("b.B + B.b", d, w)
-            if k >= 2:
-                self.ctx.verify("B.B", d, w)
-        return self.total_matrix(n + 1, w), self.total_matrix(n, w)
-
     def hc_space(self, n: int, w) -> QuotientSpace:
         w = self.algebra._coerce_weight(w)
         key = ("hc", n, w)
         if key not in self._quotients:
-            space = QuotientSpace(*self._hc_differentials(n, w))
+            space = QuotientSpace(*self._differentials("total", n, w))
             _check_space_dim(space, self.hc_dim(n, w), "HC", n, w)
             self._quotients[key] = space
         return self._quotients[key]
+
+    # -- chain complexes: the bar complex, Connes' and the total complex ----
+
+    def _differential(self, complex_, m, w) -> SparseMatrix:
+        """d_m of the "bar", "connes" or "total" complex at weight w."""
+        if complex_ == "bar":
+            return self.ctx.b_matrix(m, w)
+        if complex_ == "connes":
+            return self.ctx.cyclic_b_matrix(m, w)
+        return self.total_matrix(m, w)
+
+    def _identities(self, complex_, m, w):
+        """[(identity, degree)] that hold together exactly when d_m d_{m+1} = 0.
+
+        On the total complex, the degree-d block of T_{m+1} reaches degree
+        d - 2 through b.b, degree d through b.B + B.b and degree d + 2
+        through B.B; these land in distinct blocks, so D_m D_{m+1} = 0
+        exactly when each identity that occurs holds.
+        """
+        if complex_ == "bar":
+            return [("b.b", m)]
+        if complex_ == "connes":
+            return [("cyclic b.b", m)]
+        out = []
+        for k, d in enumerate(self.total_blocks(m + 1, w)):
+            if d >= 2:
+                out.append(("b.b", d - 1))
+            if k >= 1:
+                out.append(("b.B + B.b", d))
+            if k >= 2:
+                out.append(("B.B", d))
+        return out
+
+    def _differentials(self, complex_, n, w):
+        """(d_{n+1}, d_n), once d_n d_{n+1} = 0 is verified."""
+        for identity, d in self._identities(complex_, n, w):
+            self.ctx.verify(identity, d, w)
+        return self._differential(complex_, n + 1, w), self._differential(complex_, n, w)
+
+    def _homology_dim(self, complex_, n, w) -> int:
+        """dim C_n - rank d_n - rank d_{n+1}, once d_n d_{n+1} = 0 is verified."""
+        d_out = self._differentials(complex_, n, w)[1]
+        return d_out.cols - self._rank(complex_, n, w) - self._rank(complex_, n + 1, w)
+
+    def _rank(self, complex_, m, w) -> int:
+        """rank d_m, without the rows at d_{m-1}'s pivot columns where
+        d_{m-1} d_m = 0 holds (the compression lemma in `linalg`).
+
+        d_{m-1} is ranked the same way first, so the whole chain below m is
+        compressed.  Where the identity fails, which only the corrupt
+        conventions reach, d_m is factored in full.
+        """
+        key = (complex_, m, w)
+        if key not in self._ranks:
+            d = self._differential(complex_, m, w)
+            if m >= 1 and all(
+                self.ctx.holds(identity, k, w)
+                for identity, k in self._identities(complex_, m - 1, w)
+            ):
+                self._rank(complex_, m - 1, w)
+                skip = self._differential(complex_, m - 1, w).pivot_columns()
+                self._ranks[key] = d.rank(skip_rows=skip)
+            else:
+                self._ranks[key] = d.rank()
+        return self._ranks[key]
 
     # -- Hodge/Adams -------------------------------------------------------
 
@@ -318,11 +364,6 @@ class HomologyEngine:
             # short range: exactness at HC_n degenerates to surjectivity of I
             result.update(exact_at_hc_n=i_star.rank() == hc_n.dim, exact_at_hc_n2=True)
         return result
-
-
-def _betti(d_in: SparseMatrix, d_out: SparseMatrix) -> int:
-    """dim ker(d_out) - rank(d_in); the caller has verified d_out d_in = 0."""
-    return d_out.cols - d_out.rank() - d_in.rank()
 
 
 def _check_space_dim(space: QuotientSpace, dim: int, kind: str, n: int, w) -> None:

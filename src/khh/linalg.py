@@ -25,6 +25,16 @@ use natural column order, whose free columns, and hence the pinned
 representatives, are those of a rational echelon with pivots scaled to 1.
 The only check of a composite here is in `homology_dim`; bar and total
 complexes are verified once per identity and slice by `SliceContext`.
+
+Compression (Bauer, Kerber and Reininghaus, *Clear and Compress*; the
+chain-complex view is Kaczynski, Mrozek and Slusarek's reduction).  Let
+d_{m-1} d_m = 0 hold exactly and let P be the pivot columns of any row
+factor of d_{m-1}.  The factor's rows restricted to P are triangular with
+a nonzero diagonal, so dropping the coordinates in P is injective on
+ker d_{m-1}, which contains im d_m.  Hence d_m with its rows in P deleted
+has the rank and the row space of d_m, and its own pivot columns serve
+the next differential.  `rank(skip_rows=P)` applies this; it is exact,
+and valid only after the composite has been verified.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from .errors import CompositionNonzeroError, NotSquareError, PreconditionError
 class SparseMatrix:
     """Immutable sparse matrix over QQ: int rows over a common denominator."""
 
-    __slots__ = ("rows", "cols", "den", "_rowdata", "_rank", "_echelon", "_col_echelon")
+    __slots__ = ("rows", "cols", "den", "_rowdata", "_pivots", "_echelon", "_col_echelon")
 
     def __init__(self, rows, cols, entries=None):
         if rows < 0 or cols < 0:
@@ -92,7 +102,7 @@ class SparseMatrix:
         self.cols = cols
         self.den = den
         self._rowdata = tuple(rowdata)
-        self._rank = None
+        self._pivots = None
         self._echelon = None
         self._col_echelon = None
 
@@ -250,11 +260,30 @@ class SparseMatrix:
 
     # -- elimination --------------------------------------------------
 
-    def rank(self):
-        if self._rank is None:
-            # only the count is kept: the factor's fill-in dies with the call
-            self._rank = len(Factor(self.cols, self._rowdata).pivot_rows)
-        return self._rank
+    def rank(self, skip_rows=frozenset()):
+        """Rank over QQ, from a Markowitz factor of the rows outside skip_rows.
+
+        Precondition: each skipped row lies in the span of the rows kept, so
+        the kept rows have the rank and the row space of the whole matrix
+        (`homology_dim` and the homology engine skip a row only where the
+        lemma in the module docstring proves this).  The factor's pivot
+        columns are cached and their count returned; its fill-in dies with
+        the call.  A later call returns the cached count, whatever rows it
+        names, since every valid factor has the same rank and row space.
+        """
+        if self._pivots is None:
+            rows = self._rowdata
+            if skip_rows:
+                rows = [row for i, row in enumerate(rows) if i not in skip_rows]
+            self._pivots = frozenset(Factor(self.cols, rows).pivot_rows)
+        return len(self._pivots)
+
+    def pivot_columns(self):
+        """Pivot columns of the row factor behind `rank`, factored in full if
+        `rank` has not run yet."""
+        if self._pivots is None:
+            self.rank()
+        return self._pivots
 
     def echelon(self):
         """Natural-order factor of the rows (den scales every row alike)."""
@@ -556,9 +585,11 @@ def homology_dim(d_in: SparseMatrix, d_out: SparseMatrix) -> int:
     """dim ker(d_out) - rank(d_in) for consecutive differentials.
 
     d_in : C_{n+1} -> C_n,  d_out : C_n -> C_{n-1}.  The composite is
-    checked exactly; a nonzero product means a differential is wrong.  Bar
-    and total complexes skip this: their slices are verified identity by
-    identity in `SliceContext`; the fiber cone is checked here.
+    checked exactly; a nonzero product means a differential is wrong.  Only
+    once it is zero does d_in lose its rows at d_out's pivot columns, by
+    the compression lemma of the module docstring.  Bar and total complexes
+    skip this: their slices are verified identity by identity in
+    `SliceContext`; the fiber cone is checked here.
     """
     if d_in.cols and d_out.rows:
         if d_out.cols != d_in.rows:
@@ -566,7 +597,7 @@ def homology_dim(d_in: SparseMatrix, d_out: SparseMatrix) -> int:
         if not (d_out @ d_in).is_zero():
             raise CompositionNonzeroError("d_out . d_in != 0")
     nullity_out = d_out.cols - d_out.rank()
-    return nullity_out - d_in.rank()
+    return nullity_out - d_in.rank(skip_rows=d_out.pivot_columns())
 
 
 def eigenspace(matrix: SparseMatrix, lam):

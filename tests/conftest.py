@@ -2,10 +2,12 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import khh
-from khh.algebra import parse_algebra
+from khh.algebra import GradedAlgebra, parse_algebra
 from khh.corpus import default_corpus_dir, load_corpus
+from khh.rationals import QQ
 
 # CLI subprocesses import the same khh as the tests, installed or not
 _SRC = str(Path(khh.__file__).resolve().parent.parent)
@@ -16,6 +18,47 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 def read_corpus_text(name, filename):
     return (default_corpus_dir() / name / filename).read_text()
+
+
+def _monomials(weights, total):
+    """Exponent vectors of the given weighted total over len(weights) variables."""
+    if not weights:
+        return [()] if total == 0 else []
+    out = []
+    for e in range(total // weights[0] + 1):
+        out += [(e, *rest) for rest in _monomials(weights[1:], total - e * weights[0])]
+    return out
+
+
+@st.composite
+def small_algebras(draw):
+    """(weights, relations) of a connected graded algebra: 1-3 generators of
+    weight <= 3, up to two monomial or homogeneous binomial relations."""
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    relations = []
+    for _ in range(draw(st.integers(0, 2))):
+        total = draw(st.integers(2, 6))
+        monos = [m for m in _monomials(weights, total) if sum(m) >= 2]
+        if not monos:
+            continue
+        lead = draw(st.sampled_from(monos))
+        others = [m for m in monos if m != lead]
+        if others and draw(st.booleans()):
+            coeff = draw(st.sampled_from([1, -1, 2]))
+            relations.append(((lead, 1), (draw(st.sampled_from(others)), -coeff)))
+        else:
+            relations.append(((lead, 1),))
+    return weights, tuple(relations)
+
+
+def algebra_of(spec):
+    """The GradedAlgebra of a `small_algebras` example."""
+    weights, relations = spec
+    gens = ("x", "y", "z")[: len(weights)]
+    return GradedAlgebra(
+        "random", gens, [(w,) for w in weights],
+        [{m: QQ(c) for m, c in rel} for rel in relations],
+    )
 
 
 @pytest.fixture(scope="session")

@@ -1,17 +1,16 @@
 """Connes' cyclic complex: basis, b, its checks and the Goodwillie oracle."""
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from khh import cache, cli
-from khh.algebra import GradedAlgebra
 from khh.barcomplex import SliceContext
 from khh.corpus import default_corpus_dir
 from khh.errors import CompositionNonzeroError, OracleDisagreementError
 from khh.homology import HomologyEngine
 from khh.linalg import SparseMatrix
-from khh.rationals import QQ
 from khh.workpool import _algebra_payload
+from conftest import algebra_of, small_algebras
 
 
 def test_cyclic_basis_keeps_one_rotation_per_live_orbit(free1):
@@ -105,49 +104,12 @@ def test_cell_cached_under_an_older_version_is_not_served(cusp, tmp_path, monkey
 # -- differential property: Connes, the total complex and Goodwillie ---------
 
 
-def _monomials(weights, total):
-    """Exponent vectors of the given weighted total over len(weights) variables."""
-    if not weights:
-        return [()] if total == 0 else []
-    out = []
-    for e in range(total // weights[0] + 1):
-        out += [(e, *rest) for rest in _monomials(weights[1:], total - e * weights[0])]
-    return out
-
-
-@st.composite
-def small_algebras(draw):
-    """(weights, relations) of a connected graded algebra: 1-3 generators of
-    weight <= 3, up to two monomial or homogeneous binomial relations."""
-    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
-    relations = []
-    for _ in range(draw(st.integers(0, 2))):
-        total = draw(st.integers(2, 6))
-        monos = [m for m in _monomials(weights, total) if sum(m) >= 2]
-        if not monos:
-            continue
-        lead = draw(st.sampled_from(monos))
-        others = [m for m in monos if m != lead]
-        if others and draw(st.booleans()):
-            coeff = draw(st.sampled_from([1, -1, 2]))
-            relations.append(((lead, 1), (draw(st.sampled_from(others)), -coeff)))
-        else:
-            relations.append(((lead, 1),))
-    return weights, tuple(relations)
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(small_algebras())
 @example(((2, 3), ((((0, 2), 1), ((3, 0), -1)),)))  # the cusp y^2 = x^3
 @example(((1,), ((((2,), 1),),)))  # the dual numbers
 def test_connes_total_complex_and_goodwillie_agree(spec):
-    weights, relations = spec
-    gens = ("x", "y", "z")[: len(weights)]
-    algebra = GradedAlgebra(
-        "random", gens, [(w,) for w in weights],
-        [{m: QQ(c) for m, c in rel} for rel in relations],
-    )
-    engine = HomologyEngine(algebra)
+    engine = HomologyEngine(algebra_of(spec))
     for w in range(1, 6):
         for n in range(4):
             connes = engine.hc_dim(n, w)

@@ -1,15 +1,16 @@
 """Slice homology: HH, HC, Hodge splitting, SBI exactness."""
 
 import pytest
+from hypothesis import example, given, settings
 
 from khh import cli
 from khh.algebra import GradedAlgebra, parse_algebra
-from khh.barcomplex import chain_str
+from khh.barcomplex import SliceContext, chain_str
 from khh.corpus import default_corpus_dir
 from khh.errors import CompositionNonzeroError, OracleDisagreementError
 from khh.homology import HomologyEngine
 from khh.linalg import Factor, SparseMatrix
-from conftest import read_corpus_text
+from conftest import algebra_of, read_corpus_text, small_algebras
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +216,42 @@ def test_hc_blockwise_check_matches_full_composite(cusp, conv):
                 blockwise.append((n, w))
     assert full
     assert blockwise == full
+
+
+# -- chain-compressed ranks ---------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(small_algebras())
+@example(((2, 3), ((((0, 2), 1), ((3, 0), -1)),)))  # the cusp y^2 = x^3
+def test_chained_ranks_equal_full_ranks_of_fresh_matrices(spec):
+    # hh_dim and hc_dim rank each b_m, on the bar and on Connes' complex,
+    # without the rows at b_{m-1}'s pivot columns; a fresh context's copy
+    # of the same matrix factors every row
+    algebra = algebra_of(spec)
+    engine = HomologyEngine(algebra)
+    fresh = SliceContext(algebra)
+    for w in range(1, 6):
+        for n in range(5):
+            engine.hh_dim(n, w)
+            engine.hc_dim(n, w)
+        for m in range(6):
+            for build in ("b_matrix", "cyclic_b_matrix"):
+                chained, full = getattr(engine.ctx, build)(m, w), getattr(fresh, build)(m, w)
+                assert chained == full
+                assert chained.rank() == full.rank(), (spec, build, m, w)
+
+
+def test_failed_lower_composite_ranks_in_full(cusp):
+    # under corrupt-b-wrap-flip, b.b fails at C_2 but holds at C_3 in weight
+    # 7, so HH_3 exists there and b_3 must be ranked in full: without the
+    # rows at the pivot columns of b_2's full factor it reads rank 2, not 3
+    conv, n, w = "corrupt-b-wrap-flip", 3, 7
+    engine = HomologyEngine(cusp, conv)
+    assert not engine.ctx.holds("b.b", n - 1, w) and engine.ctx.holds("b.b", n, w)
+    pivots = engine.ctx.b_matrix(n - 1, w).pivot_columns()
+    assert SliceContext(cusp, conv).b_matrix(n, w).rank(skip_rows=pivots) == 2
+    fresh = SliceContext(cusp, conv)
+    b_n, b_n1 = fresh.b_matrix(n, w), fresh.b_matrix(n + 1, w)
+    assert b_n.rank() == 3
+    assert engine.hh_dim(n, w) == fresh.dim(n, w) - b_n.rank() - b_n1.rank() == 0

@@ -73,6 +73,28 @@ def test_homology_dim_detects_bad_composition():
         homology_dim(d_in, d_out)
 
 
+def test_homology_dim_checks_the_composite_before_skipping_rows(monkeypatch):
+    # d_out's pivot column 0 is d_in's only nonzero row: skipped, the rank
+    # of d_in would read 0, so homology_dim must raise before any skip
+    d_out = SparseMatrix.from_dense([[1, 0]])
+    assert SparseMatrix.from_dense([[1], [0]]).rank(skip_rows=d_out.pivot_columns()) == 0
+    calls = []
+    rank = SparseMatrix.rank
+
+    def recording(m, skip_rows=frozenset()):
+        calls.append(skip_rows)
+        return rank(m, skip_rows)
+
+    monkeypatch.setattr(SparseMatrix, "rank", recording)
+    with pytest.raises(CompositionNonzeroError):
+        homology_dim(SparseMatrix.from_dense([[1], [0]]), d_out)
+    assert not any(calls)
+    # a composable pair: d_in loses row 0 and keeps its rank
+    d_in, d_out = SparseMatrix.from_dense([[1], [1]]), SparseMatrix.from_dense([[1, -1]])
+    assert homology_dim(d_in, d_out) == 0
+    assert frozenset({0}) in calls
+
+
 def test_eigenspace_scalar_matrix():
     m = SparseMatrix.identity(3).scale(QQ(2))
     assert len(eigenspace(m, 2)) == 3
@@ -419,6 +441,26 @@ def test_int_echelon_matches_fraction_echelon(data):
             ref_entries[(i, j)] = v
     assert induced == SparseMatrix(len(ref_reps), len(ref_reps), ref_entries)
     assert induced == SparseMatrix.identity(space.dim).scale(lam)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_compressed_rank_matches_full_and_fraction_ranks(data):
+    # d_in = (kernel vectors of d_out) @ X, so d_out @ d_in = 0 exactly
+    r, m, k = (data.draw(st.integers(0, n)) for n in (4, 6, 5))
+    d_out = _draw_dense(data.draw, r, m)
+    kernel = _ref_echelon(d_out, m).kernel_vectors()
+    x = _draw_dense(data.draw, len(kernel), k)
+    d_in = [
+        [sum((v.get(i, 0) * row[j] for v, row in zip(kernel, x)), Fraction(0)) for j in range(k)]
+        for i in range(m)
+    ]
+    a_out = _sparse(d_out, m)
+    assert (a_out @ _sparse(d_in, k)).is_zero()
+    skip = a_out.pivot_columns()
+    assert len(skip) == a_out.rank() == len(_ref_echelon(d_out, m).pivot_rows)
+    compressed = _sparse(d_in, k).rank(skip_rows=skip)
+    assert compressed == _sparse(d_in, k).rank() == len(_ref_echelon(d_in, k).pivot_rows)
 
 
 def test_int_echelon_over_empty_and_negative_pivots():
