@@ -11,14 +11,26 @@ representatives and the report bytes all read positions in it.  Tensors
 are sorted by the slot weights of m1..mn, each slot by (total weight,
 weight vector), then by the head's position in the weight basis of the
 weight left over, then by each entry's position in its own weight basis.
-`basis` builds this order in one pass over memoized compositions of the
-weight into bar slots.
+`basis` builds this order in one pass over compositions of the weight into
+bar slots, memoized once per context and shared by every slice.
 
 Connes' complex C^lambda_n is the quotient of the positive-weight tensors
 (head included) by the signed rotation t = (-1)^n rotation, with the b
 that the bar complex induces on it.  A slice keeps the lexicographically
-least rotation of each orbit as its basis vector; an orbit whose
-stabilizer acts by -1 is zero in the quotient and has no basis vector.
+least rotation of each orbit as its basis vector, in basis order.  Each
+rotation costs the sign (-1)^n, so the member of an orbit that is its
+least rotation rotated by k is (-1)^{nk} times that representative; an
+orbit of period L with n*L odd is fixed by a rotation of sign -1, is zero
+in the quotient and has no basis vector.  `cyclic_index` walks each orbit
+once, from its first member in basis order.
+
+Every representative is a bar basis tensor with a positive head, and b of
+such a tensor has only positive-head terms.  So C^lambda's b is the bar b
+folded: its columns restricted to the representatives, and each row, at
+a target tensor that is sign times a representative, added with that sign
+into the representative's row (rows at scalar heads and vanishing orbits
+drop out).  `cyclic_b_matrix` reads the bar `b_matrix` this way and never
+applies b to a tensor itself.
 
 Sign conventions (the literature's standard ones): b merges leftward with
 (-1)^i and wraps with (-1)^n; B rotates with (-1)^{n i} and drops rotations
@@ -241,10 +253,13 @@ class SliceContext:
         self.conv = convention(conv) if isinstance(conv, str) else conv
         self._bases = {}
         self._indexes = {}
+        self._positive = {}  # w -> [(total, v, weight basis of v)], positive v <= w, sorted
+        self._slot_trees = {}  # (k, remaining) -> the slot tree of `basis`
         self._b = {}
         self._B = {}
         self._cyclic_indexes = {}
         self._cyclic_bases = {}
+        self._cyclic_columns = {}  # (n, w) -> basis positions of cyclic_basis(n, w)
         self._cyclic_b = {}
         self._products = {}
         self._idempotents = {}
@@ -261,27 +276,37 @@ class SliceContext:
         alg = self.algebra
         out = []
         if n >= 0:
-            positive = [v for v in alg.weight_vectors_upto(w) if vec_total(v) > 0]
-            positive.sort(key=lambda v: (vec_total(v), v))
-            memo = {}
+            positive = self._positive.get(w)
+            if positive is None:
+                positive = self._positive[w] = sorted(
+                    (vec_total(v), v, alg.weight_basis(v))
+                    for v in alg.weight_vectors_upto(w)
+                    if vec_total(v) > 0
+                )
+            memo = self._slot_trees
 
             def slots(k, remaining):
                 """The ways to fill k bar slots within `remaining`, as a tree
-                shared between branches: the head's weight basis at k = 0 (the
-                head takes the weight left over, possibly zero), else
-                [(weight basis of v, slots(k - 1, remaining - v))] over the
-                slot weights v in basis order, without empty branches."""
+                shared between branches and slices: the head's weight basis at
+                k = 0 (the head takes the weight left over, possibly zero),
+                else [(weight basis of v, slots(k - 1, remaining - v))] over
+                the slot weights v in basis order, without empty branches.
+                It depends on (k, remaining) alone: `positive` holds every
+                positive weight <= w, and remaining <= w."""
                 found = memo.get((k, remaining))
                 if found is None:
                     if k == 0:
                         found = alg.weight_basis(remaining)
                     else:
                         found = []
-                        for v in positive:
+                        room = vec_total(remaining)
+                        for total, v, entries in positive:
+                            if total > room:
+                                break
                             if vec_leq(v, remaining):
                                 rest = slots(k - 1, vec_sub(remaining, v))
                                 if rest:
-                                    found.append((alg.weight_basis(v), rest))
+                                    found.append((entries, rest))
                     memo[(k, remaining)] = found
                 return found
 
@@ -458,15 +483,27 @@ class SliceContext:
         cached = self._b.get(key)
         if cached is not None:
             return cached
-        src = self.basis(n, w)
         dst_index = self.index(n - 1, w) if n >= 1 else {}
-        entries = {}
-        for j, tensor in enumerate(src):
-            for t, c in self.b_tensor(tensor).items():
-                entries[(dst_index[t], j)] = c
-        mat = SparseMatrix(len(dst_index), len(src), entries)
+        mat = self._matrix(self.basis(n, w), dst_index, self.b_tensor)
         self._b[key] = mat
         return mat
+
+    @staticmethod
+    def _matrix(src, dst_index, image) -> SparseMatrix:
+        """The matrix whose column j is image(src[j]) in dst_index's
+        coordinates, written straight into int rows; a coefficient that is
+        not an int sends the entries through the constructor instead."""
+        rows = [{} for _ in range(len(dst_index))]
+        integral = True
+        for j, tensor in enumerate(src):
+            for t, c in image(tensor).items():
+                rows[dst_index[t]][j] = c
+                if type(c) is not int:
+                    integral = False
+        if integral:
+            return SparseMatrix._of_rows(len(rows), len(src), rows)
+        entries = (((i, j), c) for i, row in enumerate(rows) for j, c in row.items())
+        return SparseMatrix(len(rows), len(src), entries)
 
     def idempotent_matrix(self, n: int, w, i: int) -> SparseMatrix:
         """e_n^(i) on the (n, w) slice (1 <= i <= n), built once per context."""
@@ -483,46 +520,41 @@ class SliceContext:
         cached = self._B.get(key)
         if cached is not None:
             return cached
-        src = self.basis(n, w)
-        dst_index = self.index(n + 1, w)
-        entries = {}
-        for j, tensor in enumerate(src):
-            for t, c in self.B_tensor(tensor).items():
-                entries[(dst_index[t], j)] = c
-        mat = SparseMatrix(len(dst_index), len(src), entries)
+        mat = self._matrix(self.basis(n, w), self.index(n + 1, w), self.B_tensor)
         self._B[key] = mat
         return mat
 
     # -- Connes' cyclic complex ---------------------------------------------
 
-    def _cyclic_canon(self, tensor):
-        """(representative, sign) with tensor = sign * representative in
-        C^lambda, or None where the tensor's orbit is zero there.
-
-        Each rotation costs the sign (-1)^n, so rotating by k costs
-        (-1)^{nk}; an orbit of length L whose n*L is odd is fixed by a
-        rotation of sign -1 and vanishes.  Under reversed tensors the
-        rotation is conjugated by the reversal as well.
-        """
-        if self.conv.reverse_tensors:
-            found = self._cyclic_canon_std(self._reverse(tensor))
-            return None if found is None else (self._reverse(found[0]), found[1])
-        return self._cyclic_canon_std(tensor)
-
     @staticmethod
-    def _cyclic_canon_std(tensor):
+    def _orbit_signs(tensor):
+        """The rotation orbit of a tensor in C^lambda as (members, signs):
+        members[0] is the least rotation and members[k] = signs[k] *
+        members[0], or signs is None where the orbit is zero there.
+
+        members[k] is the least rotation rotated by k, which costs
+        (-1)^{nk}; an orbit of period L whose n*L is odd is fixed by a
+        rotation of sign -1 and vanishes.
+        """
         n = len(tensor) - 1
-        period = next(k for k in range(1, n + 2) if tensor[k:] + tensor[:k] == tensor)
+        rotations = [tensor[k:] + tensor[:k] for k in range(n + 1)]
+        rotations.append(tensor)  # rotation n + 1 closes every orbit
+        period = rotations.index(tensor, 1)
+        k0 = min(range(period), key=rotations.__getitem__)
+        members = rotations[k0:period] + rotations[:k0]
         if n * period % 2:
-            return None
-        k = min(range(period), key=lambda i: tensor[i:] + tensor[:i])
-        return tensor[k:] + tensor[:k], -1 if n * k % 2 else 1
+            return members, None
+        # n odd leaves L even, so the signs alternate through the orbit
+        return members, [1, -1] * (period // 2) if n % 2 else [1] * period
 
     def cyclic_index(self, n: int, w) -> dict:
         """{tensor: (basis position, sign) or None} over C^lambda_n at weight w.
 
         Covers every positive-head tensor of `basis(n, w)`; None marks the
-        tensors of vanishing orbits.
+        tensors of vanishing orbits.  Each orbit is walked once, when its
+        first member in basis order comes up, and its representative takes
+        its place when the walk reaches it; under reversed tensors the
+        rotation is conjugated by the reversal.
         """
         w = self.algebra._coerce_weight(w)
         key = (n, w)
@@ -530,20 +562,28 @@ class SliceContext:
         if cached is not None:
             return cached
         unit = (0,) * self.algebra.ngens
-        canon = {}
-        reps = []
-        for tensor in self.basis(n, w):
-            if tensor[0] != unit:
-                canon[tensor] = self._cyclic_canon(tensor)
-                if canon[tensor] == (tensor, 1):
-                    reps.append(tensor)
-        position = {t: i for i, t in enumerate(reps)}
-        index = {
-            t: None if found is None else (position[found[0]], found[1])
-            for t, found in canon.items()
-        }
+        flip = self._reverse if self.conv.reverse_tensors else None
+        unseen = object()
+        index = {}  # tensor -> its orbit (members, signs) during the walk, or None
+        live, columns = [], []  # live orbits, by their representatives' basis positions
+        for position, tensor in enumerate(self.basis(n, w)):
+            if tensor[0] == unit:
+                continue
+            orbit = index.get(tensor, unseen)
+            if orbit is unseen:
+                members, signs = self._orbit_signs(flip(tensor) if flip else tensor)
+                if flip:
+                    members = [flip(m) for m in members]
+                orbit = None if signs is None else (members, signs)
+                index.update(dict.fromkeys(members, orbit))
+            if orbit is not None and orbit[0][0] == tensor:
+                live.append(orbit)
+                columns.append(position)
+        for i, (members, signs) in enumerate(live):
+            index.update(zip(members, [(i, s) for s in signs]))
         self._cyclic_indexes[key] = index
-        self._cyclic_bases[key] = tuple(reps)
+        self._cyclic_bases[key] = tuple(members[0] for members, _ in live)
+        self._cyclic_columns[key] = columns
         return index
 
     def cyclic_basis(self, n: int, w) -> tuple:
@@ -553,23 +593,35 @@ class SliceContext:
         return self._cyclic_bases[(n, w)]
 
     def cyclic_b_matrix(self, n: int, w) -> SparseMatrix:
-        """b : C^lambda_n -> C^lambda_{n-1} at weight w."""
+        """b : C^lambda_n -> C^lambda_{n-1} at weight w, folded from the bar
+        b_n (see the module docstring)."""
         w = self.algebra._coerce_weight(w)
         key = (n, w)
         cached = self._cyclic_b.get(key)
         if cached is not None:
             return cached
-        src = self.cyclic_basis(n, w)
-        dst_index = self.cyclic_index(n - 1, w)
-        dst_dim = len(self.cyclic_basis(n - 1, w))
-        entries = {}
-        for j, tensor in enumerate(src):
-            for t, c in self.b_tensor(tensor).items():
-                hit = dst_index[t]
-                if hit is not None:
-                    ij = (hit[0], j)
-                    entries[ij] = entries.get(ij, 0) + hit[1] * c
-        mat = SparseMatrix(dst_dim, len(src), entries)
+        reps = self.cyclic_basis(n, w)
+        bar = self.b_matrix(n, w)
+        column = [None] * bar.cols  # bar column -> cyclic column
+        for j, position in enumerate(self._cyclic_columns[key]):
+            column[position] = j
+        target = self.cyclic_index(n - 1, w)
+        rows = [{} for _ in self.cyclic_basis(n - 1, w)]
+        for tensor, bar_row in zip(self.basis(n - 1, w), bar._rowdata):
+            hit = target.get(tensor) if bar_row else None
+            if hit is None:
+                continue
+            r, sign = hit
+            row = rows[r]
+            for j, v in bar_row.items():
+                c = column[j]
+                if c is not None:
+                    v = row.get(c, 0) + sign * v
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
+        mat = SparseMatrix._of_rows(len(rows), len(reps), rows, bar.den)
         self._cyclic_b[key] = mat
         return mat
 

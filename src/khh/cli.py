@@ -3,9 +3,11 @@
 Verbs: hh, hc, hodge, kunneth, cycles, tk, pic, cdh-omega, curve,
 cuspbundle, smoothness, report.  Output formats are aligned text,
 canonical JSON (sorted keys, integers only) and CSV; identical inputs
-produce byte-identical JSON.  Exit codes: 0 success, 1 failed checks,
-2 parse errors, 3 precondition violations, 4 hypothesis failures
-(torsion), 5 internal sanity failures.
+produce byte-identical JSON.  The table verbs write all three; cycles,
+curve and smoothness write text or JSON, and report writes JSON only.  A
+format a verb does not write is a precondition violation.  Exit codes:
+0 success, 1 failed checks, 2 parse errors, 3 precondition violations,
+4 hypothesis failures (torsion), 5 internal sanity failures.
 """
 
 from __future__ import annotations
@@ -367,8 +369,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, algebra=False, square=False, curve=False, conv=False, jobs=False):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    def common(p, algebra=False, square=False, curve=False, conv=False, jobs=False,
+               formats=("text", "json", "csv")):
+        # every verb parses every format, so one it does not write exits 3
+        p.add_argument("--format", choices=("text", "json", "csv"), default=formats[0])
+        p.set_defaults(formats=formats)
         if conv:
             p.add_argument("--convention", choices=sorted(CONVENTIONS), default="standard")
         if jobs:
@@ -406,7 +411,7 @@ def build_parser():
     p.set_defaults(func=cmd_kunneth)
 
     p = sub.add_parser("cycles", help="cusp cycle verification and sign search")
-    common(p)
+    common(p, formats=("text", "json"))
     p.add_argument("--i-max", type=int, default=2)
     p.set_defaults(func=cmd_cycles)
 
@@ -434,7 +439,7 @@ def build_parser():
     p.set_defaults(func=cmd_cdh_omega)
 
     p = sub.add_parser("curve", help="curve sanity and torsion certification")
-    common(p, curve=True)
+    common(p, curve=True, formats=("text", "json"))
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("cuspbundle", help="curve cohomology tables")
@@ -446,12 +451,12 @@ def build_parser():
     p.set_defaults(func=cmd_cuspbundle)
 
     p = sub.add_parser("smoothness", help="main property suite over a corpus")
-    common(p)
+    common(p, formats=("text", "json"))
     p.add_argument("--corpus", default=None)
     p.set_defaults(func=cmd_smoothness)
 
     p = sub.add_parser("report", help="full corpus report (canonical JSON)")
-    common(p, jobs=True)
+    common(p, jobs=True, formats=("json",))
     p.add_argument("--corpus", default=None)
     p.set_defaults(func=cmd_report)
 
@@ -462,6 +467,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.format not in args.formats:
+            raise PreconditionError(
+                f"khh {args.command} writes {' or '.join(args.formats)}, "
+                f"not {args.format}"
+            )
         return args.func(args)
     except KhhError as exc:
         sys.stderr.write(f"error: {exc}\n")

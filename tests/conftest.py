@@ -2,12 +2,17 @@ import os
 from pathlib import Path
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 import khh
 from khh.algebra import GradedAlgebra, parse_algebra
 from khh.corpus import default_corpus_dir, load_corpus
 from khh.rationals import QQ
+
+# every property test draws the same examples on every run; a failure found
+# this way is frozen as an @example on its test
+settings.register_profile("khh", derandomize=True, deadline=None)
+settings.load_profile("khh")
 
 # CLI subprocesses import the same khh as the tests, installed or not
 _SRC = str(Path(khh.__file__).resolve().parent.parent)

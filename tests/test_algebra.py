@@ -115,7 +115,7 @@ def _random_poly(algebra, rng, max_weight=8, terms=3):
     return {m: c for m, c in out.items() if c}
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 10_000))
 def test_nf_is_idempotent_linear_multiplicative(seed):
     cusp = parse_algebra("algebra cusp\nvars x:2 y:3\nrel y^2 - x^3")

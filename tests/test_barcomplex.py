@@ -11,6 +11,7 @@ from khh.rationals import QQ
 from khh.algebra import GradedAlgebra
 from khh.barcomplex import BarChain, SliceContext, chain_str, parse_chain
 from khh.errors import SanityError
+from conftest import algebra_of, small_algebras
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,19 @@ def test_slice_sanity_grid(cusp_ctx):
     for n in range(0, 4):
         for w in range(0, 11):
             cusp_ctx.check_slice(n, w)
+
+
+@settings(max_examples=30)
+@given(small_algebras())
+@example(((2, 3), ((((0, 2), 1), ((3, 0), -1)),)))  # the cusp y^2 = x^3
+def test_slice_identities_hold_on_random_algebras(spec):
+    # b^2 = 0, B^2 = 0 and bB + Bb = 0 at every (n, w) <= (3, 6)
+    algebra = algebra_of(spec)
+    for conv in ("standard", "b-transpose", "twist-minus"):
+        ctx = SliceContext(algebra, conv)
+        for w in range(7):
+            for n in range(4):
+                ctx.check_slice(n, w)
 
 
 def test_corrupt_wrap_flip_fails_sanity(cusp):
@@ -170,7 +184,7 @@ def small_rank_one_algebras(draw):
     return weights, tuple(r for r in relations if sum(r) >= 2)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(small_rank_one_algebras())
 @example(((2, 3), ((0, 2),)))  # the monomial cusp y^2
 @example(((1,), ()))  # the free algebra on one generator

@@ -4,6 +4,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from khh import cli
 from khh.corpus import default_corpus_dir
 
 
@@ -292,3 +295,27 @@ def test_report_worker_parse_error_keeps_exit_code(tmp_path):
         assert proc.returncode == 2, (jobs, proc.stderr)
         assert proc.stdout == ""
         assert "line 3" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--format", "csv"],
+    ["report", "--format", "text"],
+    ["cycles", "--format", "csv"],
+    ["curve", "--curve", corpus_file("curve37a", "curve.crv"), "--format", "csv"],
+    ["smoothness", "--format", "csv"],
+])
+def test_a_format_the_verb_does_not_write_exits_3(argv, capsys):
+    # these verbs used to print JSON or text whatever --format asked for
+    assert cli.main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"not {argv[-1]}" in out.err
+
+
+def test_report_defaults_to_json(tmp_path):
+    corpus = _linked_corpus(tmp_path, "q")
+    plain = run_cli("report", "--corpus", str(corpus), "--jobs", "1")
+    json_run = run_cli("report", "--corpus", str(corpus), "--format", "json", "--jobs", "1")
+    assert plain.returncode == json_run.returncode == 0
+    assert plain.stdout == json_run.stdout
+    assert json.loads(plain.stdout)["entries"]["q"]

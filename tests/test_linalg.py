@@ -126,7 +126,7 @@ def _random_matrix(rng, rows, cols, density=0.5, span=4):
     return SparseMatrix(rows, cols, entries)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 10_000))
 def test_rank_nullity_and_transpose(rows, cols, seed):
     rng = random.Random(seed)
@@ -138,7 +138,7 @@ def test_rank_nullity_and_transpose(rows, cols, seed):
         assert not m.apply(v)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 10_000))
 def test_matrix_product_associative_bit_exact(seed):
     rng = random.Random(seed)
@@ -225,7 +225,7 @@ def _ref_rank(dense):
     return r
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(st.data())
 def test_int_storage_agrees_with_dense_fraction_reference(data):
     n, k, m = (data.draw(st.integers(0, 4)) for _ in range(3))
@@ -264,7 +264,7 @@ def test_int_storage_agrees_with_dense_fraction_reference(data):
     assert columns.contains(image)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_fraction_and_scaled_int_builds_compare_equal(data):
     rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
@@ -384,7 +384,7 @@ def _is_qq_dict(vec):
     return all(isinstance(v, QQ) for v in vec.values())
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(st.data())
 def test_int_echelon_matches_fraction_echelon(data):
     # a pair d_out @ d_in = 0: d_in of rank <= t, rows of d_out in its left kernel
@@ -443,7 +443,7 @@ def test_int_echelon_matches_fraction_echelon(data):
     assert induced == SparseMatrix.identity(space.dim).scale(lam)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(st.data())
 def test_compressed_rank_matches_full_and_fraction_ranks(data):
     # d_in = (kernel vectors of d_out) @ X, so d_out @ d_in = 0 exactly
