@@ -59,6 +59,8 @@ class CorpusEntry:
 
 def load_corpus(corpus_dir=None):
     root = Path(corpus_dir) if corpus_dir else default_corpus_dir()
+    if not root.is_dir():
+        raise PreconditionError(f"corpus {root} is not a directory")
     entries = []
     for sub in sorted(root.iterdir()):
         if not sub.is_dir():

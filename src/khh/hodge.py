@@ -12,8 +12,10 @@ whether d counts descents of sigma or of its inverse; under the place
 action used here the descents of sigma give idempotents that commute with
 b (the test suite probes both variants).  The table is self-certifying:
 completeness, orthogonality and the antisymmetrizer identity are checked
-exactly, and every slice application re-checks completeness of the acting
-matrices, which each SliceContext builds once per slice and caches.
+exactly, on int vectors over the table's common denominator with products
+read from a composition table of S_n, and every slice application
+re-checks completeness of the acting matrices, which each SliceContext
+builds once per slice and caches.
 """
 
 from __future__ import annotations
@@ -57,17 +59,12 @@ def _compose(a, b):
     return tuple(a[b[i]] for i in range(len(a)))
 
 
-def _convolve(p, q):
-    out = {}
-    for a, ca in p.items():
-        for b, cb in q.items():
-            s = _compose(a, b)
-            v = out.get(s, ZERO) + ca * cb
-            if v:
-                out[s] = v
-            else:
-                out.pop(s, None)
-    return out
+@lru_cache(maxsize=None)
+def _composition_table(n: int):
+    """table[a][b] = index of perms[a] o perms[b], for perms = _perms(n)."""
+    perms = _perms(n)
+    index = {p: k for k, p in enumerate(perms)}
+    return tuple(tuple(index[_compose(a, b)] for b in perms) for a in perms)
 
 
 def lambda_element(n: int, k: int, inverse_descents: bool = False) -> dict:
@@ -115,27 +112,41 @@ def _solve_idempotents(n: int, inverse_descents: bool):
 
 
 def _validate_table(n: int, idems):
-    identity = tuple(range(n))
-    total = {}
+    """Completeness, orthogonality and the antisymmetrizer identity, exactly.
+
+    Each e^(i) is read as an int vector E_i over the table's common
+    denominator D (e^(i) = E_i / D), indexed like _perms(n); products go
+    through the composition table, so e^(i) e^(j) = delta_ij e^(i) is
+    E_i * E_j = delta_ij D E_i over the ints.
+    """
+    perms = _perms(n)
+    index = {p: k for k, p in enumerate(perms)}
+    den = lcm(*(c.denominator for e in idems for c in e.values()))
+    vecs = []
     for e in idems:
+        vec = [0] * len(perms)
         for perm, c in e.items():
-            s = total.get(perm, ZERO) + c
-            if s:
-                total[perm] = s
-            else:
-                total.pop(perm, None)
-    if total != {identity: QQ(1)}:
+            vec[index[perm]] = c.numerator * (den // c.denominator)
+        vecs.append(vec)
+    # perms[0] is the identity
+    if [sum(col) for col in zip(*vecs)] != [den] + [0] * (len(perms) - 1):
         raise IdempotentSanityError(f"idempotents at n={n} do not sum to the identity")
-    for i, ei in enumerate(idems):
-        for j, ej in enumerate(idems):
-            prod = _convolve(ei, ej)
-            expect = ei if i == j else {}
+    table = _composition_table(n)
+    support = [[(a, c) for a, c in enumerate(vec) if c] for vec in vecs]
+    for i, ei in enumerate(support):
+        for j, ej in enumerate(support):
+            prod = [0] * len(perms)
+            for a, ca in ei:
+                row = table[a]
+                for b, cb in ej:
+                    prod[row[b]] += ca * cb
+            expect = [den * v for v in vecs[i]] if i == j else [0] * len(perms)
             if prod != expect:
                 raise IdempotentSanityError(
                     f"e^({i+1}) * e^({j+1}) != {'e' if i == j else '0'} at n={n}"
                 )
-    anti = {p: QQ(_sign(p), factorial(n)) for p in _perms(n)}
-    if idems[-1] != anti:
+    top = factorial(n)
+    if any(v * top != den * _sign(p) for v, p in zip(vecs[-1], perms)):
         raise IdempotentSanityError(f"e^({n}) is not the antisymmetrizer at n={n}")
 
 

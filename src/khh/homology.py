@@ -10,15 +10,16 @@ connectedness bound (each weight slice of the bicomplex is finite, so the
 truncation is exact bookkeeping, not an approximation); `hc_space` then
 checks its class count against the Connes dimension.  Class-level work
 (representatives, Hodge projections, SBI maps) runs through QuotientSpace,
-which keeps exact class coordinates over a cycles-mod-boundaries factor.
+which keeps exact class coordinates on the free coordinates of d_n.
 
 Each dimension is dim C_n - rank d_n - rank d_{n+1}, and the ranks are
 chain-compressed (the lemma in `linalg`): where d_{m-1} d_m = 0 has been
 verified exactly, d_m is ranked without its rows at the pivot columns of
 d_{m-1}'s factor, itself compressed the same way.  Where that identity
 fails, which only the corrupt conventions reach, d_m is ranked in full.
-The quotient path factors the full matrices, so the class count it checks
-against the ranks comes from a separate elimination.
+The quotient path factors d_n in natural order and d_{n+1}'s columns at
+d_n's free coordinates (the second lemma in `linalg`), so the class count
+it checks against the ranks comes from separate eliminations.
 """
 
 from __future__ import annotations

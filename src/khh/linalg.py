@@ -17,14 +17,15 @@ There is one eliminator, `Factor`, fraction-free in the style of Bareiss
 (every update is an exact cross-multiplication followed by a gcd strip),
 with two pivot rules.  Markowitz pivots keep fill-in low on the
 incidence-like differentials this package produces; they serve `rank`,
-which keeps only the count and never reads a cached factor, and the cached
-`column_echelon`, which answers membership and seeds every `QuotientSpace`.
-None of those answers depends on the pivot order.  Kernels do: the basis
-is the reduced one for the free columns, so `echelon` and `kernel_basis`
-use natural column order, whose free columns, and hence the pinned
-representatives, are those of a rational echelon with pivots scaled to 1.
-The only check of a composite here is in `homology_dim`; bar and total
-complexes are verified once per identity and slice by `SliceContext`.
+which keeps only the count and never reads a cached factor, the cached
+`column_echelon`, which answers membership, and `column_factor`, which
+holds a `QuotientSpace`'s boundaries.  None of those answers depends on the
+pivot order.  Kernels do: the basis is the reduced one for the free
+columns, so `echelon` and `kernel_basis` use natural column order, whose
+free columns, and hence the pinned representatives, are those of a
+rational echelon with pivots scaled to 1.  The only check of a composite
+here is in `homology_dim`; bar and total complexes are verified once per
+identity and slice by `SliceContext`.
 
 Compression (Bauer, Kerber and Reininghaus, *Clear and Compress*; the
 chain-complex view is Kaczynski, Mrozek and Slusarek's reduction).  Let
@@ -35,6 +36,21 @@ ker d_{m-1}, which contains im d_m.  Hence d_m with its rows in P deleted
 has the rank and the row space of d_m, and its own pivot columns serve
 the next differential.  `rank(skip_rows=P)` applies this; it is exact,
 and valid only after the composite has been verified.
+
+Classes on free coordinates, the same lemma on the cycle side.  Let
+d_out d_in = 0 hold and let F be the free columns of d_out's natural
+factor.  Projecting onto F is injective on ker d_out, and it sends the
+reduced kernel basis (what `kernel_basis` returns) to the unit vectors
+e_f.  So ker d_out / im d_in is QQ^F modulo the columns of d_in restricted
+to their rows at F, and a set of kernel vectors is independent modulo the
+boundaries exactly when its unit vectors are.  `QuotientSpace` therefore
+picks, in natural order, the e_f independent of those columns and of the
+earlier picks, which are the kernel vectors the full-matrix construction
+picks, and lifts only the picks by back-substitution over the natural
+factor.  Its class count still checks the ranks independently: the ranks
+come from Markowitz factors of the compressed d_n and d_{n+1}, the classes
+from d_out's natural factor and a column factor of d_in on F, which share
+no elimination and rest only on the verified composite.
 """
 
 from __future__ import annotations
@@ -296,10 +312,20 @@ class SparseMatrix:
         return self.echelon().kernel_vectors()
 
     def column_echelon(self):
-        """Markowitz factor of the column space."""
+        """Markowitz factor of the column space, cached."""
         if self._col_echelon is None:
-            self._col_echelon = Factor(self.rows, self.transpose()._rowdata)
+            self._col_echelon = self.column_factor()
         return self._col_echelon
+
+    def column_factor(self, keep=None):
+        """Markowitz factor of the columns restricted to the rows in `keep`
+        (every row if None), over the row indices as coordinates; not cached."""
+        columns = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._rowdata):
+            if keep is None or i in keep:
+                for j, v in row.items():
+                    columns[j][i] = v
+        return Factor(self.rows, columns)
 
 
 class Factor:
@@ -427,13 +453,6 @@ class Factor:
                     s //= h
         return row, s
 
-    def copy(self):
-        """A factor of the same rows that further pivots can go into."""
-        out = Factor(self.ncols)
-        out.pivot_rows = dict(self.pivot_rows)
-        out._position = dict(self._position)
-        return out
-
     def reduce(self, row):
         """Residual of a row modulo the current row space, as QQ values."""
         row, s = self._reduce(*_lift(row))
@@ -447,31 +466,47 @@ class Factor:
     def contains(self, row):
         return not self._reduce(*_lift(row))[0]
 
-    def kernel_vectors(self):
-        """Right null space of the rows this factor was built from.
+    def free_columns(self):
+        """The columns without a pivot, in natural order."""
+        pivots = self.pivot_rows
+        return [f for f in range(self.ncols) if f not in pivots]
 
-        One integer back-substitution: the reduced rows R are built from the
-        last pivot back, and the vector of free column f has v[f] = 1 and
-        v[p] = -R_p[f] / R_p[p] at each pivot p.  Only the natural factor
-        gives the reduced basis in natural free columns.
+    def kernel_vectors(self):
+        """Right null space of the rows this factor was built from: the
+        reduced basis, one vector per free column in natural order."""
+        return [self.kernel_vector(f) for f in self.free_columns()]
+
+    def kernel_vector(self, f):
+        """The kernel vector v of free column f with v[f] = 1 and v zero at
+        every other free column, as QQ values.
+
+        One integer back-substitution from the last pivot below f down:
+        v[p] = -(R_p . v) / R_p[p] for each pivot row R_p.  Only the natural
+        factor, whose pivot rows vanish left of their pivots, gives the
+        reduced basis vector; there every pivot above f stays zero.
         """
         pivots = self.pivot_rows
-        reduced = {}
+        vec, s = {f: 1}, 1
         for c in reversed(pivots):
-            row = dict(pivots[c])
-            # each R_k is zero at every other pivot, so one step clears column k
-            for k in [k for k in row if k in reduced]:
-                _eliminate(row, reduced[k], k)
-            h = _content(row)
-            reduced[c] = row if h == 1 else {j: v // h for j, v in row.items()}
-        one = QQ(1)
-        basis = {f: {f: one} for f in range(self.ncols) if f not in pivots}
-        for c, row in reduced.items():
+            if c > f:
+                continue
+            row = pivots[c]
+            t = 0
+            for j, a in row.items():
+                x = vec.get(j)
+                if x is not None and j != c:
+                    t += a * x
+            if not t:
+                continue
             p = row[c]
-            for f, v in row.items():
-                if f != c:
-                    basis[f][c] = QQ(-v, p)
-        return list(basis.values())
+            g = gcd(t, p)
+            m = p // g
+            if m != 1:
+                for j in vec:
+                    vec[j] *= m
+                s *= m
+            vec[c] = -(t // g)
+        return {j: QQ(v, s) for j, v in vec.items()}
 
 
 def _eliminate(row, prow, c):
@@ -530,36 +565,54 @@ class QuotientSpace:
     d_out: C -> C'' whose composite the caller has verified;
     representatives are the kernel vectors of d_out, in natural column
     order, that are independent of the boundaries and of the earlier
-    representatives.
+    representatives.  They are found on d_out's free coordinates F (the
+    lemma in the module docstring): the picks are the unit vectors e_f,
+    f in F, independent of d_in's columns at the rows in F and of the
+    earlier picks, and only the picks are lifted to kernel vectors.
     """
 
     def __init__(self, d_in: SparseMatrix, d_out: SparseMatrix):
-        self.ambient_dim = d_out.cols
-        # class pivots go into a copy, so d_in's cached factor stays the boundaries
-        self._ech = d_in.column_echelon().copy()
-        self.reps = []
-        for z in d_out.kernel_basis():
-            row, s = _lift(z)
-            row[self.ambient_dim + len(self.reps)] = s
-            row, _ = self._ech._reduce(row, s)
+        self.ambient_dim = ambient = d_out.cols
+        self._d_out = d_out
+        natural = d_out.echelon()
+        free = natural.free_columns()
+        self._free = frozenset(free)
+        # class k is the pivot row e_f + e_{ambient + k}, reduced; coords
+        # read the residual of a projected cycle at those extra columns
+        self._ech = d_in.column_factor(keep=self._free)
+        picks = []
+        for f in free:
+            row, _ = self._ech._reduce({f: 1, ambient + len(picks): 1}, 1)
             # dependent candidates are discarded so class coords stay well defined
-            if row and min(row) < self.ambient_dim:
+            if row and min(row) < ambient:
                 self._ech._append(row, min(row))
-                self.reps.append(z)
+                picks.append(f)
+        self.reps = [natural.kernel_vector(f) for f in picks]
 
     @property
     def dim(self):
         return len(self.reps)
 
     def coords(self, vec):
-        """Class coordinates of a cycle vector as {rep index: QQ}."""
-        reduced, s = self._ech._reduce(*_lift(vec))
-        out = {}
-        for c, v in reduced.items():
-            if c < self.ambient_dim:
+        """Class coordinates of a cycle vector as {rep index: QQ}.
+
+        The picks and the boundaries span QQ^F, so the projection onto F
+        reduces to the class columns alone; a projection accepts any vector,
+        so the cycle condition d_out . vec = 0 is checked first.
+        """
+        row, s = _lift(vec)
+        for out_row in self._d_out._rowdata:
+            t = 0
+            for j, a in out_row.items():
+                x = row.get(j)
+                if x is not None:
+                    t += a * x
+            if t:
                 raise PreconditionError("vector is not a cycle in this slice")
-            out[c - self.ambient_dim] = QQ(-v, s)
-        return out
+        free = self._free
+        reduced, s = self._ech._reduce({j: v for j, v in row.items() if j in free}, s)
+        ambient = self.ambient_dim
+        return {c - ambient: QQ(-v, s) for c, v in reduced.items()}
 
     def induced_matrix(self, op: SparseMatrix, target: "QuotientSpace") -> SparseMatrix:
         """Matrix on classes of an ambient chain map into `target`'s slice."""

@@ -6,6 +6,7 @@ that down by byte-comparing full reruns.  Each test prints one PASS line
 (visible under pytest -s) so the suite doubles as a checklist.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -19,6 +20,11 @@ from khh.fiber import ResolutionSquare
 from khh.homology import HomologyEngine, verify_cusp_cycles, verify_kunneth
 from khh.kahler import omega_dims, torsion_dims
 from khh import hodge
+
+
+# sha256 of the full corpus `khh report --format json`: every HH, HC, Hodge,
+# typical-piece and table value, byte for byte
+REPORT_SHA256 = "1ec2595b7f91ec492042129b60455528b0f9c2fb06811db923816c4c033d1d86"
 
 
 def _announce(number, text):
@@ -217,5 +223,6 @@ def test_c10_determinism():
     assert first.returncode == 0, first.stderr
     assert second.returncode == 0, second.stderr
     assert first.stdout == second.stdout
+    assert hashlib.sha256(first.stdout.encode()).hexdigest() == REPORT_SHA256
     assert json.loads(first.stdout)["failures"] == []
     _announce(10, "full corpus report is byte-identical across reruns")

@@ -75,6 +75,15 @@ def test_exit_code_precondition(tmp_path):
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize("verb", ["report", "smoothness"])
+def test_missing_or_non_directory_corpus_exits_3(tmp_path, capsys, verb):
+    a_file = tmp_path / "corpus.txt"
+    a_file.write_text("")
+    for corpus in (tmp_path / "missing", a_file):
+        assert cli.main([verb, "--corpus", str(corpus)]) == 3
+        assert "is not a directory" in capsys.readouterr().err
+
+
 def test_exit_code_cutoff_inconsistency():
     proc = run_cli("hh", "--algebra", corpus_file("cusp", "algebra.alg"),
                    "--n", "1", "--max-weight", "-3")

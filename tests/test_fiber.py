@@ -17,7 +17,7 @@ from khh.errors import (
     UnsupportedDimensionError,
 )
 from conftest import read_corpus_text
-from test_homology import _keep_first_kernel_vector
+from test_homology import _lose_last_free_column
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +219,6 @@ def test_fiber_class_count_checked_against_ranks(monkeypatch):
     # fault in the vector path surfaces as a class count, not as wrong tk
     square = ResolutionSquare.parse(read_corpus_text("cusp", "square.sq"))
     square.validate(12)
-    _keep_first_kernel_vector(monkeypatch)
+    _lose_last_free_column(monkeypatch)
     with pytest.raises(OracleDisagreementError, match="classes from the quotient"):
         square.tk(2, 5)

@@ -6,11 +6,13 @@ from khh.rationals import QQ
 from khh.algebra import GradedAlgebra, parse_algebra
 from khh.barcomplex import SliceContext
 from khh import hodge
+from khh.errors import IdempotentSanityError
 from khh.hodge import (
-    _convolve,
+    _compose,
     _perms,
     _sign,
     _solve_idempotents,
+    _validate_table,
     adams_matrix,
     check_slice_completeness,
     element_matrix,
@@ -18,6 +20,38 @@ from khh.hodge import (
     idempotent_matrix,
     lambda_element,
 )
+
+
+def _convolve(p, q):
+    """Product in QQ[S_n] in Fraction arithmetic: the oracle for the int check."""
+    out = {}
+    for a, ca in p.items():
+        for b, cb in q.items():
+            s = _compose(a, b)
+            v = out.get(s, QQ(0)) + ca * cb
+            if v:
+                out[s] = v
+            else:
+                out.pop(s, None)
+    return out
+
+
+def _fraction_table_holds(n, idems):
+    """The three table identities in Fraction arithmetic."""
+    from math import factorial
+
+    total = {}
+    for e in idems:
+        for perm, c in e.items():
+            total[perm] = total.get(perm, QQ(0)) + c
+    if {p: c for p, c in total.items() if c} != {tuple(range(n)): QQ(1)}:
+        return False
+    nonzero = [{p: c for p, c in e.items() if c} for e in idems]
+    for i, ei in enumerate(nonzero):
+        for j, ej in enumerate(nonzero):
+            if _convolve(ei, ej) != (ei if i == j else {}):
+                return False
+    return nonzero[-1] == {p: QQ(_sign(p), factorial(n)) for p in _perms(n)}
 
 
 def test_table_n2_is_symmetrizer_antisymmetrizer():
@@ -29,17 +63,40 @@ def test_table_n2_is_symmetrizer_antisymmetrizer():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_table_complete_orthogonal(n):
+    assert _fraction_table_holds(n, eulerian_idempotents(n))
+
+
+def _perturbed_tables(idems, delta):
+    """(table, balanced) with one coefficient moved by delta, and for n >= 2
+    with delta moved from one idempotent to the next at one permutation:
+    that keeps the sum, so only the later identities can catch it."""
+    n = len(idems)
+    moves = [((0, delta),)] + ([((0, delta), (1, -delta))] if n >= 2 else [])
+    for i in range(n):
+        for perm in _perms(n):
+            for move in moves:
+                table = [dict(e) for e in idems]
+                for k, d in move:
+                    idx = (i + k) % n
+                    table[idx][perm] = table[idx].get(perm, QQ(0)) + d
+                yield tuple(table), len(move) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_int_table_check_agrees_with_fraction_oracle(n):
     idems = eulerian_idempotents(n)
-    total = {}
-    for e in idems:
-        for perm, c in e.items():
-            total[perm] = total.get(perm, QQ(0)) + c
-    identity = tuple(range(n))
-    assert {p: c for p, c in total.items() if c} == {identity: QQ(1)}
-    for i, ei in enumerate(idems):
-        for j, ej in enumerate(idems):
-            prod = _convolve(ei, ej)
-            assert prod == (ei if i == j else {})
+    _validate_table(n, idems)
+    for table, balanced in _perturbed_tables(idems, QQ(1, len(_perms(n)))):
+        assert not _fraction_table_holds(n, table)
+        with pytest.raises(IdempotentSanityError) as err:
+            _validate_table(n, table)
+        assert ("do not sum" in str(err.value)) != balanced
+    if n >= 2:
+        # complete and orthogonal, but the top idempotent is e^(1)
+        swapped = (idems[-1],) + idems[1:-1] + (idems[0],)
+        assert not _fraction_table_holds(n, swapped)
+        with pytest.raises(IdempotentSanityError, match="antisymmetrizer"):
+            _validate_table(n, swapped)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -121,35 +121,36 @@ def test_representatives_are_pinned(cusp_engine, free2):
     }
 
 
-def _keep_first_kernel_vector(monkeypatch):
-    kernel_basis = SparseMatrix.kernel_basis
-    monkeypatch.setattr(SparseMatrix, "kernel_basis", lambda m: kernel_basis(m)[:1])
+def _lose_last_free_column(monkeypatch):
+    free_columns = Factor.free_columns
+    monkeypatch.setattr(Factor, "free_columns", lambda f: free_columns(f)[:-1])
 
 
 def _drop_last_boundary_pivot(monkeypatch):
-    column_echelon = SparseMatrix.column_echelon
+    column_factor = SparseMatrix.column_factor
 
-    def lossy(m):
+    def lossy(m, keep=None):
         # a proper factor of every boundary pivot but the last, in pivot order
         factor = Factor(m.rows)
-        for c, row in list(column_echelon(m).pivot_rows.items())[:-1]:
+        for c, row in list(column_factor(m, keep).pivot_rows.items())[:-1]:
             factor._append(dict(row), c)
         return factor
 
-    monkeypatch.setattr(SparseMatrix, "column_echelon", lossy)
+    monkeypatch.setattr(SparseMatrix, "column_factor", lossy)
 
 
 @pytest.mark.parametrize("kind, plant", [
-    ("hh", _keep_first_kernel_vector),
+    ("hh", _lose_last_free_column),
     ("hh", _drop_last_boundary_pivot),
     ("hc", _drop_last_boundary_pivot),
 ])
 def test_quotient_dim_checked_against_ranks(cusp, monkeypatch, kind, plant):
     # a fault planted in the vector path must not pass as a class count; at
-    # (1, 5) the boundary (1, 1, -1) meets every basis chain, so dropping any
-    # single kernel vector still leaves a spanning set and is no fault here
+    # (1, 5) b_1 vanishes, so all three basis chains are free coordinates,
+    # and the boundary (1, 1, -1) meets each of them: losing any one leaves
+    # two coordinates and one boundary, hence one class
     counts = {
-        ("hh", _keep_first_kernel_vector): "1 classes .* dimension 2",
+        ("hh", _lose_last_free_column): "1 classes .* dimension 2",
         ("hh", _drop_last_boundary_pivot): "3 classes .* dimension 2",
         ("hc", _drop_last_boundary_pivot): "2 classes .* dimension 1",
     }[kind, plant]

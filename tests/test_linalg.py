@@ -5,8 +5,11 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import algebra_of, small_algebras
+from khh import hodge
+from khh.homology import HomologyEngine
 from khh.rationals import QQ
 from khh.linalg import (
     SparseMatrix,
@@ -16,7 +19,7 @@ from khh.linalg import (
     homology_dim,
     eigenspace,
 )
-from khh.errors import CompositionNonzeroError, NotSquareError
+from khh.errors import CompositionNonzeroError, NotSquareError, PreconditionError
 
 
 def test_rank_empty_matrix():
@@ -441,6 +444,45 @@ def test_int_echelon_matches_fraction_echelon(data):
             ref_entries[(i, j)] = v
     assert induced == SparseMatrix(len(ref_reps), len(ref_reps), ref_entries)
     assert induced == SparseMatrix.identity(space.dim).scale(lam)
+
+
+@settings(max_examples=25)
+@given(small_algebras())
+@example(((2, 3), ((((0, 2), 1), ((3, 0), -1)),)))  # the cusp y^2 = x^3
+def test_homology_quotients_match_fraction_reference(spec):
+    # the engine's quotients against the former full-matrix one: reps,
+    # coords of a mixed cycle, psi_2 on HH classes, and a non-cycle refused
+    engine = HomologyEngine(algebra_of(spec))
+    for n in range(3):
+        for w in range(1, 6):
+            for kind, complex_ in (("hh", "bar"), ("hc", "total")):
+                space = getattr(engine, f"{kind}_space")(n, w)
+                d_in, d_out = engine._differentials(complex_, n, w)
+                m = d_out.cols
+                ref_reps, ref_ech = _ref_quotient(_to_dense(d_in), _to_dense(d_out), m)
+                assert space.reps == ref_reps, (spec, kind, n, w)
+                assert all(_is_qq_dict(rep) for rep in space.reps)
+
+                cycle = d_in.apply({j: QQ(j % 3 - 1) for j in range(d_in.cols)})
+                for k, rep in enumerate(space.reps):
+                    for j, v in rep.items():
+                        cycle[j] = cycle.get(j, 0) + (k + 1) * v
+                cycle = {j: v for j, v in cycle.items() if v}
+                assert space.coords(cycle) == _ref_coords(ref_ech, m, cycle)
+
+                if kind == "hh" and n >= 1:
+                    psi2 = hodge.adams_matrix(engine.ctx, n, w, 2)
+                    ref_entries = {}
+                    for j, rep in enumerate(ref_reps):
+                        for i, v in _ref_coords(ref_ech, m, psi2.apply(rep)).items():
+                            ref_entries[(i, j)] = v
+                    expect = SparseMatrix(space.dim, space.dim, ref_entries)
+                    assert space.induced_matrix(psi2, space) == expect
+
+                live = [j for (_, j), _ in d_out.items()]
+                if live:
+                    with pytest.raises(PreconditionError):
+                        space.coords({**cycle, min(live): QQ(1, 2) + cycle.get(min(live), 0)})
 
 
 @settings(max_examples=100)
