@@ -1,10 +1,18 @@
 """Finitely presented connected graded commutative algebras over QQ.
 
 Generators carry positive weights (internally small vectors of naturals, so
-a polynomial extension can track its extra degree), relations are weight-
-homogeneous, and normal forms come from a Buchberger completion driven
-weight by weight: after completing weights <= w every normal form and
-weight basis below w is final, so slices can be built lazily.
+a polynomial extension can track its extra degree) and relations are
+weight-homogeneous.  Construction runs Buchberger's algorithm until no
+S-pair is left, so the basis is complete in every weight: normal forms,
+weight bases and every invariant below are read from it exactly.
+
+Dimension lemma.  The standard monomials (those no lead divides) are a
+basis of A in every weight, so A and QQ[x]/in(I) have the same Hilbert
+series and hence the same Krull dimension.  The zero set of a monomial
+ideal is the union of the coordinate subspaces spanned by sets S of
+generators that contain no lead's support, so dim A is the size of the
+largest such S (Cox, Little and O'Shea, *Ideals, Varieties, and
+Algorithms*, ch. 9, sections 1-3).  No grading enters the count.
 
 Monomials are plain exponent tuples, polynomials are dicts monomial -> QQ.
 The monomial order is graded reverse lexicographic (weighted degree first,
@@ -16,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import re
+from itertools import combinations
 
 from .rationals import QQ, ZERO, qq, qq_str
 from .errors import (
@@ -83,7 +92,8 @@ def mono_divides(a: Mono, b: Mono) -> bool:
 class GradedAlgebra:
     """A connected graded commutative QQ-algebra with a normal-form engine.
 
-    Immutable once built; the Buchberger state and basis caches grow lazily.
+    Immutable once built: the constructor completes the Groebner basis, and
+    only the normal-form and weight-basis caches grow afterwards.
     """
 
     def __init__(self, name, gens, weights, relations, _rank=None):
@@ -107,10 +117,13 @@ class GradedAlgebra:
                 raise InhomogeneousRelationError(
                     f"relation {self.poly_str(rel)} has weight 0"
                 )
-        self._gb = []  # monic polys, leads pairwise non-divisible once interreduced
+        self._gb = []  # monic polys with pairwise non-divisible leads
         self._pairs = []  # heap of (lcm scalar weight, i, j)
-        self._completed = -1
-        self._queued = list(self.relations)
+        for rel in self.relations:
+            self._gb_insert(rel)
+        self._complete()
+        self._gb = [g for g in self._gb if g is not None]
+        self._leads = tuple(self.lead(g) for g in self._gb)
         self._nf_mono_cache = {}
         self._basis_cache = {}
 
@@ -155,29 +168,21 @@ class GradedAlgebra:
         """Weight vector of a homogeneous polynomial (None for 0)."""
         return self._weight_of_poly(p, check=True)
 
-    # -- Buchberger completion, weight by weight ----------------------
+    # -- Buchberger completion -------------------------------------------
 
-    def ensure_weight(self, bound: int):
-        """Complete the basis so normal forms are final below scalar weight `bound`."""
-        if bound <= self._completed:
-            return
-        while self._queued:
-            self._gb_insert(self._queued.pop(0))
-        while self._pairs and self._pairs[0][0] <= bound:
+    def _complete(self):
+        """Reduce S-pairs in ascending lcm weight until none is left."""
+        while self._pairs:
             _, i, j = heapq.heappop(self._pairs)
-            if i >= len(self._gb) or j >= len(self._gb):
-                continue
             f, g = self._gb[i], self._gb[j]
             if f is None or g is None:
                 continue
             lf, lg = self.lead(f), self.lead(g)
             if all(a == 0 or b == 0 for a, b in zip(lf, lg)):
                 continue  # coprime leads: the S-polynomial reduces to zero
-            s = self._s_poly(f, g)
-            s = self._reduce(s)
+            s = self._reduce(self._s_poly(f, g))
             if s:
                 self._gb_insert(s)
-        self._completed = bound
 
     def _s_poly(self, f, g):
         lf, lg = self.lead(f), self.lead(g)
@@ -246,21 +251,15 @@ class GradedAlgebra:
                 heapq.heappush(
                     self._pairs, (vec_total(self.mono_weight(lcm)), idx, new_index)
                 )
-        self._nf_mono_cache.clear()
-        self._basis_cache.clear()
 
-    def reduced_relations(self, bound: int):
-        """The reduced basis completed through scalar weight `bound`.
+    def reduced_relations(self):
+        """The reduced Groebner basis of the relation ideal.
 
         Leads are pairwise non-divisible by construction; tails are reduced
         here so the returned presentation is fully interreduced.
         """
-        self.ensure_weight(bound)
         out = []
-        for g in self._gb:
-            if g is None:
-                continue
-            lead = self.lead(g)
+        for g, lead in zip(self._gb, self._leads):
             tail = {m: c for m, c in g.items() if m != lead}
             reduced = self._reduce(tail)
             reduced[lead] = g[lead]
@@ -271,10 +270,6 @@ class GradedAlgebra:
 
     def nf(self, p):
         """Normal form; idempotent, QQ-linear, multiplicative modulo the ideal."""
-        if not p:
-            return {}
-        w = self._weight_of_poly(p)
-        self.ensure_weight(vec_total(w) if w else 0)
         return self._reduce(p)
 
     def nf_mono(self, m: Mono):
@@ -336,8 +331,7 @@ class GradedAlgebra:
         cached = self._basis_cache.get(wvec)
         if cached is not None:
             return cached
-        self.ensure_weight(vec_total(wvec))
-        leads = [self.lead(g) for g in self._gb if g is not None]
+        leads = self._leads
         out = []
         exps = [0] * self.ngens
 
@@ -403,6 +397,16 @@ class GradedAlgebra:
         walk(0, [])
         return out
 
+    def krull_dim(self) -> int:
+        """Krull dimension: the most generators whose set contains no lead's
+        support (the dimension lemma in the module docstring)."""
+        supports = [{i for i, e in enumerate(lead) if e} for lead in self._leads]
+        for k in range(self.ngens, 0, -1):
+            for subset in combinations(range(self.ngens), k):
+                if not any(sup.issubset(subset) for sup in supports):
+                    return k
+        return 0
+
     # -- probes ----------------------------------------------------------
 
     def nilpotent_upto(self, p, bound: int) -> bool:
@@ -419,12 +423,10 @@ class GradedAlgebra:
             q = self.multiply(q, p)
         return True
 
-    def zero_divisor_probe(self, bound: int):
-        """A pair of nonzero elements multiplying to zero, or None, up to `bound`."""
-        self.ensure_weight(bound)
+    def zero_divisor_probe(self):
+        """A pair of nonzero elements multiplying to zero, or None if the
+        search over the basis terms finds none."""
         for g in self._gb:
-            if g is None:
-                continue
             # binomial/monomial leads give cheap witnesses via factor splitting
             for m in list(g):
                 for i in range(self.ngens):

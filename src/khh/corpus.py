@@ -248,42 +248,15 @@ class SmoothnessReport:
         return not self.violations
 
 
-def krull_dim_estimate(algebra, samples: int = 9) -> int:
-    """Growth order of the weight dims, sampled along an arithmetic ladder.
-
-    The step is the lcm of the generator weights capped at 6, which washes
-    out the quasi-periodicity for every corpus member; the sampled values
-    must stabilize under repeated differencing or the estimate is refused.
-    """
-    from math import lcm
-
-    if algebra.ngens == 0:
-        return 0
-    step = lcm(*[sum(w) for w in algebra.weights])
-    if step > 6:
-        step = 6
-    values = [algebra.dim(step * k) for k in range(2, samples + 2)]
-    if all(v == 0 for v in values[-3:]):
-        return 0
-    seq = values
-    degree = 0
-    while any(x != seq[-1] for x in seq[-3:]):
-        seq = [b - a for a, b in zip(seq, seq[1:])]
-        degree += 1
-        if degree > 4 or len(seq) < 3:
-            raise PreconditionError(
-                f"weight dims of {algebra.name} do not stabilize on the probe ladder"
-            )
-    return degree + 1
-
-
 def smoothness_suite(corpus_dir=None) -> SmoothnessReport:
     """Jacobian verdict vs typical-piece witnesses over the corpus.
 
     For every member carrying a certified one-point square: if all
     tk(i, w) vanish for i <= dim + 1 and w up to the member's cutoff, the
     Jacobian verdict must be SMOOTH; conversely every SINGULAR member with
-    a square must show a nonzero witness in that range.
+    a square must show a nonzero witness in that range.  The dimension is
+    the exact one from the Groebner leads; a member's literature
+    `krull_dim` must agree with it (OracleDisagreementError).
     """
     report = SmoothnessReport()
     for entry in load_corpus(corpus_dir):
@@ -291,9 +264,13 @@ def smoothness_suite(corpus_dir=None) -> SmoothnessReport:
             continue
         alg = entry.algebra
         verdict = jacobian_smooth(alg)
-        d = entry.meta.get("krull_dim")
-        if d is None:
-            d = krull_dim_estimate(alg)
+        d = alg.krull_dim()
+        frozen = entry.meta.get("krull_dim")
+        if frozen is not None and frozen != d:
+            raise OracleDisagreementError(
+                f"{entry.name}: meta krull_dim {frozen} disagrees with the "
+                f"dimension {d} read from the Groebner leads"
+            )
         witness = None
         note = ""
         sq = entry.square

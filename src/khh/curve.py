@@ -337,18 +337,13 @@ def cusp_bundle_tables(
             tables.twist_table.append(
                 {"convention": sign_name, "j": j, "h0": h0, "h1": h1}
             )
+            tables.dualnum_table.append(
+                {"convention": sign_name, "j": j, "p0": h0, "p1": h1}
+            )
             k0 += h0
             km1 += h1
         tables.k0_dims[sign_name] = k0
         tables.km1_dims[sign_name] = km1
-
-    for sign_name, sign in (("plus", 1), ("minus", -1)):
-        for j in range(1, j_cutoff + 1):
-            D = div.add(J, div.power(L, sign * j))
-            h0, h1 = div.rr_dims(D)
-            tables.dualnum_table.append(
-                {"convention": sign_name, "j": j, "p0": h0, "p1": h1}
-            )
 
     if tables.km1_dims["plus"] != tables.km1_dims["minus"]:
         tables.findings.append(

@@ -287,17 +287,12 @@ class ResolutionSquare:
 
     @staticmethod
     def _tensor_image(hom: GradedHom, tensor):
-        out = {(): QQ(1)}
-        dead = False
         parts = []
         for m in tensor:
             img = hom.apply_mono(m)
             if not img:
-                dead = True
-                break
+                return {}
             parts.append(img)
-        if dead:
-            return {}
         acc = {(): QQ(1)}
         for img in parts:
             nxt = {}

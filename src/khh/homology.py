@@ -118,7 +118,7 @@ class HomologyEngine:
 
     # -- cyclic -----------------------------------------------------------
 
-    def total_blocks(self, m: int, w):
+    def total_blocks(self, m: int):
         """Degrees of the total-complex blocks at T_m: m, m-2, ..."""
         return [m - 2 * k for k in range(m // 2 + 1)] if m >= 0 else []
 
@@ -129,8 +129,8 @@ class HomologyEngine:
         cached = self._total_mats.get(key)
         if cached is not None:
             return cached
-        src_degs = self.total_blocks(m, w)
-        dst_degs = self.total_blocks(m - 1, w)
+        src_degs = self.total_blocks(m)
+        dst_degs = self.total_blocks(m - 1)
         src_off, pos = [], 0
         for d in src_degs:
             src_off.append(pos)
@@ -204,7 +204,7 @@ class HomologyEngine:
         if complex_ == "connes":
             return [("cyclic b.b", m)]
         out = []
-        for k, d in enumerate(self.total_blocks(m + 1, w)):
+        for k, d in enumerate(self.total_blocks(m + 1)):
             if d >= 2:
                 out.append(("b.b", d - 1))
             if k >= 1:

@@ -23,9 +23,8 @@ from .algebra import GradedAlgebra, GradedHom, vec_add, vec_total
 class DifferentialForms:
     """Weight slices of Omega^p for one algebra, with exact class coords."""
 
-    def __init__(self, algebra: GradedAlgebra, gb_bound: int = 32):
+    def __init__(self, algebra: GradedAlgebra):
         self.algebra = algebra
-        self.gb_bound = gb_bound
         self._slices = {}
 
     def wedges(self, p: int):
@@ -99,9 +98,7 @@ class OmegaSlice:
 
     def _relation_rows(self):
         alg = self.forms.algebra
-        relations = alg.reduced_relations(
-            max(self.forms.gb_bound, vec_total(self.w))
-        )
+        relations = alg.reduced_relations()
         p, w = self.p, self.w
         if p == 0:
             return
@@ -319,15 +316,20 @@ def jacobian_smooth(algebra: GradedAlgebra, probe: int = 24) -> SmoothnessVerdic
     unit ideal only if some entry has a constant term (an eliminable
     generator, reported INDETERMINATE as a non-minimal presentation); with
     every entry in the graded maximal ideal the origin is singular.
+
+    The relations are the complete reduced basis; `probe` bounds only the
+    nilpotency search, which multiplies out a generator's powers until
+    their weight passes it.  The leads do not decide nilpotency: the
+    cusp's lead is y^2, yet y is not nilpotent.
     """
-    relations = algebra.reduced_relations(probe)
+    relations = algebra.reduced_relations()
     non_reduced = any(
         algebra.nilpotent_upto(algebra.gen_poly(i), probe)
         for i in range(algebra.ngens)
     )
     if not relations:
         return SmoothnessVerdict("SMOOTH")
-    zero_div = algebra.zero_divisor_probe(probe) is not None
+    zero_div = algebra.zero_divisor_probe() is not None
     forms = DifferentialForms(algebra)
     weights = set()
     for rel in relations:

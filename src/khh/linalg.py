@@ -58,7 +58,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .rationals import QQ, ZERO
+from .rationals import QQ
 from .errors import CompositionNonzeroError, NotSquareError, PreconditionError
 
 
@@ -257,17 +257,18 @@ class SparseMatrix:
         return SparseMatrix._of_rows(self.rows, other.cols, out, self.den * other.den)
 
     def apply(self, vec):
-        """Matrix times sparse vector (dict col->value) -> dict row->value."""
-        den = self.den
+        """Matrix times sparse vector (dict col->value) -> dict row->QQ."""
+        x, s = _lift(vec)
+        den = s * self.den
         out = {}
         for i, row in enumerate(self._rowdata):
-            s = ZERO
+            t = 0
             for j, a in row.items():
-                b = vec.get(j)
+                b = x.get(j)
                 if b is not None:
-                    s += a * b
-            if s:
-                out[i] = s if den == 1 else s / den
+                    t += a * b
+            if t:
+                out[i] = QQ(t, den)
         return out
 
     def _check_shape(self, other):

@@ -3,8 +3,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import algebra_of, small_algebras
 from khh.rationals import QQ
 from khh.algebra import GradedHom, parse_algebra, parse_poly
 from khh.errors import (
@@ -146,3 +147,115 @@ def test_parse_poly_rational_coefficients():
     p = parse_poly("3/2 x^2 - 2*x^2", algebra.gens)
     assert p == {(2,): QQ(-1, 2)}
     assert parse_poly("x x x", algebra.gens) == {(3,): QQ(1)}
+
+
+# -- the complete Groebner basis ---------------------------------------------
+
+
+def _ladder_growth_order(algebra, samples=9):
+    """Growth order of the weight dims, by repeated differencing along the
+    multiples of the lcm of the generator weights.  That step is a period
+    of the Hilbert quasi-polynomial, and every generator's powers reach its
+    multiples, so the dims there grow at the full order.  The ladder starts
+    past the weight of the lcm of all leads, which bounds the degree of the
+    Hilbert numerator (Taylor's resolution), so every sample lies where the
+    dims follow the quasi-polynomial and the differences must settle."""
+    from math import lcm
+
+    if algebra.ngens == 0:
+        return 0
+    step = lcm(*[sum(w) for w in algebra.weights])
+    leads = [algebra.lead(g) for g in algebra.reduced_relations()]
+    top = sum(algebra.mono_weight(tuple(map(max, zip(*leads))))) if leads else 0
+    first = -(-top // step)
+    seq = [algebra.dim(step * k) for k in range(first, first + samples)]
+    if all(v == 0 for v in seq[-3:]):
+        return 0
+    degree = 0
+    while any(x != seq[-1] for x in seq[-3:]):
+        seq = [b - a for a, b in zip(seq, seq[1:])]
+        degree += 1
+        assert degree <= 4 and len(seq) >= 3, "weight dims do not settle"
+    return degree + 1
+
+
+def _divide(algebra, p, basis):
+    """Remainder of p on division by basis, by the algebra's monomial order."""
+    work, rem = dict(p), {}
+    leads = [(algebra.lead(g), g) for g in basis]
+    while work:
+        m = algebra.lead(work)
+        c = work.pop(m)
+        for lead, g in leads:
+            if all(a <= b for a, b in zip(lead, m)):
+                q = c / g[lead]
+                for gm, gc in g.items():
+                    if gm != lead:
+                        mm = tuple(x + b - a for x, a, b in zip(gm, lead, m))
+                        v = work.get(mm, 0) - q * gc
+                        if v:
+                            work[mm] = v
+                        else:
+                            work.pop(mm, None)
+                break
+        else:
+            rem[m] = c
+    return rem
+
+
+def _s_poly(algebra, f, g):
+    lf, lg = algebra.lead(f), algebra.lead(g)
+    top = tuple(map(max, lf, lg))
+    out = {}
+    for p, lead, sign in ((f, lf, 1), (g, lg, -1)):
+        for m, c in p.items():
+            mm = tuple(x + t - a for x, t, a in zip(m, top, lead))
+            v = out.get(mm, 0) + sign * c / p[lead]
+            if v:
+                out[mm] = v
+            else:
+                out.pop(mm, None)
+    return out
+
+
+def _assert_reduced_groebner(algebra):
+    """Buchberger's criterion and reducedness, by a division of the test's own."""
+    basis = algebra.reduced_relations()
+    for i, f in enumerate(basis):
+        lead = algebra.lead(f)
+        assert f[lead] == 1
+        for j, g in enumerate(basis):
+            if i != j:
+                lg = algebra.lead(g)
+                assert not any(all(a <= b for a, b in zip(lg, m)) for m in f)
+            if i < j:
+                assert _divide(algebra, _s_poly(algebra, f, g), basis) == {}
+    for rel in algebra.relations:
+        assert _divide(algebra, rel, basis) == {}
+
+
+@settings(max_examples=150)
+@given(small_algebras())
+@example(((1, 1), ((((0, 6), 1),), (((5, 0), 1),))))  # socle past a fixed ladder
+def test_krull_dim_is_the_growth_order_of_the_weight_dims(spec):
+    algebra = algebra_of(spec)
+    assert algebra.krull_dim() == _ladder_growth_order(algebra), spec
+
+
+@settings(max_examples=150)
+@given(small_algebras())
+def test_reduced_relations_meet_buchbergers_criterion(spec):
+    _assert_reduced_groebner(algebra_of(spec))
+
+
+def test_corpus_bases_meet_buchbergers_criterion(corpus_entries):
+    for entry in corpus_entries.values():
+        if entry.algebra is not None:
+            _assert_reduced_groebner(entry.algebra)
+            _assert_reduced_groebner(entry.algebra.with_polynomial_generator("t"))
+
+
+def test_krull_dim_of_a_polynomial_extension(cusp, dualnum):
+    # rank-2 weights: the count reads the leads alone
+    assert cusp.with_polynomial_generator("t").krull_dim() == 2
+    assert dualnum.with_polynomial_generator("t").krull_dim() == 1

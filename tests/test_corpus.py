@@ -1,10 +1,12 @@
 """Corpus integrity: frozen values, dual-path agreement, dimension sanity."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
-from khh.corpus import krull_dim_estimate, smoothness_suite, verify_entry
+from khh.corpus import smoothness_suite, verify_entry
 from khh.errors import OracleDisagreementError
 
 
@@ -47,11 +49,30 @@ def test_literature_disagreement_is_fatal(corpus_entries, tmp_path):
         regenerate_derived(tmp_path)
 
 
-def test_krull_dim_estimates(corpus_entries):
+def test_krull_dims_are_exact(corpus_entries):
     for entry in corpus_entries.values():
-        if entry.algebra is None or entry.algebra.ngens == 0:
+        if entry.algebra is None:
             continue
-        assert krull_dim_estimate(entry.algebra) == entry.meta["krull_dim"], entry.name
+        assert entry.algebra.krull_dim() == entry.meta["krull_dim"], entry.name
+
+
+def test_krull_dim_disagreement_is_fatal(corpus_entries, tmp_path):
+    entry = corpus_entries["cusp"]
+    tampered = json.loads((entry.path / "expected.json").read_text())
+    tampered["meta"]["krull_dim"] = 2
+    bad_dir = tmp_path / "cusp"
+    bad_dir.mkdir()
+    for f in entry.path.iterdir():
+        (bad_dir / f.name).write_text(f.read_text())
+    (bad_dir / "expected.json").write_text(json.dumps(tampered))
+
+    with pytest.raises(OracleDisagreementError):
+        smoothness_suite(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "khh.cli", "smoothness", "--corpus", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 5, proc.stderr
 
 
 def test_fatplane_presentation_matches_monomial_count(corpus_entries):
