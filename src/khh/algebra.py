@@ -22,7 +22,9 @@ across runs.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import inspect
 import re
 from itertools import combinations
 
@@ -482,6 +484,32 @@ class GradedAlgebra:
 
     def __repr__(self):
         return f"GradedAlgebra({self.name}: {', '.join(self.gens)})"
+
+
+_MISSING = object()
+
+
+def slice_memo(method):
+    """Memoize a slice method in its object's one `_memo` dict.
+
+    The argument named `w` is coerced through `self.algebra` first, so an
+    int weight and its one-vector share an entry and an invalid weight is
+    rejected at every memoized entry point.  The key is (method name,
+    arguments); arguments are passed positionally.
+    """
+    at = list(inspect.signature(method).parameters).index("w") - 1  # after self
+    name = method.__name__
+
+    @functools.wraps(method)
+    def memoized(self, *args):
+        args = (*args[:at], self.algebra._coerce_weight(args[at]), *args[at + 1 :])
+        key = (name, *args)
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._memo[key] = method(self, *args)
+        return value
+
+    return memoized
 
 
 class GradedHom:

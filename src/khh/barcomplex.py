@@ -12,7 +12,7 @@ are sorted by the slot weights of m1..mn, each slot by (total weight,
 weight vector), then by the head's position in the weight basis of the
 weight left over, then by each entry's position in its own weight basis.
 `basis` builds this order in one pass over compositions of the weight into
-bar slots, memoized once per context and shared by every slice.
+bar slots, whose slot trees each context shares between its slices.
 
 Connes' complex C^lambda_n is the quotient of the positive-weight tensors
 (head included) by the signed rotation t = (-1)^n rotation, with the b
@@ -48,7 +48,7 @@ from itertools import combinations, product
 from .rationals import QQ, ZERO
 from .linalg import SparseMatrix
 from .errors import CompositionNonzeroError, ParseError, PreconditionError
-from .algebra import GradedAlgebra, vec_total, vec_sub, vec_leq
+from .algebra import GradedAlgebra, slice_memo, vec_total, vec_sub, vec_leq
 from . import hodge
 
 
@@ -60,20 +60,18 @@ class Convention:
     b_drop_wrap: bool = False
     b_wrap_flip: bool = False
     reverse_tensors: bool = False
-    twist_sign: int = 1
-    corrupt: bool = False
+
+    @property
+    def corrupt(self) -> bool:
+        """A wrong wrap term: b^2 = 0 fails on some slices."""
+        return self.b_drop_wrap or self.b_wrap_flip
 
 
 CONVENTIONS = {
     "standard": Convention(),
     "b-transpose": Convention(name="b-transpose", reverse_tensors=True),
-    "twist-minus": Convention(name="twist-minus", twist_sign=-1),
-    "corrupt-b-drop-wrap": Convention(
-        name="corrupt-b-drop-wrap", b_drop_wrap=True, corrupt=True
-    ),
-    "corrupt-b-wrap-flip": Convention(
-        name="corrupt-b-wrap-flip", b_wrap_flip=True, corrupt=True
-    ),
+    "corrupt-b-drop-wrap": Convention(name="corrupt-b-drop-wrap", b_drop_wrap=True),
+    "corrupt-b-wrap-flip": Convention(name="corrupt-b-wrap-flip", b_wrap_flip=True),
 }
 
 
@@ -239,7 +237,9 @@ def parse_chain(algebra: GradedAlgebra, text: str, degree=None) -> BarChain:
 
 
 class SliceContext:
-    """Per-algebra cache of slice bases and differential matrices.
+    """Slice bases and differential matrices of one algebra under one
+    convention, each built once: every per-slice method is a `slice_memo`
+    entry of the context's one `_memo`.
 
     It also owns identity verification: nothing else multiplies b or B
     matrices.  `verify` checks b^2 = 0, B^2 = 0, bB + Bb = 0 or b^2 = 0 on
@@ -251,28 +251,15 @@ class SliceContext:
     def __init__(self, algebra: GradedAlgebra, conv: Convention | str = "standard"):
         self.algebra = algebra
         self.conv = convention(conv) if isinstance(conv, str) else conv
-        self._bases = {}
-        self._indexes = {}
+        self._memo = {}  # the slice_memo entries
         self._positive = {}  # w -> [(total, v, weight basis of v)], positive v <= w, sorted
         self._slot_trees = {}  # (k, remaining) -> the slot tree of `basis`
-        self._b = {}
-        self._B = {}
-        self._cyclic_indexes = {}
-        self._cyclic_bases = {}
-        self._cyclic_columns = {}  # (n, w) -> basis positions of cyclic_basis(n, w)
-        self._cyclic_b = {}
         self._products = {}
-        self._idempotents = {}
-        self._verified = {}
 
     # -- bases --------------------------------------------------------
 
+    @slice_memo
     def basis(self, n: int, w) -> tuple:
-        w = self.algebra._coerce_weight(w)
-        key = (n, w)
-        cached = self._bases.get(key)
-        if cached is not None:
-            return cached
         alg = self.algebra
         out = []
         if n >= 0:
@@ -283,7 +270,7 @@ class SliceContext:
                     for v in alg.weight_vectors_upto(w)
                     if vec_total(v) > 0
                 )
-            memo = self._slot_trees
+            trees = self._slot_trees
 
             def slots(k, remaining):
                 """The ways to fill k bar slots within `remaining`, as a tree
@@ -293,7 +280,7 @@ class SliceContext:
                 the slot weights v in basis order, without empty branches.
                 It depends on (k, remaining) alone: `positive` holds every
                 positive weight <= w, and remaining <= w."""
-                found = memo.get((k, remaining))
+                found = trees.get((k, remaining))
                 if found is None:
                     if k == 0:
                         found = alg.weight_basis(remaining)
@@ -307,7 +294,7 @@ class SliceContext:
                                 rest = slots(k - 1, vec_sub(remaining, v))
                                 if rest:
                                     found.append((entries, rest))
-                    memo[(k, remaining)] = found
+                    trees[(k, remaining)] = found
                 return found
 
             def walk(node, chosen):
@@ -318,18 +305,11 @@ class SliceContext:
                         walk(rest, chosen + (entries,))
 
             walk(slots(n, w), ())
-        result = tuple(out)
-        self._bases[key] = result
-        return result
+        return tuple(out)
 
+    @slice_memo
     def index(self, n: int, w) -> dict:
-        w = self.algebra._coerce_weight(w)
-        key = (n, w)
-        cached = self._indexes.get(key)
-        if cached is None:
-            cached = {t: i for i, t in enumerate(self.basis(n, w))}
-            self._indexes[key] = cached
-        return cached
+        return {t: i for i, t in enumerate(self.basis(n, w))}
 
     def dim(self, n: int, w) -> int:
         return len(self.basis(n, w))
@@ -477,16 +457,10 @@ class SliceContext:
 
     # -- matrices ----------------------------------------------------------
 
+    @slice_memo
     def b_matrix(self, n: int, w) -> SparseMatrix:
-        w = self.algebra._coerce_weight(w)
-        key = (n, w)
-        cached = self._b.get(key)
-        if cached is not None:
-            return cached
         dst_index = self.index(n - 1, w) if n >= 1 else {}
-        mat = self._matrix(self.basis(n, w), dst_index, self.b_tensor)
-        self._b[key] = mat
-        return mat
+        return self._matrix(self.basis(n, w), dst_index, self.b_tensor)
 
     @staticmethod
     def _matrix(src, dst_index, image) -> SparseMatrix:
@@ -505,24 +479,14 @@ class SliceContext:
         entries = (((i, j), c) for i, row in enumerate(rows) for j, c in row.items())
         return SparseMatrix(len(rows), len(src), entries)
 
+    @slice_memo
     def idempotent_matrix(self, n: int, w, i: int) -> SparseMatrix:
         """e_n^(i) on the (n, w) slice (1 <= i <= n), built once per context."""
-        w = self.algebra._coerce_weight(w)
-        key = (n, w, i)
-        cached = self._idempotents.get(key)
-        if cached is None:
-            cached = self._idempotents[key] = hodge.idempotent_matrix(self, n, w, i)
-        return cached
+        return hodge.idempotent_matrix(self, n, w, i)
 
+    @slice_memo
     def B_matrix(self, n: int, w) -> SparseMatrix:
-        w = self.algebra._coerce_weight(w)
-        key = (n, w)
-        cached = self._B.get(key)
-        if cached is not None:
-            return cached
-        mat = self._matrix(self.basis(n, w), self.index(n + 1, w), self.B_tensor)
-        self._B[key] = mat
-        return mat
+        return self._matrix(self.basis(n, w), self.index(n + 1, w), self.B_tensor)
 
     # -- Connes' cyclic complex ---------------------------------------------
 
@@ -551,16 +515,24 @@ class SliceContext:
         """{tensor: (basis position, sign) or None} over C^lambda_n at weight w.
 
         Covers every positive-head tensor of `basis(n, w)`; None marks the
-        tensors of vanishing orbits.  Each orbit is walked once, when its
-        first member in basis order comes up, and its representative takes
-        its place when the walk reaches it; under reversed tensors the
-        rotation is conjugated by the reversal.
+        tensors of vanishing orbits.
         """
-        w = self.algebra._coerce_weight(w)
-        key = (n, w)
-        cached = self._cyclic_indexes.get(key)
-        if cached is not None:
-            return cached
+        return self._cyclic(n, w)[0]
+
+    def cyclic_basis(self, n: int, w) -> tuple:
+        """Orbit representatives of C^lambda_n at weight w, in basis order."""
+        return self._cyclic(n, w)[1]
+
+    @slice_memo
+    def _cyclic(self, n: int, w) -> tuple:
+        """(cyclic_index, cyclic_basis, the representatives' positions in
+        `basis(n, w)`) of C^lambda_n at weight w.
+
+        Each orbit is walked once, when its first member in basis order
+        comes up, and its representative takes its place when the walk
+        reaches it; under reversed tensors the rotation is conjugated by
+        the reversal.
+        """
         unit = (0,) * self.algebra.ngens
         flip = self._reverse if self.conv.reverse_tensors else None
         unseen = object()
@@ -581,29 +553,16 @@ class SliceContext:
                 columns.append(position)
         for i, (members, signs) in enumerate(live):
             index.update(zip(members, [(i, s) for s in signs]))
-        self._cyclic_indexes[key] = index
-        self._cyclic_bases[key] = tuple(members[0] for members, _ in live)
-        self._cyclic_columns[key] = columns
-        return index
+        return index, tuple(members[0] for members, _ in live), columns
 
-    def cyclic_basis(self, n: int, w) -> tuple:
-        """Orbit representatives of C^lambda_n at weight w, in basis order."""
-        w = self.algebra._coerce_weight(w)
-        self.cyclic_index(n, w)
-        return self._cyclic_bases[(n, w)]
-
+    @slice_memo
     def cyclic_b_matrix(self, n: int, w) -> SparseMatrix:
         """b : C^lambda_n -> C^lambda_{n-1} at weight w, folded from the bar
         b_n (see the module docstring)."""
-        w = self.algebra._coerce_weight(w)
-        key = (n, w)
-        cached = self._cyclic_b.get(key)
-        if cached is not None:
-            return cached
-        reps = self.cyclic_basis(n, w)
+        _, reps, positions = self._cyclic(n, w)
         bar = self.b_matrix(n, w)
         column = [None] * bar.cols  # bar column -> cyclic column
-        for j, position in enumerate(self._cyclic_columns[key]):
+        for j, position in enumerate(positions):
             column[position] = j
         target = self.cyclic_index(n - 1, w)
         rows = [{} for _ in self.cyclic_basis(n - 1, w)]
@@ -621,12 +580,11 @@ class SliceContext:
                         row[c] = v
                     else:
                         del row[c]
-        mat = SparseMatrix._of_rows(len(rows), len(reps), rows, bar.den)
-        self._cyclic_b[key] = mat
-        return mat
+        return SparseMatrix._of_rows(len(rows), len(reps), rows, bar.den)
 
     # -- identity verification --------------------------------------------
 
+    @slice_memo
     def holds(self, identity: str, n: int, w) -> bool:
         """Does one identity hold on the (n, w) slice?  Checked exactly, once
         per context.
@@ -636,24 +594,19 @@ class SliceContext:
         b.b" is b_n b_{n+1} = 0 on Connes' complex.  A term through a
         negative degree is an empty matrix and vanishes.
         """
-        w = self.algebra._coerce_weight(w)
-        key = (identity, n, w)
-        holds = self._verified.get(key)
-        if holds is None:
-            b, B = self.b_matrix, self.B_matrix
-            if identity == "b.b":
-                terms = [(b(n, w), b(n + 1, w))]
-            elif identity == "B.B":
-                terms = [(B(n + 1, w), B(n, w))]
-            elif identity == "b.B + B.b":
-                terms = [(b(n + 1, w), B(n, w)), (B(n - 1, w), b(n, w))]
-            elif identity == "cyclic b.b":
-                cb = self.cyclic_b_matrix
-                terms = [(cb(n, w), cb(n + 1, w))]
-            else:
-                raise ValueError(f"unknown identity {identity!r}")
-            holds = self._verified[key] = self._products_cancel(terms)
-        return holds
+        b, B = self.b_matrix, self.B_matrix
+        if identity == "b.b":
+            terms = [(b(n, w), b(n + 1, w))]
+        elif identity == "B.B":
+            terms = [(B(n + 1, w), B(n, w))]
+        elif identity == "b.B + B.b":
+            terms = [(b(n + 1, w), B(n, w)), (B(n - 1, w), b(n, w))]
+        elif identity == "cyclic b.b":
+            cb = self.cyclic_b_matrix
+            terms = [(cb(n, w), cb(n + 1, w))]
+        else:
+            raise ValueError(f"unknown identity {identity!r}")
+        return self._products_cancel(terms)
 
     def verify(self, identity: str, n: int, w):
         """`holds`, raising CompositionNonzeroError, every time it is asked,

@@ -27,6 +27,11 @@ from . import corpus as corpus_mod
 from .workpool import map_tasks, resolve_jobs
 
 
+# the twist sign each `cuspbundle` convention selects; the bar-complex
+# conventions change nothing there, and `twist-minus` changes no bar complex
+TWISTS = {"standard": "plus", "twist-minus": "minus"}
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -271,6 +276,11 @@ def cmd_curve(args):
 
 
 def cmd_cuspbundle(args):
+    if args.convention not in TWISTS:
+        raise PreconditionError(
+            f"--convention {args.convention}: cuspbundle takes "
+            f"{' or '.join(TWISTS)} only"
+        )
     curve, points = parse_curve_file(_read(args.curve))
     if len(points) < 2:
         raise PreconditionError("curve file must provide the points P and Q")
@@ -290,7 +300,7 @@ def cmd_cuspbundle(args):
         for cell in row["cells"]:
             reg.set((row["n"], cell["j_power"], 0), cell["h0"])
             reg.set((row["n"], cell["j_power"], 1), cell["h1"])
-    selected = "minus" if CONVENTIONS[args.convention].twist_sign < 0 else "plus"
+    selected = TWISTS[args.convention]
     twist = DimensionTable(
         "ample-twist cohomology under both sign conventions", ("sign", "j", "h"),
         metadata=_common_meta(
@@ -375,7 +385,9 @@ def build_parser():
         p.add_argument("--format", choices=("text", "json", "csv"), default=formats[0])
         p.set_defaults(formats=formats)
         if conv:
-            p.add_argument("--convention", choices=sorted(CONVENTIONS), default="standard")
+            p.add_argument(
+                "--convention", choices=sorted({*CONVENTIONS, *TWISTS}), default="standard"
+            )
         if jobs:
             p.add_argument("--jobs", type=int, default=None)
         if algebra:

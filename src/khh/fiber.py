@@ -40,6 +40,7 @@ from .algebra import (
     GradedHom,
     parse_algebra_block,
     parse_poly,
+    slice_memo,
     split_blocks,
     vec_total,
 )
@@ -95,7 +96,8 @@ class ResolutionSquare:
     `engine_A` computes the homology of the algebra and `branch_engines`
     that of each branch, one HomologyEngine apiece on the standard
     convention.  The square adds the chain maps, one per branch, and what
-    stacks the branches: the cone differentials and the class maps.
+    stacks the branches: the cone differentials and the class maps.  Its
+    per-slice matrices are `slice_memo` entries of its one `_memo`.
     """
 
     def __init__(self, algebra, branches, conductor, probe: int = 14):
@@ -112,9 +114,7 @@ class ResolutionSquare:
         self._validated_upto = -1
         self.engine_A = HomologyEngine(algebra)
         self.branch_engines = tuple(HomologyEngine(B) for B, _ in self.branches)
-        self._maps = {}
-        self._cones = {}
-        self._stacked = {}
+        self._memo = {}  # the slice_memo entries
 
     # -- parsing --------------------------------------------------------
 
@@ -239,32 +239,22 @@ class ResolutionSquare:
             offset += len(basis)
         return out
 
+    @slice_memo
     def _stacked_hom_matrix(self, w) -> SparseMatrix:
         """nu on the weight-w algebra slices, stacked over branches."""
-        cached = self._stacked.get(w)
-        if cached is not None:
-            return cached
         blocks = []
         total_rows = 0
         for _, hom in self.branches:
-            mat = hom.matrix_on_weight((w,))
+            mat = hom.matrix_on_weight(w)
             blocks.append((total_rows, 0, mat))
             total_rows += mat.rows
-        mat = SparseMatrix.from_blocks(
-            total_rows, len(self.algebra.weight_basis((w,))), blocks
-        )
-        self._stacked[w] = mat
-        return mat
+        return SparseMatrix.from_blocks(total_rows, len(self.algebra.weight_basis(w)), blocks)
 
     # -- chain-level machinery ---------------------------------------------
 
+    @slice_memo
     def chain_map_matrix(self, n: int, w) -> tuple:
         """Induced maps C_n(A) -> C_n(branch) on the weight-w slice, one per branch."""
-        w = self.algebra._coerce_weight(w)
-        key = (n, w)
-        cached = self._maps.get(key)
-        if cached is not None:
-            return cached
         src = self.engine_A.ctx.basis(n, w)
         mats = []
         for (_, hom), engine in zip(self.branches, self.branch_engines):
@@ -281,9 +271,7 @@ class ResolutionSquare:
                     else:
                         entries.pop((i, j), None)
             mats.append(SparseMatrix(len(index), len(src), entries))
-        mats = tuple(mats)
-        self._maps[key] = mats
-        return mats
+        return tuple(mats)
 
     @staticmethod
     def _tensor_image(hom: GradedHom, tensor):
@@ -307,17 +295,13 @@ class ResolutionSquare:
             acc = nxt
         return acc
 
+    @slice_memo
     def cone_matrix(self, q: int, w) -> SparseMatrix:
         """D_q of the shifted cone G: G_q = C_q(A) + C_{q+1}(branches).
 
         Rows are C_{q-1}(A) then each branch's C_q; columns are C_q(A) then
         each branch's C_{q+1}.  Branch k contributes its chain map and -b.
         """
-        w = self.algebra._coerce_weight(w)
-        key = (q, w)
-        cached = self._cones.get(key)
-        if cached is not None:
-            return cached
         ctx_A = self.engine_A.ctx
         blocks = []
         if q >= 1:
@@ -331,9 +315,7 @@ class ResolutionSquare:
                 blocks.append((roff, coff, engine.ctx.b_matrix(q + 1, w).scale(-1)))
             roff += engine.ctx.dim(q, w)
             coff += engine.ctx.dim(q + 1, w)
-        mat = SparseMatrix.from_blocks(roff, coff, blocks)
-        self._cones[key] = mat
-        return mat
+        return SparseMatrix.from_blocks(roff, coff, blocks)
 
     # -- homology-level maps ----------------------------------------------
 

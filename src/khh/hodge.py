@@ -5,17 +5,19 @@ bar entries; the idempotents e_n^(1), ..., e_n^(n) live in QQ[S_n] and are
 extracted from the descent generating identity
 
     lambda_k = sum_sigma sgn(sigma) * C(k + n - 1 - d(sigma), n) * sigma
-             = sum_i k^i * e_n^(i)
+             = sum_i k^i * e_n^(i).
 
-by an exact Vandermonde solve at k = 1..n.  Published variants differ in
-whether d counts descents of sigma or of its inverse; under the place
-action used here the descents of sigma give idempotents that commute with
-b (the test suite probes both variants).  The table is self-certifying:
-completeness, orthogonality and the antisymmetrizer identity are checked
-exactly, on int vectors over the table's common denominator with products
-read from a composition table of S_n, and every slice application
-re-checks completeness of the acting matrices, which each SliceContext
-builds once per slice and caches.
+C(k + n - 1 - d, n) = prod_{r<n} (k - d + r) / n! is a polynomial in k
+with no constant term, so e_n^(i) takes the coefficient of k^i of each
+sigma's polynomial (Loday, Cyclic Homology, section 4.5); nothing is
+solved.  Published variants differ in whether d counts descents of sigma
+or of its inverse; under the place action used here the descents of
+sigma give idempotents that commute with b (the test suite probes both
+variants).  The table is self-certifying: completeness, orthogonality
+and the antisymmetrizer identity are checked exactly, on int vectors over
+the table's common denominator with products read from a composition
+table of S_n, and every slice application re-checks completeness of the
+acting matrices, which each SliceContext builds once per slice.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial, lcm
 
-from .rationals import QQ, ZERO
+from .rationals import QQ
 from .linalg import SparseMatrix
 from .errors import IdempotentSanityError
 
@@ -79,35 +81,28 @@ def lambda_element(n: int, k: int, inverse_descents: bool = False) -> dict:
 
 
 def _solve_idempotents(n: int, inverse_descents: bool):
-    """Extract e^(1..n) from lambda_1..lambda_n by exact Vandermonde solve."""
-    lam = [lambda_element(n, k, inverse_descents) for k in range(1, n + 1)]
-    # invert V[k][i] = k^i (k, i = 1..n) over QQ
-    vand = [[QQ(k**i) for i in range(1, n + 1)] for k in range(1, n + 1)]
-    aug = [row + [QQ(1) if r == c else QQ(0) for c in range(n)] for r, row in enumerate(vand)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
+    """e^(1..n) read off the descent identity's coefficients in k.
+
+    The coefficient of sigma in lambda_k is sgn(sigma) times
+    C(k + n - 1 - d, n) = prod_{r<n} (k - d + r) / n!, a polynomial in k
+    with no constant term, so the coefficient of sigma in e^(i) is
+    sgn(sigma) [t^i] prod_{r<n} (t - d + r) / n!.
+    """
+    top = factorial(n)
+    coeffs = []  # coeffs[d][i] = [t^i] prod_{r<n} (t - d + r), ints
+    for d in range(n):
+        poly = [1]
         for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    inv = [row[n:] for row in aug]
-    idems = []
-    for i in range(n):
-        e = {}
-        for k in range(n):
-            c = inv[i][k]
-            if not c:
-                continue
-            for perm, v in lam[k].items():
-                s = e.get(perm, ZERO) + c * v
-                if s:
-                    e[perm] = s
-                else:
-                    e.pop(perm, None)
-        idems.append(e)
+            # times (t + r - d)
+            poly = [a + (r - d) * b for a, b in zip([0] + poly, poly + [0])]
+        coeffs.append(poly)
+    idems = [{} for _ in range(n)]
+    for perm in _perms(n):
+        d = _descents(_inverse(perm)) if inverse_descents else _descents(perm)
+        sign = _sign(perm)
+        for i, e in enumerate(idems, start=1):
+            if coeffs[d][i]:
+                e[perm] = QQ(sign * coeffs[d][i], top)
     return idems
 
 

@@ -20,6 +20,12 @@ fails, which only the corrupt conventions reach, d_m is ranked in full.
 The quotient path factors d_n in natural order and d_{n+1}'s columns at
 d_n's free coordinates (the second lemma in `linalg`), so the class count
 it checks against the ranks comes from separate eliminations.
+
+An engine builds each slice value once: dimensions, ranks, total-complex
+matrices, quotient spaces and induced idempotents are `slice_memo`
+entries, keyed by method and arguments with the weight coerced to a
+vector.  With `KHH_CACHE_DIR` set, HH and HC dimensions also go through
+the on-disk cell cache (`cache`).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .errors import (
     PreconditionError,
     SanityError,
 )
-from .algebra import GradedAlgebra, vec_total
+from .algebra import GradedAlgebra, slice_memo, vec_total
 from .barcomplex import BarChain, SliceContext, Convention, convention, chain_str
 from . import hodge
 
@@ -46,16 +52,6 @@ class HodgeSplit:
     adams_eigendims: tuple
 
 
-@dataclass
-class HomologyReport:
-    """Per-(n, w) dimension table with Hodge pieces and representatives."""
-
-    algebra: str
-    convention: str
-    table: dict = field(default_factory=dict)  # (n, w) -> {"hh":, "hc":, "hodge": tuple}
-    representatives: dict = field(default_factory=dict)  # (n, w, i) -> [chain strings]
-
-
 class HomologyEngine:
     """All slice homology for one algebra under one sign convention."""
 
@@ -63,26 +59,15 @@ class HomologyEngine:
         self.algebra = algebra
         self.ctx = SliceContext(algebra, conv)
         self.conv = self.ctx.conv
-        self._hh = {}
-        self._hc = {}
-        self._total_mats = {}
-        self._ranks = {}
-        self._quotients = {}
-        self._hodge_classes = {}
+        self._memo = {}  # the slice_memo entries
 
     # -- Hochschild -----------------------------------------------------
 
+    @slice_memo
     def hh_dim(self, n: int, w) -> int:
-        w = self.algebra._coerce_weight(w)
-        key = (n, w)
-        if key not in self._hh:
-            if n < 0:
-                self._hh[key] = 0
-            else:
-                self._hh[key] = self._cached_cell(
-                    "hh", n, w, lambda: self._homology_dim("bar", n, w)
-                )
-        return self._hh[key]
+        if n < 0:
+            return 0
+        return self._cached_cell("hh", n, w, lambda: self._homology_dim("bar", n, w))
 
     def _cached_cell(self, kind, n, w, compute):
         from . import cache
@@ -97,19 +82,16 @@ class HomologyEngine:
             cache.put(key, value)
         return value
 
+    @slice_memo
     def hh_space(self, n: int, w) -> QuotientSpace:
-        w = self.algebra._coerce_weight(w)
-        key = ("hh", n, w)
-        if key not in self._quotients:
-            space = QuotientSpace(*self._differentials("bar", n, w))
-            _check_space_dim(space, self.hh_dim(n, w), "HH", n, w)
-            self._quotients[key] = space
-        return self._quotients[key]
+        space = QuotientSpace(*self._differentials("bar", n, w))
+        _check_space_dim(space, self.hh_dim(n, w), "HH", n, w)
+        return space
 
     def hh_slice(self, n: int, w):
         """(dimension, representative cycles) of HH_n at weight w."""
         space = self.hh_space(n, w)
-        basis = self.ctx.basis(n, self.algebra._coerce_weight(w))
+        basis = self.ctx.basis(n, w)
         reps = [
             BarChain(self.algebra, n, {basis[i]: c for i, c in rep.items()})
             for rep in space.reps
@@ -122,13 +104,9 @@ class HomologyEngine:
         """Degrees of the total-complex blocks at T_m: m, m-2, ..."""
         return [m - 2 * k for k in range(m // 2 + 1)] if m >= 0 else []
 
+    @slice_memo
     def total_matrix(self, m: int, w) -> SparseMatrix:
         """D_m : T_m -> T_{m-1} of the (b, B) total complex."""
-        w = self.algebra._coerce_weight(w)
-        key = (m, w)
-        cached = self._total_mats.get(key)
-        if cached is not None:
-            return cached
         src_degs = self.total_blocks(m)
         dst_degs = self.total_blocks(m - 1)
         src_off, pos = [], 0
@@ -147,39 +125,31 @@ class HomologyEngine:
                 blocks.append((dst_off[k], src_off[k], self.ctx.b_matrix(deg, w)))
             if k >= 1:
                 blocks.append((dst_off[k - 1], src_off[k], self.ctx.B_matrix(deg, w)))
-        mat = SparseMatrix.from_blocks(dst_total, src_total, blocks)
-        self._total_mats[key] = mat
-        return mat
+        return SparseMatrix.from_blocks(dst_total, src_total, blocks)
 
+    @slice_memo
     def hc_dim(self, n: int, w) -> int:
         """HC_n at weight w: Connes' complex in positive weight, where the
         Goodwillie sum of HH dimensions must agree, else the total complex."""
         if n < 0:
             return 0
-        w = self.algebra._coerce_weight(w)
-        key = (n, w)
-        if key not in self._hc:
-            connes = not self.conv.corrupt and vec_total(w) > 0
-            complex_ = "connes" if connes else "total"
-            value = self._cached_cell("hc", n, w, lambda: self._homology_dim(complex_, n, w))
-            if connes:
-                goodwillie = sum((-1) ** k * self.hh_dim(n - k, w) for k in range(n + 1))
-                if value != goodwillie:
-                    raise OracleDisagreementError(
-                        f"HC_{n} at weight {w}: {value} from Connes' complex, "
-                        f"{goodwillie} from the alternating sum of HH"
-                    )
-            self._hc[key] = value
-        return self._hc[key]
+        connes = not self.conv.corrupt and vec_total(w) > 0
+        complex_ = "connes" if connes else "total"
+        value = self._cached_cell("hc", n, w, lambda: self._homology_dim(complex_, n, w))
+        if connes:
+            goodwillie = sum((-1) ** k * self.hh_dim(n - k, w) for k in range(n + 1))
+            if value != goodwillie:
+                raise OracleDisagreementError(
+                    f"HC_{n} at weight {w}: {value} from Connes' complex, "
+                    f"{goodwillie} from the alternating sum of HH"
+                )
+        return value
 
+    @slice_memo
     def hc_space(self, n: int, w) -> QuotientSpace:
-        w = self.algebra._coerce_weight(w)
-        key = ("hc", n, w)
-        if key not in self._quotients:
-            space = QuotientSpace(*self._differentials("total", n, w))
-            _check_space_dim(space, self.hc_dim(n, w), "HC", n, w)
-            self._quotients[key] = space
-        return self._quotients[key]
+        space = QuotientSpace(*self._differentials("total", n, w))
+        _check_space_dim(space, self.hc_dim(n, w), "HC", n, w)
+        return space
 
     # -- chain complexes: the bar complex, Connes' and the total complex ----
 
@@ -224,6 +194,7 @@ class HomologyEngine:
         d_out = self._differentials(complex_, n, w)[1]
         return d_out.cols - self._rank(complex_, n, w) - self._rank(complex_, n + 1, w)
 
+    @slice_memo
     def _rank(self, complex_, m, w) -> int:
         """rank d_m, without the rows at d_{m-1}'s pivot columns where
         d_{m-1} d_m = 0 holds (the compression lemma in `linalg`).
@@ -232,19 +203,15 @@ class HomologyEngine:
         compressed.  Where the identity fails, which only the corrupt
         conventions reach, d_m is factored in full.
         """
-        key = (complex_, m, w)
-        if key not in self._ranks:
-            d = self._differential(complex_, m, w)
-            if m >= 1 and all(
-                self.ctx.holds(identity, k, w)
-                for identity, k in self._identities(complex_, m - 1, w)
-            ):
-                self._rank(complex_, m - 1, w)
-                skip = self._differential(complex_, m - 1, w).pivot_columns()
-                self._ranks[key] = d.rank(skip_rows=skip)
-            else:
-                self._ranks[key] = d.rank()
-        return self._ranks[key]
+        d = self._differential(complex_, m, w)
+        if m >= 1 and all(
+            self.ctx.holds(identity, k, w)
+            for identity, k in self._identities(complex_, m - 1, w)
+        ):
+            self._rank(complex_, m - 1, w)
+            skip = self._differential(complex_, m - 1, w).pivot_columns()
+            return d.rank(skip_rows=skip)
+        return d.rank()
 
     # -- Hodge/Adams -------------------------------------------------------
 
@@ -271,20 +238,14 @@ class HomologyEngine:
             )
         return HodgeSplit(tuple(dims), total, eigendims)
 
+    @slice_memo
     def hodge_class_matrix(self, n: int, w, i: int) -> SparseMatrix:
         """e_n^(i) induced on the classes of hh_space(n, w)."""
-        w = self.algebra._coerce_weight(w)
-        key = (n, w, i)
-        if key not in self._hodge_classes:
-            space = self.hh_space(n, w)
-            self._hodge_classes[key] = space.induced_matrix(
-                self.ctx.idempotent_matrix(n, w, i), space
-            )
-        return self._hodge_classes[key]
+        space = self.hh_space(n, w)
+        return space.induced_matrix(self.ctx.idempotent_matrix(n, w, i), space)
 
     def hodge_representatives(self, n: int, w, i: int):
         """Cycle representatives spanning the i-th Hodge piece of HH_n."""
-        w = self.algebra._coerce_weight(w)
         space = self.hh_space(n, w)
         emat = self.ctx.idempotent_matrix(n, w, i)
         basis = self.ctx.basis(n, w)
@@ -297,33 +258,6 @@ class HomologyEngine:
                     BarChain(self.algebra, n, {basis[r]: c for r, c in img.items()})
                 )
         return picked
-
-    def report(self, n_max: int, w_max, with_reps=False) -> HomologyReport:
-        rep = HomologyReport(self.algebra.name, self.conv.name)
-        for n in range(n_max + 1):
-            for w in self._weights_upto(w_max):
-                entry = {"hh": self.hh_dim(n, w), "hc": self.hc_dim(n, w)}
-                if n >= 1 and entry["hh"]:
-                    entry["hodge"] = self.hodge_split(n, w).dims
-                else:
-                    entry["hodge"] = (0,) * n
-                rep.table[(n, w)] = entry
-                if with_reps and entry["hh"]:
-                    for i in range(1, n + 1):
-                        chains = self.hodge_representatives(n, w, i)
-                        if chains:
-                            rep.representatives[(n, w, i)] = [chain_str(c) for c in chains]
-        return rep
-
-    def _weights_upto(self, w_max):
-        if isinstance(w_max, int):
-            if self.algebra.weight_rank != 1:
-                raise PreconditionError("weight cutoff rank mismatch")
-            return [(v,) for v in range(w_max + 1)]
-        return [
-            w
-            for w in self.algebra.weight_vectors_upto(w_max)
-        ]
 
     # -- SBI ----------------------------------------------------------------
 

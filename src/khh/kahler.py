@@ -17,7 +17,7 @@ from math import factorial
 from .rationals import QQ, ZERO
 from .linalg import SparseMatrix, QuotientSpace
 from .errors import PreconditionError
-from .algebra import GradedAlgebra, GradedHom, vec_add, vec_total
+from .algebra import GradedAlgebra, GradedHom, slice_memo, vec_add, vec_total
 
 
 class DifferentialForms:
@@ -25,7 +25,7 @@ class DifferentialForms:
 
     def __init__(self, algebra: GradedAlgebra):
         self.algebra = algebra
-        self._slices = {}
+        self._memo = {}  # the slice_memo entries
 
     def wedges(self, p: int):
         return tuple(combinations(range(self.algebra.ngens), p))
@@ -54,14 +54,9 @@ class DifferentialForms:
                         out[i].pop(mono, None)
         return {i: alg.nf(p) for i, p in out.items() if p}
 
+    @slice_memo
     def slice(self, p: int, w) -> "OmegaSlice":
-        w = self.algebra._coerce_weight(w)
-        key = (p, w)
-        cached = self._slices.get(key)
-        if cached is None:
-            cached = OmegaSlice(self, p, w)
-            self._slices[key] = cached
-        return cached
+        return OmegaSlice(self, p, w)
 
     def dim(self, p: int, w) -> int:
         if p < 0:

@@ -13,7 +13,7 @@ change the row space.  QQ re-enters only at the edges: `items` yields QQ
 entries, `apply` returns QQ vectors, and kernel vectors, residuals and
 class coordinates come out as QQ.
 
-There is one eliminator, `Factor`, fraction-free in the style of Bareiss
+There is one eliminator in the package, `Factor`, fraction-free in the style of Bareiss
 (every update is an exact cross-multiplication followed by a gcd strip),
 with two pivot rules.  Markowitz pivots keep fill-in low on the
 incidence-like differentials this package produces; they serve `rank`,

@@ -19,12 +19,26 @@ from khh.curve import EllipticCurve, O, cusp_bundle_tables
 from khh.fiber import ResolutionSquare
 from khh.homology import HomologyEngine, verify_cusp_cycles, verify_kunneth
 from khh.kahler import omega_dims, torsion_dims
-from khh import hodge
+from khh import cli, hodge
 
 
 # sha256 of the full corpus `khh report --format json`: every HH, HC, Hodge,
 # typical-piece and table value, byte for byte
 REPORT_SHA256 = "1ec2595b7f91ec492042129b60455528b0f9c2fb06811db923816c4c033d1d86"
+
+# sha256 of two more verbs' canonical JSON and of the cusp Kunneth cells
+# [kind, n, w, j, left, right, status] at (t, n, w) <= (2, 3, 8) per convention
+CYCLES_SHA256 = "f9b8f6f199e7d492d1ee196300bb79c00162506506bdfb0d0f0be405cfcd4f50"
+TK_SHA256 = "80eba1ff30d1843b7cb7bf8ac3334b42beaea815eaa0aa17cd25c5215b2bc88b"
+KUNNETH_SHA256 = {
+    "standard": "986e294493c8c1efee660b4497e43b516eb374c3221677b4a270ad0fca4bb835",
+    "corrupt-b-drop-wrap": "2b4e5cdfef836bcafe2fa21d09562134d1d6b0c465cd424d908d9a8735df2a8b",
+    "corrupt-b-wrap-flip": "27b26585bcd942c72b850a91a47b5342267ac9af16408747e92086c35dfd9b71",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _announce(number, text):
@@ -226,3 +240,19 @@ def test_c10_determinism():
     assert hashlib.sha256(first.stdout.encode()).hexdigest() == REPORT_SHA256
     assert json.loads(first.stdout)["failures"] == []
     _announce(10, "full corpus report is byte-identical across reruns")
+
+
+def test_outputs_are_pinned(capsys, entries):
+    square = str(default_corpus_dir() / "cusp" / "square.sq")
+    for argv, digest in (
+        (["cycles", "--i-max", "2", "--format", "json"], CYCLES_SHA256),
+        (["tk", "--square", square, "--n-max", "3", "--max-weight", "10",
+          "--formula-check", "--format", "json"], TK_SHA256),
+    ):
+        assert cli.main(argv) == 0
+        assert _sha256(capsys.readouterr().out) == digest, argv
+    cusp = entries["cusp"].algebra
+    for conv, digest in KUNNETH_SHA256.items():
+        report = verify_kunneth(cusp, t_cutoff=2, n_max=3, w_max=8, conv=conv, jobs=1)
+        cells = [[c.kind, c.n, c.w, c.j, c.left, c.right, c.status] for c in report.cells]
+        assert _sha256(json.dumps(cells)) == digest, conv

@@ -67,7 +67,7 @@ def test_slice_sanity_grid(cusp_ctx):
 def test_slice_identities_hold_on_random_algebras(spec):
     # b^2 = 0, B^2 = 0 and bB + Bb = 0 at every (n, w) <= (3, 6)
     algebra = algebra_of(spec)
-    for conv in ("standard", "b-transpose", "twist-minus"):
+    for conv in ("standard", "b-transpose"):
         ctx = SliceContext(algebra, conv)
         for w in range(7):
             for n in range(4):

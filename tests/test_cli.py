@@ -242,6 +242,22 @@ def test_square_verbs_reject_other_conventions():
          "--p", "1", "--q", "0", "--max-weight", "4"),
     ):
         assert run_cli(*argv, "--convention", "b-transpose").returncode == 3
+    # a convention accepted elsewhere that changes nothing here exits 3 too
+    hh = ("hh", "--algebra", corpus_file("cusp", "algebra.alg"), "--n", "1",
+          "--max-weight", "4")
+    cuspbundle = ("cuspbundle", "--curve", corpus_file("curve37a", "curve.crv"),
+                  "--n-max", "2", "--m", "1", "--j-cutoff", "2")
+    for argv, conv in (
+        (hh, "twist-minus"),
+        (("kunneth", *hh[1:3], "--n-max", "1", "--max-weight", "4",
+          "--t-cutoff", "1"), "twist-minus"),
+        (cuspbundle, "corrupt-b-drop-wrap"),
+        (cuspbundle, "b-transpose"),
+    ):
+        proc = run_cli(*argv, "--convention", conv)
+        assert proc.returncode == 3, (argv, conv, proc.stderr)
+        assert conv in proc.stderr
+    assert run_cli(*cuspbundle, "--convention", "twist-minus").returncode == 0
 
 
 def test_invalid_job_counts_exit_3():

@@ -3,12 +3,13 @@
 import pytest
 from hypothesis import example, given, settings
 
-from khh import cli
+from khh import cli, hodge, homology
 from khh.algebra import GradedAlgebra, parse_algebra
 from khh.barcomplex import SliceContext, chain_str
 from khh.corpus import default_corpus_dir
-from khh.errors import CompositionNonzeroError, OracleDisagreementError
+from khh.errors import CompositionNonzeroError, OracleDisagreementError, PreconditionError
 from khh.homology import HomologyEngine
+from khh.kahler import DifferentialForms
 from khh.linalg import Factor, SparseMatrix
 from conftest import algebra_of, read_corpus_text, small_algebras
 
@@ -103,7 +104,14 @@ def test_representatives_are_pinned(cusp_engine, free2):
     assert [chain_str(c) for c in cusp_engine.hodge_representatives(1, 7, 1)] == [
         "x*y[x]", "x^2[y]"
     ]
-    free2_reps = HomologyEngine(free2).report(2, 5, with_reps=True).representatives
+    free2_engine = HomologyEngine(free2)
+    free2_reps = {
+        (n, (w,), i): [chain_str(c) for c in chains]
+        for n in range(1, 3)
+        for w in range(6)
+        for i in range(1, n + 1)
+        if (chains := free2_engine.hodge_representatives(n, w, i))
+    }
     assert free2_reps == {
         (1, (1,), 1): ["[x]", "[y]"],
         (1, (2,), 1): ["x[x]", "x[y]", "y[x]", "y[y]"],
@@ -180,12 +188,74 @@ def test_sbi_exactness(cusp_engine, free1_engine, dualnum):
             assert result["exact_at_hc_n"] and result["exact_at_hc_n2"], (n, w)
 
 
+@settings(max_examples=25)
+@given(small_algebras())
+@example(((2, 3), ((((0, 2), 1), ((3, 0), -1)),)))  # the cusp y^2 = x^3
+def test_sbi_exact_on_random_algebras(spec):
+    # HH_n -> HC_n -> HC_{n-2} -> HH_{n-1} is exact at both HC positions on
+    # every slice (n, w) <= (4, 6); this drives hc_space and the total complex
+    engine = HomologyEngine(algebra_of(spec))
+    for w in range(7):
+        for n in range(5):
+            result = engine.sbi_check(n, w)
+            assert result["exact_at_hc_n"] and result["exact_at_hc_n2"], (spec, n, w)
+
+
 def test_report_table_consistency(cusp_engine):
-    report = cusp_engine.report(2, 8, with_reps=True)
-    for (n, w), entry in report.table.items():
-        if n >= 1:
-            assert sum(entry["hodge"]) == entry["hh"]
-    assert report.representatives[(1, (5,), 1)]
+    # the Hodge pieces of every HH slice sum to its dimension
+    for n in range(1, 3):
+        for w in range(9):
+            if cusp_engine.hh_dim(n, w):
+                assert sum(cusp_engine.hodge_split(n, w).dims) == cusp_engine.hh_dim(n, w)
+    assert cusp_engine.hodge_representatives(1, 5, 1)
+
+
+def test_slice_memo(cusp, cusp_square, monkeypatch):
+    # an int weight and its one-vector are one entry
+    ctx = SliceContext(cusp)
+    assert ctx.b_matrix(2, 5) is ctx.b_matrix(2, (5,))
+    engine = HomologyEngine(cusp)
+    assert engine.hh_space(1, 5) is engine.hh_space(1, (5,))
+    # a repeated call builds nothing: every builder below it is gone
+    first = [
+        engine.hh_dim(2, 7), engine.hc_dim(2, 7), engine.hc_space(2, 7),
+        engine.hodge_class_matrix(2, 7, 1), engine.total_matrix(3, 7),
+        engine.ctx.cyclic_b_matrix(2, 7), engine.ctx.cyclic_basis(2, 7),
+    ]
+
+    def build(*args, **kwargs):
+        raise AssertionError("rebuilt a memoized slice value")
+
+    monkeypatch.setattr(SliceContext, "_matrix", build)
+    monkeypatch.setattr(SparseMatrix, "rank", build)
+    monkeypatch.setattr(SparseMatrix, "from_blocks", build)
+    monkeypatch.setattr(homology, "QuotientSpace", build)
+    monkeypatch.setattr(hodge, "idempotent_matrix", build)
+    again = [
+        engine.hh_dim(2, (7,)), engine.hc_dim(2, 7), engine.hc_space(2, 7),
+        engine.hodge_class_matrix(2, 7, 1), engine.total_matrix(3, 7),
+        engine.ctx.cyclic_b_matrix(2, 7), engine.ctx.cyclic_basis(2, 7),
+    ]
+    assert all(a is b for a, b in zip(first, again))
+    monkeypatch.undo()
+    # a negative weight is rejected at every memoized entry point
+    entry_points = [
+        (ctx, "basis", (1, -1)), (ctx, "index", (1, -1)),
+        (ctx, "b_matrix", (1, -1)), (ctx, "B_matrix", (1, -1)),
+        (ctx, "idempotent_matrix", (1, -1, 1)), (ctx, "cyclic_b_matrix", (1, -1)),
+        (ctx, "cyclic_index", (1, -1)), (ctx, "cyclic_basis", (1, -1)),
+        (ctx, "holds", ("b.b", 1, -1)),
+        (engine, "hh_dim", (1, -1)), (engine, "hh_space", (1, -1)),
+        (engine, "total_matrix", (1, -1)), (engine, "hc_dim", (-1, -3)),
+        (engine, "hc_space", (1, -1)), (engine, "_rank", ("bar", 1, -1)),
+        (engine, "hodge_class_matrix", (1, -1, 1)),
+        (cusp_square, "chain_map_matrix", (1, -1)), (cusp_square, "cone_matrix", (1, -1)),
+        (cusp_square, "_stacked_hom_matrix", (-1,)),
+        (DifferentialForms(cusp), "slice", (1, -1)),
+    ]
+    for obj, name, args in entry_points:
+        with pytest.raises(PreconditionError):
+            getattr(obj, name)(*args)
 
 
 def test_dual_numbers_hh_growth(dualnum):
