@@ -333,24 +333,30 @@ class GradedAlgebra:
         cached = self._basis_cache.get(wvec)
         if cached is not None:
             return cached
-        leads = self._leads
+        # a lead can first divide a prefix at its last variable
+        leads_at = [[] for _ in range(self.ngens)]
+        for lead in self._leads:
+            leads_at[max(i for i, x in enumerate(lead) if x)].append(lead)
         out = []
         exps = [0] * self.ngens
 
         def walk(i, remaining):
             if i == self.ngens:
                 if all(x == 0 for x in remaining):
-                    m = tuple(exps)
-                    if not any(mono_divides(l, m) for l in leads):
-                        out.append(m)
+                    out.append(tuple(exps))
                 return
             gw = self.weights[i]
+            level = leads_at[i]
             e = 0
             while True:
                 used = vec_scale(e, gw)
                 if not vec_leq(used, remaining):
                     break
                 exps[i] = e
+                # the standard monomials form an order ideal: a lead that
+                # divides this prefix divides every larger e and extension
+                if e and level and any(mono_divides(l, exps) for l in level):
+                    break
                 walk(i + 1, vec_sub(remaining, used))
                 e += 1
             exps[i] = 0
@@ -554,14 +560,11 @@ class GradedHom:
         """Sparse matrix of the map on weight-w monomial bases."""
         from .linalg import SparseMatrix
 
-        dom = self.domain.weight_basis(w)
         cod = self.codomain.weight_basis(w)
         index = {m: i for i, m in enumerate(cod)}
-        entries = {}
-        for j, m in enumerate(dom):
-            for im, c in self.apply_mono(m).items():
-                entries[(index[im], j)] = c
-        return SparseMatrix(len(cod), len(dom), entries)
+        return SparseMatrix.from_images(
+            len(cod), self.domain.weight_basis(w), self.apply_mono, index
+        )
 
     @classmethod
     def identity(cls, algebra: GradedAlgebra):

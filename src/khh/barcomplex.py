@@ -460,24 +460,7 @@ class SliceContext:
     @slice_memo
     def b_matrix(self, n: int, w) -> SparseMatrix:
         dst_index = self.index(n - 1, w) if n >= 1 else {}
-        return self._matrix(self.basis(n, w), dst_index, self.b_tensor)
-
-    @staticmethod
-    def _matrix(src, dst_index, image) -> SparseMatrix:
-        """The matrix whose column j is image(src[j]) in dst_index's
-        coordinates, written straight into int rows; a coefficient that is
-        not an int sends the entries through the constructor instead."""
-        rows = [{} for _ in range(len(dst_index))]
-        integral = True
-        for j, tensor in enumerate(src):
-            for t, c in image(tensor).items():
-                rows[dst_index[t]][j] = c
-                if type(c) is not int:
-                    integral = False
-        if integral:
-            return SparseMatrix._of_rows(len(rows), len(src), rows)
-        entries = (((i, j), c) for i, row in enumerate(rows) for j, c in row.items())
-        return SparseMatrix(len(rows), len(src), entries)
+        return SparseMatrix.from_images(len(dst_index), self.basis(n, w), self.b_tensor, dst_index)
 
     @slice_memo
     def idempotent_matrix(self, n: int, w, i: int) -> SparseMatrix:
@@ -486,7 +469,8 @@ class SliceContext:
 
     @slice_memo
     def B_matrix(self, n: int, w) -> SparseMatrix:
-        return self._matrix(self.basis(n, w), self.index(n + 1, w), self.B_tensor)
+        dst_index = self.index(n + 1, w)
+        return SparseMatrix.from_images(len(dst_index), self.basis(n, w), self.B_tensor, dst_index)
 
     # -- Connes' cyclic complex ---------------------------------------------
 

@@ -66,32 +66,18 @@ def _emit(args, tables):
     sys.stdout.write(render(tables, args.format))
 
 
-def cmd_hh(args):
+def cmd_dims(args):
+    """`hh` and `hc`: the engine's `<verb>_dim` at degree n, per weight."""
     _check_cutoffs(args, "n", "max_weight")
     algebra = parse_algebra(_read(args.algebra))
-    engine = HomologyEngine(algebra, args.convention)
+    dim = getattr(HomologyEngine(algebra, args.convention), f"{args.command}_dim")
     table = DimensionTable(
-        f"hh n={args.n} of {algebra.name}", ("w",),
+        f"{args.command} n={args.n} of {algebra.name}", ("w",),
         metadata=_common_meta(args, algebra=algebra.name, n=args.n,
                               max_weight=args.max_weight),
     )
     for w in range(args.max_weight + 1):
-        table.set((w,), engine.hh_dim(args.n, w))
-    _emit(args, table)
-    return 0
-
-
-def cmd_hc(args):
-    _check_cutoffs(args, "n", "max_weight")
-    algebra = parse_algebra(_read(args.algebra))
-    engine = HomologyEngine(algebra, args.convention)
-    table = DimensionTable(
-        f"hc n={args.n} of {algebra.name}", ("w",),
-        metadata=_common_meta(args, algebra=algebra.name, n=args.n,
-                              max_weight=args.max_weight),
-    )
-    for w in range(args.max_weight + 1):
-        table.set((w,), engine.hc_dim(args.n, w))
+        table.set((w,), dim(args.n, w))
     _emit(args, table)
     return 0
 
@@ -401,13 +387,13 @@ def build_parser():
     common(p, algebra=True, conv=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-weight", type=int, required=True)
-    p.set_defaults(func=cmd_hh)
+    p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("hc", help="cyclic homology dims per weight")
     common(p, algebra=True, conv=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-weight", type=int, required=True)
-    p.set_defaults(func=cmd_hc)
+    p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("hodge", help="Hodge piece dims per weight")
     common(p, algebra=True, conv=True)

@@ -25,6 +25,7 @@ NK_0 crosscheck pairing the two.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import comb
 
 from .rationals import QQ, ZERO
@@ -52,8 +53,7 @@ def ideal_slice_matrix(algebra: GradedAlgebra, gens, w) -> SparseMatrix:
     """Columns spanning the weight-w slice of the ideal (gens)."""
     w = algebra._coerce_weight(w)
     basis = algebra.weight_basis(w)
-    index = {m: i for i, m in enumerate(basis)}
-    cols = []
+    multiples = []  # (m, g) with m * g of weight w
     for g in gens:
         gw = algebra.poly_weight(g)
         if gw is None:
@@ -61,14 +61,11 @@ def ideal_slice_matrix(algebra: GradedAlgebra, gens, w) -> SparseMatrix:
         rest = tuple(a - b for a, b in zip(w, gw))
         if any(x < 0 for x in rest):
             continue
-        for m in algebra.weight_basis(rest):
-            prod = algebra.multiply({m: QQ(1)}, g)
-            col = {index[mm]: c for mm, c in prod.items()}
-            if col:
-                cols.append(col)
-    if not cols:
-        return SparseMatrix.zero(len(basis), 0)
-    return SparseMatrix.from_columns(len(basis), cols)
+        multiples.extend((m, g) for m in algebra.weight_basis(rest))
+    index = {m: i for i, m in enumerate(basis)}
+    return SparseMatrix.from_images(
+        len(basis), multiples, lambda mg: algebra.multiply({mg[0]: QQ(1)}, mg[1]), index
+    )
 
 
 def quotient_dim(algebra: GradedAlgebra, gens, w) -> int:
@@ -169,9 +166,12 @@ class ResolutionSquare:
         A = self.algebra
         if A.weight_rank != 1:
             raise SquareInvalidError("squares are for rank-1 graded algebras")
+        # weights an earlier call certified stay certified: a kernel vector
+        # found nilpotent stays so under the larger search bound
+        start = self._validated_upto + 1
         # kernel per weight: injective, or nilpotent (thickening collapse)
-        kernel_nil = False
-        for w in range(bound + 1):
+        kernel_nil = self.kernel_nilpotent
+        for w in range(start, bound + 1):
             mat = self._stacked_hom_matrix(w)
             for vec in mat.kernel_basis():
                 basis = A.weight_basis((w,))
@@ -189,7 +189,7 @@ class ResolutionSquare:
                 if not img:
                     continue
                 cw = vec_total(B.poly_weight(img))
-                for w in range(0, bound - cw + 1):
+                for w in range(max(0, start - cw), bound - cw + 1):
                     nu_columns = self._stacked_hom_matrix(cw + w).column_echelon()
                     for m in B.weight_basis((w,)):
                         prod = B.multiply(img, {m: QQ(1)})
@@ -226,6 +226,10 @@ class ResolutionSquare:
         self._validated_upto = bound
         return self
 
+    def _validate_at(self, w):
+        """Certify the square up to weight w, and at least up to `probe`."""
+        self.validate(max(self.probe, vec_total(self.algebra._coerce_weight(w))))
+
     def _branch_vector(self, B, poly, w):
         """Coordinates of a branch element inside the stacked target slice."""
         offset = 0
@@ -259,18 +263,8 @@ class ResolutionSquare:
         mats = []
         for (_, hom), engine in zip(self.branches, self.branch_engines):
             index = engine.ctx.index(n, w)
-            entries = {}
-            for j, tensor in enumerate(src):
-                for t, c in self._tensor_image(hom, tensor).items():
-                    i = index.get(t)
-                    if i is None:
-                        continue
-                    s = entries.get((i, j), ZERO) + c
-                    if s:
-                        entries[(i, j)] = s
-                    else:
-                        entries.pop((i, j), None)
-            mats.append(SparseMatrix(len(index), len(src), entries))
+            image = partial(self._tensor_image, hom)
+            mats.append(SparseMatrix.from_images(len(index), src, image, index))
         return tuple(mats)
 
     @staticmethod
@@ -340,7 +334,7 @@ class ResolutionSquare:
 
     def fiber_dims(self, m: int, w) -> int:
         """dim H^m(F) at weight w; cohomological H^{-q} is homological q."""
-        self.validate()
+        self._validate_at(w)
         q = -m
         cone = homology_dim(self.cone_matrix(q + 1, w), self.cone_matrix(q, w))
         # long exact sequence bookkeeping, computed independently
@@ -380,7 +374,7 @@ class ResolutionSquare:
 
     def tk_hodge(self, n: int, w, i: int) -> int:
         """H^{1-n} of the (i-1)-st Hodge piece of the fiber."""
-        self.validate()
+        self._validate_at(w)
         p = i - 1
         dA1, dB1, r1 = self._piece_data(n - 1, w, p)
         dA0, dB0, r0 = self._piece_data(n, w, p)
@@ -412,7 +406,7 @@ class ResolutionSquare:
 
     def cdh_omega(self, p: int, q: int, w) -> int:
         """H^q_cdh of Omega^p at weight w for one-point squares (q in {0, 1})."""
-        self.validate()
+        self._validate_at(w)
         if q not in (0, 1):
             raise UnsupportedDimensionError(
                 f"cdh cohomology of forms implemented for q in {{0,1}}, got {q}"
@@ -486,20 +480,12 @@ def pic_conductor(square: ResolutionSquare, poly_vars: int,
         # image of nil(A/c): map A_w through nu, read classes branchwise
         amat = ideal_slice_matrix(A, square.conductor, (w,))
         asp = QuotientSpace(amat, SparseMatrix.zero(0, amat.rows))
-        entries = {}
-        for j, rep in enumerate(asp.reps):
-            basisA = A.weight_basis((w,))
-            poly = {basisA[min(rep)]: QQ(1)}
-            roff = 0
-            for (B, hom), qs in zip(square.branches, quots):
-                img = hom.apply(poly)
-                basisB = B.weight_basis((w,))
-                idx = {m: i for i, m in enumerate(basisB)}
-                vec = {idx[m]: c for m, c in img.items()}
-                for i, v in qs.coords(vec).items():
-                    entries[(roff + i, j)] = v
-                roff += qs.dim
-        rank = SparseMatrix(n_til, asp.dim, entries).rank()
+        blocks = []
+        roff = 0
+        for (_, hom), qs in zip(square.branches, quots):
+            blocks.append((roff, 0, asp.induced_matrix(hom.matrix_on_weight((w,)), qs)))
+            roff += qs.dim
+        rank = SparseMatrix.from_blocks(n_til, asp.dim, blocks).rank()
         n_total += n_til - rank
     report = PicReport(A.name, poly_vars, degree_cutoff, n_total,
                        weight_probe=probe)

@@ -17,7 +17,7 @@ from math import factorial
 from .rationals import QQ, ZERO
 from .linalg import SparseMatrix, QuotientSpace
 from .errors import PreconditionError
-from .algebra import GradedAlgebra, GradedHom, slice_memo, vec_add, vec_total
+from .algebra import GradedAlgebra, GradedHom, poly_add, slice_memo, vec_add, vec_total
 
 
 class DifferentialForms:
@@ -83,21 +83,19 @@ class OmegaSlice:
         self.free_basis = tuple(basis)
         self.index = {b: i for i, b in enumerate(self.free_basis)}
         nfree = len(self.free_basis)
-        rel_cols = [row for row in self._relation_rows() if row]
-        self.space = QuotientSpace(
-            SparseMatrix.from_columns(nfree, rel_cols) if rel_cols
-            else SparseMatrix.zero(nfree, 0),
-            SparseMatrix.zero(0, nfree),
+        relations = SparseMatrix.from_images(
+            nfree, list(self._relation_sources()), self._relation_image, self.index
         )
+        self.space = QuotientSpace(relations, SparseMatrix.zero(0, nfree))
         self.dim = self.space.dim
 
-    def _relation_rows(self):
+    def _relation_sources(self):
+        """(rel, m, wedge) for every relation form m * d(rel) ^ dg_wedge of weight w."""
         alg = self.forms.algebra
-        relations = alg.reduced_relations()
         p, w = self.p, self.w
         if p == 0:
             return
-        for rel in relations:
+        for rel in alg.reduced_relations():
             rw = alg.poly_weight(rel)
             for wedge in self.forms.wedges(p - 1):
                 ww = self.forms.wedge_weight(wedge)
@@ -105,36 +103,33 @@ class OmegaSlice:
                 if any(x < 0 for x in base):
                     continue
                 for m in alg.weight_basis(base):
-                    yield self._relation_row(rel, m, wedge)
+                    yield rel, m, wedge
 
-    def _relation_row(self, rel, mono, wedge):
-        """m * d(rel) ^ dg_wedge expanded over the free basis."""
+    def _relation_image(self, source):
+        """m * d(rel) ^ dg_wedge over the free basis keys; each partial
+        lands on its own wedge, so no two terms share a key."""
+        rel, mono, wedge = source
         alg = self.forms.algebra
-        row = {}
+        image = {}
         for i, coeff in self.forms.partials(rel).items():
             if i in wedge:
                 continue
             bigger = tuple(sorted((i,) + wedge))
             sign = -1 if bigger.index(i) % 2 else 1
-            scaled = alg.multiply({mono: QQ(1)}, coeff)
-            for mm, c in scaled.items():
-                idx = self.index.get((mm, bigger))
-                if idx is None:
-                    continue
-                s = row.get(idx, ZERO) + sign * c
-                if s:
-                    row[idx] = s
-                else:
-                    row.pop(idx, None)
-        return row
+            for mm, c in alg.multiply({mono: QQ(1)}, coeff).items():
+                image[(mm, bigger)] = sign * c
+        return image
 
-    def class_reps(self):
-        """Free-basis indices representing a deterministic slice basis."""
-        return tuple(min(rep) for rep in self.space.reps)
+    def class_keys(self):
+        """The free basis keys (mono, wedge) representing a deterministic
+        slice basis."""
+        return [self.free_basis[min(rep)] for rep in self.space.reps]
 
-    def coords(self, vec):
-        """Class coordinates over class_reps of a free-basis vector."""
-        return self.space.coords(vec)
+    def class_matrix(self, sources, image):
+        """Class coordinates of image(source), a dict over the free basis
+        keys, one column per source."""
+        free = SparseMatrix.from_images(len(self.free_basis), sources, image, self.index)
+        return self.space.matrix_of(free.columns())
 
 
 def omega_dims(algebra: GradedAlgebra, p: int, w) -> int:
@@ -148,30 +143,23 @@ def de_rham_matrix(forms: DifferentialForms, p: int, w) -> SparseMatrix:
     """d: Omega^p -> Omega^{p+1} on class coordinates at weight w."""
     alg = forms.algebra
     src = forms.slice(p, w)
-    dst = forms.slice(p + 1, w)
-    entries = {}
-    for col, ridx in enumerate(src.class_reps()):
-        mono, wedge = src.free_basis[ridx]
-        img = {}
+
+    def d(key):
+        # each generator i lands on its own wedge, so no two terms share a key
+        mono, wedge = key
+        image = {}
         for i, e in enumerate(mono):
             if not e or i in wedge:
                 continue
             lowered = list(mono)
             lowered[i] -= 1
             bigger = tuple(sorted((i,) + wedge))
-            sign = QQ(e) * (-1 if bigger.index(i) % 2 else 1)
+            sign = -e if bigger.index(i) % 2 else e
             for mm, c in alg.nf_mono(tuple(lowered)).items():
-                idx = dst.index.get((mm, bigger))
-                if idx is None:
-                    continue
-                s = img.get(idx, ZERO) + sign * c
-                if s:
-                    img[idx] = s
-                else:
-                    img.pop(idx, None)
-        for i, v in dst.coords(img).items():
-            entries[(i, col)] = v
-    return SparseMatrix(dst.dim, src.dim, entries)
+                image[(mm, bigger)] = sign * c
+        return image
+
+    return forms.slice(p + 1, w).class_matrix(src.class_keys(), d)
 
 
 def hkr_matrix(algebra: GradedAlgebra, n: int, w, ctx=None) -> SparseMatrix:
@@ -187,31 +175,19 @@ def hkr_matrix(algebra: GradedAlgebra, n: int, w, ctx=None) -> SparseMatrix:
     if ctx is None:
         ctx = SliceContext(algebra)
     w = algebra._coerce_weight(w)
-    forms = DifferentialForms(algebra)
-    src = forms.slice(n, w)
+    src = DifferentialForms(algebra).slice(n, w)
     index = ctx.index(n, w)
-    scale = QQ(1, factorial(n)) if n else QQ(1)
-    entries = {}
-    for col, ridx in enumerate(src.class_reps()):
-        mono, wedge = src.free_basis[ridx]
-        gens = [algebra.gen_poly(i) for i in wedge]
-        for perm in _perms(n):
-            entry_monos = []
-            for k in range(n):
-                poly = gens[perm[k]]
-                entry_monos.append(next(iter(poly)))
-            tensor = (mono, *entry_monos)
-            i = index.get(tensor)
-            if i is None:
-                continue
-            c = scale * _sign(perm)
-            key = (i, col)
-            s = entries.get(key, ZERO) + c
-            if s:
-                entries[key] = s
-            else:
-                entries.pop(key, None)
-    return SparseMatrix(len(index), src.dim, entries)
+    scale = QQ(1, factorial(n))
+
+    def antisymmetrize(key):
+        # the wedge's generators are distinct, so each permutation is its own tensor
+        mono, wedge = key
+        gens = [next(iter(algebra.gen_poly(i))) for i in wedge]
+        return {
+            (mono, *(gens[k] for k in perm)): scale * _sign(perm) for perm in _perms(n)
+        }
+
+    return SparseMatrix.from_images(len(index), src.class_keys(), antisymmetrize, index)
 
 
 def hkr_class_rank(algebra: GradedAlgebra, n: int, w, engine=None) -> int:
@@ -222,15 +198,7 @@ def hkr_class_rank(algebra: GradedAlgebra, n: int, w, engine=None) -> int:
         engine = HomologyEngine(algebra)
     w = algebra._coerce_weight(w)
     mat = hkr_matrix(algebra, n, w, engine.ctx)
-    space = engine.hh_space(n, w)
-    entries = {}
-    cols = {}
-    for (i, j), v in mat.items():
-        cols.setdefault(j, {})[i] = v
-    for j in range(mat.cols):
-        for i, v in space.coords(cols.get(j, {})).items():
-            entries[(i, j)] = v
-    return SparseMatrix(space.dim, mat.cols, entries).rank()
+    return engine.hh_space(n, w).matrix_of(mat.columns()).rank()
 
 
 def torsion_dims(hom: GradedHom, p: int, w) -> int:
@@ -245,31 +213,19 @@ def omega_hom_matrix(hom: GradedHom, p: int, w) -> SparseMatrix:
     w = A._coerce_weight(w)
     fa = DifferentialForms(A)
     fb = DifferentialForms(B)
-    src = fa.slice(p, w)
-    dst = fb.slice(p, w)
     # dg_i maps to sum_j (partial phi(g_i) / partial h_j) dh_j
-    gen_images = []
-    for i in range(A.ngens):
-        gen_images.append(fb.partials(hom.images[i]))
-    entries = {}
-    for col, ridx in enumerate(src.class_reps()):
-        mono, wedge = src.free_basis[ridx]
+    gen_images = [fb.partials(hom.images[i]) for i in range(A.ngens)]
+
+    def image(key):
+        mono, wedge = key
         head = hom.apply_mono(mono)
-        img = {}
+        out = {}
         for sign, hwedge, coeffpoly in _wedge_images(B, gen_images, wedge):
             scaled = B.multiply(head, coeffpoly)
-            for mm, c in scaled.items():
-                idx = dst.index.get((mm, hwedge))
-                if idx is None:
-                    continue
-                s = img.get(idx, ZERO) + sign * c
-                if s:
-                    img[idx] = s
-                else:
-                    img.pop(idx, None)
-        for i, v in dst.coords(img).items():
-            entries[(i, col)] = v
-    return SparseMatrix(dst.dim, src.dim, entries)
+            out = poly_add(out, {(mm, hwedge): sign * c for mm, c in scaled.items()})
+        return out
+
+    return fb.slice(p, w).class_matrix(fa.slice(p, w).class_keys(), image)
 
 
 def _wedge_images(codomain, gen_images, wedge):

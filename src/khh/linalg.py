@@ -13,6 +13,19 @@ change the row space.  QQ re-enters only at the edges: `items` yields QQ
 entries, `apply` returns QQ vectors, and kernel vectors, residuals and
 class coordinates come out as QQ.
 
+One builder turns a map given on basis elements into a matrix:
+`SparseMatrix.from_images(rows, sources, image, index)` writes column j
+from image(sources[j]), a dict of terms, at the rows index assigns them.
+Bar b and B, chain maps, the antisymmetrization, ideal slices and form
+relations use it directly; class maps (de Rham d, induced maps, the HKR
+and units class matrices) go through `QuotientSpace.matrix_of`, which is
+the same builder over class coordinates.  Lookups are strict: a term
+outside the target basis is a bug in the map, so it raises SanityError
+(exit 5) and is never dropped.  Int coefficients go straight into int
+rows, one dict lookup per term; the first non-int coefficient sends the
+whole matrix through the constructor, which brings QQ entries over a
+common denominator.
+
 There is one eliminator in the package, `Factor`, fraction-free in the style of Bareiss
 (every update is an exact cross-multiplication followed by a gcd strip),
 with two pivot rules.  Markowitz pivots keep fill-in low on the
@@ -59,7 +72,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .rationals import QQ
-from .errors import CompositionNonzeroError, NotSquareError, PreconditionError
+from .errors import CompositionNonzeroError, NotSquareError, PreconditionError, SanityError
 
 
 class SparseMatrix:
@@ -142,16 +155,31 @@ class SparseMatrix:
         return cls(rows, cols, entries)
 
     @classmethod
-    def from_columns(cls, rows, columns):
-        """columns: iterable of sparse dicts row->value."""
-        entries = {}
-        ncols = 0
-        for j, col in enumerate(columns):
-            ncols += 1
-            for i, v in col.items():
-                if v:
-                    entries[(i, j)] = v
-        return cls(rows, ncols, entries)
+    def from_images(cls, rows, sources, image, index):
+        """The rows x len(sources) matrix of a map given on basis elements.
+
+        Column j is image(sources[j]), a dict {key: nonzero coefficient},
+        written at the rows index[key]; pass range(rows) where the keys
+        already are rows (never negative, as range would wrap them).  A key outside index raises SanityError.  Int
+        coefficients go straight into int rows; any other coefficient sends
+        the entries through the constructor.
+        """
+        rowdata = [{} for _ in range(rows)]
+        integral = True
+        for j, source in enumerate(sources):
+            for key, c in image(source).items():
+                try:
+                    rowdata[index[key]][j] = c
+                except (KeyError, IndexError):
+                    raise SanityError(
+                        f"column {j}: image term {key!r} lies outside the target basis"
+                    ) from None
+                if type(c) is not int:
+                    integral = False
+        if integral:
+            return cls._of_rows(rows, len(sources), rowdata)
+        entries = (((i, j), c) for i, row in enumerate(rowdata) for j, c in row.items())
+        return cls(rows, len(sources), entries)
 
     @classmethod
     def from_blocks(cls, rows, cols, blocks):
@@ -199,6 +227,13 @@ class SparseMatrix:
         for i, row in enumerate(self._rowdata):
             for j, v in row.items():
                 yield (i, j), QQ(v) if den == 1 else QQ(v, den)
+
+    def columns(self):
+        """The columns as sparse vectors {row: QQ}."""
+        out = [{} for _ in range(self.cols)]
+        for (i, j), v in self.items():
+            out[j][i] = v
+        return out
 
     def nnz(self):
         return sum(len(row) for row in self._rowdata)
@@ -615,14 +650,13 @@ class QuotientSpace:
         ambient = self.ambient_dim
         return {c - ambient: QQ(-v, s) for c, v in reduced.items()}
 
+    def matrix_of(self, cycles) -> SparseMatrix:
+        """Class coordinates of a sequence of cycle vectors, one column each."""
+        return SparseMatrix.from_images(self.dim, cycles, self.coords, range(self.dim))
+
     def induced_matrix(self, op: SparseMatrix, target: "QuotientSpace") -> SparseMatrix:
         """Matrix on classes of an ambient chain map into `target`'s slice."""
-        entries = {}
-        for j, rep in enumerate(self.reps):
-            img = op.apply(rep)
-            for i, v in target.coords(img).items():
-                entries[(i, j)] = v
-        return SparseMatrix(target.dim, self.dim, entries)
+        return target.matrix_of([op.apply(rep) for rep in self.reps])
 
 
 def rank(matrix: SparseMatrix) -> int:

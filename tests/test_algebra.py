@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import algebra_of, small_algebras
+from conftest import _monomials, algebra_of, read_corpus_text, small_algebras
 from khh.rationals import QQ
 from khh.algebra import GradedHom, parse_algebra, parse_poly
 from khh.errors import (
@@ -259,3 +259,25 @@ def test_krull_dim_of_a_polynomial_extension(cusp, dualnum):
     # rank-2 weights: the count reads the leads alone
     assert cusp.with_polynomial_generator("t").krull_dim() == 2
     assert dualnum.with_polynomial_generator("t").krull_dim() == 1
+
+
+def _brute_force_basis(algebra, w):
+    """Every monomial of weight w that no lead divides, in basis order."""
+    leads = [algebra.lead(g) for g in algebra.reduced_relations()]
+    monos = _monomials([wt[0] for wt in algebra.weights], w)
+    standard = [m for m in monos if not any(all(a <= b for a, b in zip(l, m)) for l in leads)]
+    return tuple(sorted(standard, key=algebra.order_key))
+
+
+@given(small_algebras())
+def test_weight_basis_walk_equals_brute_force_filter(spec):
+    # the walk stops at the first prefix a lead divides; it must drop nothing
+    algebra = algebra_of(spec)
+    for w in range(13):
+        assert algebra.weight_basis(w) == _brute_force_basis(algebra, w), (spec, w)
+
+
+def test_fatplane_weight_basis_equals_brute_force_filter():
+    fatplane = parse_algebra(read_corpus_text("fatplane", "algebra.alg"))
+    for w in range(31):
+        assert fatplane.weight_basis(w) == _brute_force_basis(fatplane, w), w

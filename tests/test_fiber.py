@@ -4,6 +4,7 @@ import pytest
 
 from khh.rationals import QQ
 from khh.algebra import GradedHom, parse_algebra
+from khh import fiber
 from khh.fiber import (
     ResolutionSquare,
     nk0_crosscheck,
@@ -13,6 +14,7 @@ from khh.fiber import (
 from khh.kahler import torsion_dims
 from khh.errors import (
     OracleDisagreementError,
+    SanityError,
     SquareInvalidError,
     UnsupportedDimensionError,
 )
@@ -124,6 +126,39 @@ conductor x
     square = ResolutionSquare.parse(text)
     with pytest.raises(SquareInvalidError):
         square.validate(6)
+
+
+@pytest.mark.parametrize("call", [
+    lambda square: square.cdh_omega(1, 0, 20),
+    lambda square: square.tk(1, 18),
+    lambda square: square.tk_hodge(2, 17, 1),
+], ids=["cdh_omega", "tk", "tk_hodge"])
+def test_square_is_certified_up_to_the_weight_asked(monkeypatch, call):
+    # plant a conductor of infinite colength past the default probe (14): the
+    # finite-colength check sees it only if the square is certified at w
+    real = fiber.quotient_dim
+    monkeypatch.setattr(
+        fiber, "quotient_dim", lambda alg, gens, w: 1 if w[0] > 14 else real(alg, gens, w)
+    )
+    square = ResolutionSquare.parse(read_corpus_text("cusp", "square.sq"))
+    assert square.cdh_omega(1, 0, 14) == 1
+    with pytest.raises(SquareInvalidError, match="not finite"):
+        call(square)
+
+
+def test_chain_map_term_outside_the_branch_basis_is_fatal(monkeypatch):
+    # a map given on basis elements must land in the target basis: a stray
+    # term is an internal fault (exit 5), never silently dropped
+    square = ResolutionSquare.parse(read_corpus_text("cusp", "square.sq"))
+    square.validate(12)
+    real = GradedHom.apply_mono
+
+    def stray(hom, m):
+        return {**real(hom, m), (99,): QQ(1)}
+
+    monkeypatch.setattr(GradedHom, "apply_mono", stray)
+    with pytest.raises(SanityError, match="outside the target basis"):
+        square.chain_map_matrix(1, 5)
 
 
 def test_pic_cusp(cusp_square):

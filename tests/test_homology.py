@@ -226,7 +226,7 @@ def test_slice_memo(cusp, cusp_square, monkeypatch):
     def build(*args, **kwargs):
         raise AssertionError("rebuilt a memoized slice value")
 
-    monkeypatch.setattr(SliceContext, "_matrix", build)
+    monkeypatch.setattr(SparseMatrix, "from_images", build)
     monkeypatch.setattr(SparseMatrix, "rank", build)
     monkeypatch.setattr(SparseMatrix, "from_blocks", build)
     monkeypatch.setattr(homology, "QuotientSpace", build)
