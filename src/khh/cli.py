@@ -21,7 +21,7 @@ from .algebra import parse_algebra
 from .barcomplex import CONVENTIONS
 from .homology import HomologyEngine, verify_kunneth, verify_cusp_cycles
 from .fiber import ResolutionSquare, pic_conductor, nk0_crosscheck
-from .curve import parse_curve_file, cusp_bundle_tables, DivisorGroup
+from .curve import parse_curve_file, cusp_bundle_tables
 from .tables import DimensionTable, canonical_json, render
 from . import corpus as corpus_mod
 from .workpool import map_tasks, resolve_jobs
@@ -209,6 +209,7 @@ def cmd_tk(args):
 
 
 def cmd_pic(args):
+    _check_cutoffs(args, "poly_vars", "degree_cutoff", "max_weight")
     square = _read_square(args)
     report = pic_conductor(square, args.poly_vars, args.degree_cutoff,
                            args.max_weight)
@@ -239,7 +240,6 @@ def cmd_cdh_omega(args):
 
 def cmd_curve(args):
     curve, points = parse_curve_file(_read(args.curve))
-    div = DivisorGroup(curve)
     obj = {
         "discriminant": str(curve.discriminant),
         "points": [],
@@ -267,6 +267,7 @@ def cmd_cuspbundle(args):
             f"--convention {args.convention}: cuspbundle takes "
             f"{' or '.join(TWISTS)} only"
         )
+    _check_cutoffs(args, "m")
     curve, points = parse_curve_file(_read(args.curve))
     if len(points) < 2:
         raise PreconditionError("curve file must provide the points P and Q")

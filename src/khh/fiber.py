@@ -16,10 +16,15 @@ from the same checked layer as `khh hh`.  Only the fiber-level objects
 stack the branches: the cone differential and the class map (with the
 block-diagonal idempotents that act on its target).
 
-The same conductor data drives the units Mayer-Vietoris computations:
-Picard growth over polynomial extensions via unipotent units of the
-finite quotient rings, the seminormalization for monomial curves, and the
-NK_0 crosscheck pairing the two.
+The conductor is one layer of the square.  Its nonzero images in each
+branch are computed once, at construction, and `conductor_quotients(w)`
+memoizes the weight-w slices of A/c and of each B_k/cB_k as cokernels of
+the ideal slices.  One set of quotients serves the finite-colength window
+of `validate`, whose reruns as the certified bound grows cost only
+lookups, and the units Mayer-Vietoris computations: Picard growth over
+polynomial extensions via unipotent units of the finite quotient rings,
+the seminormalization for monomial curves, and the NK_0 crosscheck
+pairing the two.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .linalg import SparseMatrix, QuotientSpace, homology_dim
 from .errors import (
     OracleDisagreementError,
     ParseError,
+    PreconditionError,
     SquareInvalidError,
     UnsupportedDimensionError,
 )
@@ -47,6 +53,8 @@ from .algebra import (
 )
 from .homology import HomologyEngine
 from .kahler import DifferentialForms
+
+PROBE = 14  # the weight a square is certified to when no bound is asked
 
 
 def ideal_slice_matrix(algebra: GradedAlgebra, gens, w) -> SparseMatrix:
@@ -68,14 +76,6 @@ def ideal_slice_matrix(algebra: GradedAlgebra, gens, w) -> SparseMatrix:
     )
 
 
-def quotient_dim(algebra: GradedAlgebra, gens, w) -> int:
-    """dim of the weight-w slice of algebra/(gens)."""
-    if any(g and vec_total(algebra.poly_weight(g)) == 0 for g in gens):
-        return 0  # a unit generator kills everything
-    mat = ideal_slice_matrix(algebra, gens, w)
-    return mat.rows - mat.rank()
-
-
 def _block_diagonal(mats) -> SparseMatrix:
     """The matrices placed corner to corner along the diagonal."""
     blocks = []
@@ -94,10 +94,11 @@ class ResolutionSquare:
     that of each branch, one HomologyEngine apiece on the standard
     convention.  The square adds the chain maps, one per branch, and what
     stacks the branches: the cone differentials and the class maps.  Its
-    per-slice matrices are `slice_memo` entries of its one `_memo`.
+    per-slice matrices and conductor quotients are `slice_memo` entries of
+    its one `_memo`.
     """
 
-    def __init__(self, algebra, branches, conductor, probe: int = 14):
+    def __init__(self, algebra, branches, conductor):
         if not branches:
             raise SquareInvalidError("at least one normalization branch required")
         if not conductor:
@@ -105,9 +106,13 @@ class ResolutionSquare:
         self.algebra = algebra
         self.branches = tuple(branches)  # (GradedAlgebra, GradedHom) pairs
         self.conductor = tuple(algebra.nf(c) for c in conductor)
-        self.probe = probe
+        # the conductor's nonzero images, one tuple per branch
+        self.conductor_images = tuple(
+            tuple(img for img in map(hom.apply, self.conductor) if img)
+            for _, hom in self.branches
+        )
         self.kernel_nilpotent = False
-        self.center_is_exceptional = False
+        self.center_is_exceptional = len(self.branches) == 1
         self._validated_upto = -1
         self.engine_A = HomologyEngine(algebra)
         self.branch_engines = tuple(HomologyEngine(B) for B, _ in self.branches)
@@ -159,8 +164,16 @@ class ResolutionSquare:
     # -- validation -------------------------------------------------------
 
     def validate(self, w_cutoff: int | None = None):
-        """Certify the square up to the given scalar weight."""
-        bound = w_cutoff if w_cutoff is not None else self.probe
+        """Certify the square up to the given scalar weight (default PROBE).
+
+        The kernel and conductor checks resume above the last certified
+        weight.  Finite colength is certified on the trailing window of
+        `conductor_quotients`, so a rerun as the bound grows costs only
+        lookups for the weights an earlier window saw.
+        """
+        bound = w_cutoff if w_cutoff is not None else PROBE
+        if bound < 0:
+            raise PreconditionError(f"certification bound must be >= 0, got {bound}")
         if bound <= self._validated_upto:
             return self
         A = self.algebra
@@ -170,89 +183,83 @@ class ResolutionSquare:
         # found nilpotent stays so under the larger search bound
         start = self._validated_upto + 1
         # kernel per weight: injective, or nilpotent (thickening collapse)
-        kernel_nil = self.kernel_nilpotent
         for w in range(start, bound + 1):
-            mat = self._stacked_hom_matrix(w)
-            for vec in mat.kernel_basis():
-                basis = A.weight_basis((w,))
+            basis = A.weight_basis((w,))
+            for vec in self._stacked_hom_matrix(w).kernel_basis():
                 poly = {basis[i]: c for i, c in vec.items()}
                 if not A.nilpotent_upto(poly, 3 * bound + 6):
                     raise SquareInvalidError(
                         f"normalization map has a non-nilpotent kernel at weight {w}"
                     )
-                kernel_nil = True
-        self.kernel_nilpotent = kernel_nil
+                self.kernel_nilpotent = True
         # conductor is an ideal of the target contained in the image
-        for B, hom in self.branches:
-            for c in self.conductor:
-                img = hom.apply(c)
-                if not img:
-                    continue
+        for k, ((B, _), imgs) in enumerate(zip(self.branches, self.conductor_images)):
+            for img in imgs:
                 cw = vec_total(B.poly_weight(img))
                 for w in range(max(0, start - cw), bound - cw + 1):
                     nu_columns = self._stacked_hom_matrix(cw + w).column_echelon()
+                    index = self._stacked_index(cw + w)
                     for m in B.weight_basis((w,)):
                         prod = B.multiply(img, {m: QQ(1)})
-                        if not prod:
-                            continue
-                        vec = self._branch_vector(B, prod, cw + w)
-                        if not nu_columns.contains(vec):
+                        vec = {index[(k, t)]: c for t, c in prod.items()}
+                        if vec and not nu_columns.contains(vec):
                             raise SquareInvalidError(
                                 f"conductor element escapes the image at weight {cw + w}"
                             )
         # finite colength on both sides, certified on a trailing window
         maxgw = max(
-            [vec_total(wt) for wt in A.weights]
-            + [
-                vec_total(wt)
-                for B, _ in self.branches
-                for wt in B.weights
-            ]
-            or [1]
+            (vec_total(wt) for alg in (A, *(B for B, _ in self.branches)) for wt in alg.weights),
+            default=1,
         )
-        window = range(max(1, bound - maxgw), bound + 1)
-        for w in window:
-            if quotient_dim(A, self.conductor, (w,)) != 0:
+        for w in range(max(1, bound - maxgw), bound + 1):
+            quot_A, *quot_B = self.conductor_quotients(w)
+            if quot_A.dim != 0:
                 raise SquareInvalidError(
                     f"A/conductor not finite: nonzero in weight {w}"
                 )
-            for B, hom in self.branches:
-                imgs = [hom.apply(c) for c in self.conductor]
-                if quotient_dim(B, [i for i in imgs if i], (w,)) != 0:
-                    raise SquareInvalidError(
-                        f"target/conductor not finite: nonzero in weight {w}"
-                    )
-        self.center_is_exceptional = len(self.branches) == 1
+            if any(q.dim != 0 for q in quot_B):
+                raise SquareInvalidError(
+                    f"target/conductor not finite: nonzero in weight {w}"
+                )
         self._validated_upto = bound
         return self
 
     def _validate_at(self, w):
-        """Certify the square up to weight w, and at least up to `probe`."""
-        self.validate(max(self.probe, vec_total(self.algebra._coerce_weight(w))))
+        """Certify the square up to weight w, and at least up to PROBE."""
+        self.validate(max(PROBE, vec_total(self.algebra._coerce_weight(w))))
 
-    def _branch_vector(self, B, poly, w):
-        """Coordinates of a branch element inside the stacked target slice."""
-        offset = 0
-        out = {}
-        for Bi, _ in self.branches:
-            basis = Bi.weight_basis((w,))
-            if Bi is B:
-                index = {m: i for i, m in enumerate(basis)}
-                for m, c in poly.items():
-                    out[offset + index[m]] = c
-            offset += len(basis)
-        return out
+    @slice_memo
+    def conductor_quotients(self, w) -> tuple:
+        """(A/c)_w, then each (B_k/cB_k)_w, as cokernels of the ideal slices."""
+        sides = [(self.algebra, self.conductor)]
+        sides += [(B, imgs) for (B, _), imgs in zip(self.branches, self.conductor_images)]
+        quotients = []
+        for alg, gens in sides:
+            mat = ideal_slice_matrix(alg, gens, w)
+            quotients.append(QuotientSpace(mat, SparseMatrix.zero(0, mat.rows)))
+        return tuple(quotients)
+
+    @slice_memo
+    def _stacked_index(self, w) -> dict:
+        """Row of each (branch k, monomial) in the stacked weight-w target slice."""
+        index = {}
+        for k, (B, _) in enumerate(self.branches):
+            for m in B.weight_basis(w):
+                index[(k, m)] = len(index)
+        return index
 
     @slice_memo
     def _stacked_hom_matrix(self, w) -> SparseMatrix:
         """nu on the weight-w algebra slices, stacked over branches."""
-        blocks = []
-        total_rows = 0
-        for _, hom in self.branches:
-            mat = hom.matrix_on_weight(w)
-            blocks.append((total_rows, 0, mat))
-            total_rows += mat.rows
-        return SparseMatrix.from_blocks(total_rows, len(self.algebra.weight_basis(w)), blocks)
+        def image(m):
+            return {
+                (k, t): c
+                for k, (_, hom) in enumerate(self.branches)
+                for t, c in hom.apply_mono(m).items()
+            }
+
+        index = self._stacked_index(w)
+        return SparseMatrix.from_images(len(index), self.algebra.weight_basis(w), image, index)
 
     # -- chain-level machinery ---------------------------------------------
 
@@ -450,7 +457,6 @@ class PicReport:
     unipotent_rank: int  # N = dim coker on nilpotent units
     per_degree: dict = field(default_factory=dict)  # s-degree -> dim
     torus_rank: int = 0
-    weight_probe: int = 0
 
 
 def pic_conductor(square: ResolutionSquare, poly_vars: int,
@@ -463,40 +469,25 @@ def pic_conductor(square: ResolutionSquare, poly_vars: int,
     is exact linear algebra on conductor quotients.
     """
     square.validate(weight_probe)
-    A = square.algebra
-    probe = weight_probe if weight_probe is not None else square.probe
+    probe = weight_probe if weight_probe is not None else PROBE
     n_total = 0
     for w in range(1, probe + 1):
-        n_til = 0
-        quots = []
-        for B, hom in square.branches:
-            imgs = [hom.apply(c) for c in square.conductor]
-            imgs = [i for i in imgs if i]
-            mat = ideal_slice_matrix(B, imgs, (w,))
-            quots.append(QuotientSpace(mat, SparseMatrix.zero(0, mat.rows)))
-            n_til += quots[-1].dim
+        quot_A, *quot_B = square.conductor_quotients(w)
+        n_til = sum(q.dim for q in quot_B)
         if n_til == 0:
             continue
         # image of nil(A/c): map A_w through nu, read classes branchwise
-        amat = ideal_slice_matrix(A, square.conductor, (w,))
-        asp = QuotientSpace(amat, SparseMatrix.zero(0, amat.rows))
         blocks = []
         roff = 0
-        for (_, hom), qs in zip(square.branches, quots):
-            blocks.append((roff, 0, asp.induced_matrix(hom.matrix_on_weight((w,)), qs)))
+        for (_, hom), qs in zip(square.branches, quot_B):
+            blocks.append((roff, 0, quot_A.induced_matrix(hom.matrix_on_weight((w,)), qs)))
             roff += qs.dim
-        rank = SparseMatrix.from_blocks(n_til, asp.dim, blocks).rank()
+        rank = SparseMatrix.from_blocks(n_til, quot_A.dim, blocks).rank()
         n_total += n_til - rank
-    report = PicReport(A.name, poly_vars, degree_cutoff, n_total,
-                       weight_probe=probe)
+    report = PicReport(square.algebra.name, poly_vars, degree_cutoff, n_total)
     for j in range(degree_cutoff + 1):
-        if j == 0:
-            report.per_degree[0] = n_total
-        else:
-            if poly_vars == 0:
-                report.per_degree[j] = 0
-            else:
-                report.per_degree[j] = n_total * comb(j + poly_vars - 1, poly_vars - 1)
+        # monomials of degree j in poly_vars variables
+        report.per_degree[j] = n_total * (comb(j + poly_vars - 1, j) if poly_vars else j == 0)
     return report
 
 
@@ -520,14 +511,12 @@ def seminormalization(square: ResolutionSquare, weight_probe: int | None = None)
     """
     square.validate(weight_probe)
     A = square.algebra
-    probe = weight_probe if weight_probe is not None else square.probe
+    probe = weight_probe if weight_probe is not None else PROBE
     if any(A.nilpotent_upto(A.gen_poly(i), 3 * probe) for i in range(A.ngens)):
         return Seminormalization("UNSUPPORTED", note="not reduced")
-    nil_til = 0
-    for w in range(1, probe + 1):
-        for B, hom in square.branches:
-            imgs = [hom.apply(c) for c in square.conductor]
-            nil_til += quotient_dim(B, [i for i in imgs if i], (w,))
+    nil_til = sum(
+        q.dim for w in range(1, probe + 1) for q in square.conductor_quotients(w)[1:]
+    )
     if nil_til == 0:
         return Seminormalization("ALREADY_SEMINORMAL",
                                  note="conductor is radical in the target")
@@ -549,19 +538,12 @@ def seminormalization(square: ResolutionSquare, weight_probe: int | None = None)
             return Seminormalization("UNSUPPORTED", note="non-monomial curve")
         exps.append(mono[0])
     bound = probe // tau + 1
-    members = set()
-    for e in exps:
-        members.add(e)
-    # semigroup closure of the generators up to the bound
-    changed = True
+    # the semigroup the exponents generate, up to 3 * bound: one ascending
+    # sieve, since every exponent is positive
     semigroup = {0}
-    while changed:
-        changed = False
-        for e in exps:
-            for s in list(semigroup):
-                if s + e <= 3 * bound and s + e not in semigroup:
-                    semigroup.add(s + e)
-                    changed = True
+    for s in range(1, 3 * bound + 1):
+        if any(s - e in semigroup for e in exps):
+            semigroup.add(s)
     closure = set(semigroup)
     changed = True
     while changed:

@@ -84,9 +84,16 @@ def test_missing_or_non_directory_corpus_exits_3(tmp_path, capsys, verb):
         assert "is not a directory" in capsys.readouterr().err
 
 
-def test_exit_code_cutoff_inconsistency():
-    proc = run_cli("hh", "--algebra", corpus_file("cusp", "algebra.alg"),
-                   "--n", "1", "--max-weight", "-3")
+@pytest.mark.parametrize("argv", [
+    ("hh", "--algebra", corpus_file("cusp", "algebra.alg"), "--n", "1", "--max-weight", "-3"),
+    ("pic", "--square", corpus_file("cusp", "square.sq"), "--poly-vars", "-1"),
+    ("pic", "--square", corpus_file("cusp", "square.sq"), "--max-weight", "-1"),
+    ("pic", "--square", corpus_file("cusp", "square.sq"), "--degree-cutoff", "-2"),
+    ("cuspbundle", "--curve", corpus_file("curve32a", "curve.crv"), "--m", "-1"),
+], ids=["hh-max-weight", "pic-poly-vars", "pic-max-weight", "pic-degree-cutoff",
+        "cuspbundle-m"])
+def test_exit_code_cutoff_inconsistency(argv):
+    proc = run_cli(*argv)
     assert proc.returncode == 3
 
 

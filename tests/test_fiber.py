@@ -1,9 +1,12 @@
 """Resolution squares: fibers, typical pieces, Picard and NK_0 machinery."""
 
+from collections import Counter
+
 import pytest
 
 from khh.rationals import QQ
 from khh.algebra import GradedHom, parse_algebra
+from khh.linalg import QuotientSpace, SparseMatrix
 from khh import fiber
 from khh.fiber import (
     ResolutionSquare,
@@ -136,14 +139,47 @@ conductor x
 def test_square_is_certified_up_to_the_weight_asked(monkeypatch, call):
     # plant a conductor of infinite colength past the default probe (14): the
     # finite-colength check sees it only if the square is certified at w
-    real = fiber.quotient_dim
-    monkeypatch.setattr(
-        fiber, "quotient_dim", lambda alg, gens, w: 1 if w[0] > 14 else real(alg, gens, w)
-    )
+    real = ResolutionSquare.conductor_quotients
+    point = QuotientSpace(SparseMatrix.zero(1, 0), SparseMatrix.zero(0, 1))
+
+    def planted(square, w):
+        quotients = real(square, w)
+        return (point, *quotients[1:]) if square.algebra._coerce_weight(w)[0] > 14 else quotients
+
+    monkeypatch.setattr(ResolutionSquare, "conductor_quotients", planted)
     square = ResolutionSquare.parse(read_corpus_text("cusp", "square.sq"))
     assert square.cdh_omega(1, 0, 14) == 1
     with pytest.raises(SquareInvalidError, match="not finite"):
         call(square)
+
+
+def _count_ideal_slices(monkeypatch):
+    """Count the ideal slices built, per (algebra, weight)."""
+    built = Counter()
+    real = fiber.ideal_slice_matrix
+
+    def spy(algebra, gens, w):
+        built[algebra.name, algebra._coerce_weight(w)] += 1
+        return real(algebra, gens, w)
+
+    monkeypatch.setattr(fiber, "ideal_slice_matrix", spy)
+    return built
+
+
+def test_conductor_slices_are_built_once(monkeypatch):
+    # stepping the certified bound up reruns the colength window on lookups
+    built = _count_ideal_slices(monkeypatch)
+    fatplane = ResolutionSquare.parse(read_corpus_text("fatplane", "square.sq"))
+    for w in range(41):
+        fatplane.cdh_omega(1, 0, w)
+    assert built and max(built.values()) == 1
+    # Picard growth, seminormalization and the crosscheck share the quotients
+    built.clear()
+    cusp = ResolutionSquare.parse(read_corpus_text("cusp", "square.sq"))
+    pic_conductor(cusp, 1, 6, 12)
+    seminormalization(cusp, 12)
+    nk0_crosscheck(cusp, 6, 12)
+    assert built and max(built.values()) == 1
 
 
 def test_chain_map_term_outside_the_branch_basis_is_fatal(monkeypatch):

@@ -1,10 +1,14 @@
 """Slice homology: HH, HC, Hodge splitting, SBI exactness."""
 
+import importlib
+import pkgutil
+
 import pytest
 from hypothesis import example, given, settings
 
+import khh
 from khh import cli, hodge, homology
-from khh.algebra import GradedAlgebra, parse_algebra
+from khh.algebra import GradedAlgebra, parse_algebra, slice_memo
 from khh.barcomplex import SliceContext, chain_str
 from khh.corpus import default_corpus_dir
 from khh.errors import CompositionNonzeroError, OracleDisagreementError, PreconditionError
@@ -250,12 +254,26 @@ def test_slice_memo(cusp, cusp_square, monkeypatch):
         (engine, "hc_space", (1, -1)), (engine, "_rank", ("bar", 1, -1)),
         (engine, "hodge_class_matrix", (1, -1, 1)),
         (cusp_square, "chain_map_matrix", (1, -1)), (cusp_square, "cone_matrix", (1, -1)),
-        (cusp_square, "_stacked_hom_matrix", (-1,)),
+        (ctx, "_cyclic", (1, -1)),
+        (cusp_square, "_stacked_hom_matrix", (-1,)), (cusp_square, "_stacked_index", (-1,)),
+        (cusp_square, "conductor_quotients", (-1,)),
         (DifferentialForms(cusp), "slice", (1, -1)),
     ]
     for obj, name, args in entry_points:
         with pytest.raises(PreconditionError):
             getattr(obj, name)(*args)
+    # ... and the list names every slice_memo method in khh
+    memo_code = slice_memo(lambda self, w: None).__code__
+    memoized = {
+        (cls.__name__, name)
+        for info in pkgutil.iter_modules(khh.__path__)
+        for module in [importlib.import_module(f"khh.{info.name}")]
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__
+        for name, attr in vars(cls).items()
+        if hasattr(attr, "__wrapped__") and getattr(attr, "__code__", None) is memo_code
+    }
+    assert memoized <= {(type(obj).__name__, name) for obj, name, _ in entry_points}
 
 
 def test_dual_numbers_hh_growth(dualnum):
