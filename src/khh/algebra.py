@@ -98,11 +98,10 @@ class GradedAlgebra:
     only the normal-form and weight-basis caches grow afterwards.
     """
 
-    def __init__(self, name, gens, weights, relations, _rank=None):
+    def __init__(self, name, gens, weights, relations):
         self.name = name
         self.gens = tuple(gens)
-        rank = _rank if _rank is not None else (len(weights[0]) if weights else 1)
-        self.weight_rank = rank
+        self.weight_rank = rank = len(weights[0]) if weights else 1
         self.weights = tuple(tuple(w) for w in weights)
         for g, w in zip(self.gens, self.weights):
             if len(w) != rank:
@@ -455,9 +454,7 @@ class GradedAlgebra:
         weights = [w + (0,) for w in self.weights]
         weights.append((0,) * self.weight_rank + (1,))
         rels = [{m + (0,): c for m, c in rel.items()} for rel in self.relations]
-        return GradedAlgebra(
-            f"{self.name}[{name}]", gens, weights, rels, _rank=self.weight_rank + 1
-        )
+        return GradedAlgebra(f"{self.name}[{name}]", gens, weights, rels)
 
     # -- formatting --------------------------------------------------------
 
@@ -555,16 +552,6 @@ class GradedHom:
         for m, c in p.items():
             out = poly_add(out, poly_scale(c, self.apply_mono(m)))
         return self.codomain.nf(out)
-
-    def matrix_on_weight(self, w):
-        """Sparse matrix of the map on weight-w monomial bases."""
-        from .linalg import SparseMatrix
-
-        cod = self.codomain.weight_basis(w)
-        index = {m: i for i, m in enumerate(cod)}
-        return SparseMatrix.from_images(
-            len(cod), self.domain.weight_basis(w), self.apply_mono, index
-        )
 
     @classmethod
     def identity(cls, algebra: GradedAlgebra):

@@ -300,18 +300,15 @@ def cmd_cuspbundle(args):
             findings="; ".join(tabs.findings) if tabs.findings else "none",
         ),
     )
-    for row in tabs.twist_table:
-        sign = 1 if row["convention"] == "plus" else -1
-        twist.set((sign, row["j"], 0), row["h0"])
-        twist.set((sign, row["j"], 1), row["h1"])
     dual = DimensionTable(
         "square-zero analogue: twisted cohomology cells", ("sign", "j", "p"),
         metadata=_common_meta(args),
     )
-    for row in tabs.dualnum_table:
+    for row in tabs.twist_table:
         sign = 1 if row["convention"] == "plus" else -1
-        dual.set((sign, row["j"], 0), row["p0"])
-        dual.set((sign, row["j"], 1), row["p1"])
+        for table in (twist, dual):
+            table.set((sign, row["j"], 0), row["h0"])
+            table.set((sign, row["j"], 1), row["h1"])
     _emit(args, [reg, twist, dual])
     return 0
 

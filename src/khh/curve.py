@@ -273,7 +273,6 @@ class CuspBundleTables:
     twist_table: list = field(default_factory=list)
     k0_dims: dict = field(default_factory=dict)
     km1_dims: dict = field(default_factory=dict)
-    dualnum_table: list = field(default_factory=list)
     findings: list = field(default_factory=list)
 
 
@@ -292,7 +291,8 @@ def cusp_bundle_tables(
     (b) the ample-twist line bundle: summands J (x) L^{+-j} under both
         twist-sign conventions, assembled into the degree-0 and degree-(-1)
         relative K-dimensions (H^0 feeds K_0, H^1 feeds K_{-1});
-    (c) the square-zero analogue: raw h^p(J (x) L^{+-j}) cells.
+    (c) the square-zero analogue: the raw h^p(J (x) L^{+-j}) cells, which
+        are the rows of (b)'s twist_table.
     """
     if j_cutoff < 1:
         raise PreconditionError("j_cutoff >= 1 required")
@@ -336,9 +336,6 @@ def cusp_bundle_tables(
             h0, h1 = div.rr_dims(D)
             tables.twist_table.append(
                 {"convention": sign_name, "j": j, "h0": h0, "h1": h1}
-            )
-            tables.dualnum_table.append(
-                {"convention": sign_name, "j": j, "p0": h0, "p1": h1}
             )
             k0 += h0
             km1 += h1

@@ -12,17 +12,23 @@ reduced subscheme.
 
 The algebra and each branch get their own HomologyEngine, so every HH
 dimension, quotient space and induced Hodge idempotent of the fiber comes
-from the same checked layer as `khh hh`.  Only the fiber-level objects
-stack the branches: the cone differential and the class map (with the
-block-diagonal idempotents that act on its target).
+from the same checked layer as `khh hh`.  Only the square stacks the
+branches, always in branch order on the slots of `linalg`'s block layout:
+the cone differential, the class map with its block-diagonal idempotents,
+nu on A_w (`_stacked_hom_matrix`, rows keyed by `_stacked_index`), and the
+conductor.
 
-The conductor is one layer of the square.  Its nonzero images in each
-branch are computed once, at construction, and `conductor_quotients(w)`
-memoizes the weight-w slices of A/c and of each B_k/cB_k as cokernels of
-the ideal slices.  One set of quotients serves the finite-colength window
-of `validate`, whose reruns as the certified bound grows cost only
-lookups, and the units Mayer-Vietoris computations: Picard growth over
-polynomial extensions via unipotent units of the finite quotient rings,
+The conductor is one layer of the square with one stacked target.  Its
+nonzero images in each branch are computed once, at construction.
+`_conductor_slices(w)` memoizes c_w in A and cB_w, the block diagonal of
+the branches' ideal slices on the stacked target, and
+`conductor_quotients(w)` their cokernels (A/c)_w and (B/cB)_w.  `validate`
+certifies a square up to the weight asked, and always up to at least
+PROBE: there cB_w must lie in the image of nu, and both quotients must
+vanish on a trailing window of weights, which makes them vanish above it.
+The units Mayer-Vietoris computations sum over the certified weights:
+Picard growth over polynomial extensions via unipotent units of the
+finite quotient rings (one induced map of nu into (B/cB)_w per weight),
 the seminormalization for monomial curves, and the NK_0 crosscheck
 pairing the two.
 """
@@ -38,7 +44,6 @@ from .linalg import SparseMatrix, QuotientSpace, homology_dim
 from .errors import (
     OracleDisagreementError,
     ParseError,
-    PreconditionError,
     SquareInvalidError,
     UnsupportedDimensionError,
 )
@@ -78,13 +83,9 @@ def ideal_slice_matrix(algebra: GradedAlgebra, gens, w) -> SparseMatrix:
 
 def _block_diagonal(mats) -> SparseMatrix:
     """The matrices placed corner to corner along the diagonal."""
-    blocks = []
-    rows = cols = 0
-    for mat in mats:
-        blocks.append((rows, cols, mat))
-        rows += mat.rows
-        cols += mat.cols
-    return SparseMatrix.from_blocks(rows, cols, blocks)
+    return SparseMatrix.from_blocks(
+        [m.rows for m in mats], [m.cols for m in mats], [(k, k, m) for k, m in enumerate(mats)]
+    )
 
 
 class ResolutionSquare:
@@ -163,27 +164,26 @@ class ResolutionSquare:
 
     # -- validation -------------------------------------------------------
 
-    def validate(self, w_cutoff: int | None = None):
-        """Certify the square up to the given scalar weight (default PROBE).
+    def validate(self, w=None):
+        """Certify the square up to weight w, and at least up to PROBE.
 
-        The kernel and conductor checks resume above the last certified
-        weight.  Finite colength is certified on the trailing window of
-        `conductor_quotients`, so a rerun as the bound grows costs only
-        lookups for the weights an earlier window saw.
+        The checks resume above the last certified weight.  Finite colength
+        is certified on the trailing window of `conductor_quotients`: both
+        quotients are generated in weights up to the largest generator
+        weight maxgw, so vanishing on maxgw + 1 consecutive weights is
+        vanishing at every weight above them.
         """
-        bound = w_cutoff if w_cutoff is not None else PROBE
-        if bound < 0:
-            raise PreconditionError(f"certification bound must be >= 0, got {bound}")
-        if bound <= self._validated_upto:
-            return self
         A = self.algebra
         if A.weight_rank != 1:
             raise SquareInvalidError("squares are for rank-1 graded algebras")
+        bound = PROBE if w is None else max(PROBE, vec_total(A._coerce_weight(w)))
+        if bound <= self._validated_upto:
+            return self
         # weights an earlier call certified stay certified: a kernel vector
         # found nilpotent stays so under the larger search bound
-        start = self._validated_upto + 1
+        weights = range(self._validated_upto + 1, bound + 1)
         # kernel per weight: injective, or nilpotent (thickening collapse)
-        for w in range(start, bound + 1):
+        for w in weights:
             basis = A.weight_basis((w,))
             for vec in self._stacked_hom_matrix(w).kernel_basis():
                 poly = {basis[i]: c for i, c in vec.items()}
@@ -193,51 +193,39 @@ class ResolutionSquare:
                     )
                 self.kernel_nilpotent = True
         # conductor is an ideal of the target contained in the image
-        for k, ((B, _), imgs) in enumerate(zip(self.branches, self.conductor_images)):
-            for img in imgs:
-                cw = vec_total(B.poly_weight(img))
-                for w in range(max(0, start - cw), bound - cw + 1):
-                    nu_columns = self._stacked_hom_matrix(cw + w).column_echelon()
-                    index = self._stacked_index(cw + w)
-                    for m in B.weight_basis((w,)):
-                        prod = B.multiply(img, {m: QQ(1)})
-                        vec = {index[(k, t)]: c for t, c in prod.items()}
-                        if vec and not nu_columns.contains(vec):
-                            raise SquareInvalidError(
-                                f"conductor element escapes the image at weight {cw + w}"
-                            )
+        for w in weights:
+            nu_columns = self._stacked_hom_matrix(w).column_echelon()
+            if not all(map(nu_columns.contains, self._conductor_slices(w)[1].columns())):
+                raise SquareInvalidError(f"conductor element escapes the image at weight {w}")
         # finite colength on both sides, certified on a trailing window
         maxgw = max(
             (vec_total(wt) for alg in (A, *(B for B, _ in self.branches)) for wt in alg.weights),
             default=1,
         )
         for w in range(max(1, bound - maxgw), bound + 1):
-            quot_A, *quot_B = self.conductor_quotients(w)
-            if quot_A.dim != 0:
-                raise SquareInvalidError(
-                    f"A/conductor not finite: nonzero in weight {w}"
-                )
-            if any(q.dim != 0 for q in quot_B):
-                raise SquareInvalidError(
-                    f"target/conductor not finite: nonzero in weight {w}"
-                )
+            for side, quot in zip(("A", "target"), self.conductor_quotients(w)):
+                if quot.dim != 0:
+                    raise SquareInvalidError(
+                        f"{side}/conductor not finite: nonzero in weight {w}"
+                    )
         self._validated_upto = bound
         return self
 
-    def _validate_at(self, w):
-        """Certify the square up to weight w, and at least up to PROBE."""
-        self.validate(max(PROBE, vec_total(self.algebra._coerce_weight(w))))
+    @slice_memo
+    def _conductor_slices(self, w) -> tuple:
+        """c_w in A, then cB_w on the stacked target (rows as `_stacked_index`)."""
+        branch_slices = [
+            ideal_slice_matrix(B, imgs, w)
+            for (B, _), imgs in zip(self.branches, self.conductor_images)
+        ]
+        return ideal_slice_matrix(self.algebra, self.conductor, w), _block_diagonal(branch_slices)
 
     @slice_memo
     def conductor_quotients(self, w) -> tuple:
-        """(A/c)_w, then each (B_k/cB_k)_w, as cokernels of the ideal slices."""
-        sides = [(self.algebra, self.conductor)]
-        sides += [(B, imgs) for (B, _), imgs in zip(self.branches, self.conductor_images)]
-        quotients = []
-        for alg, gens in sides:
-            mat = ideal_slice_matrix(alg, gens, w)
-            quotients.append(QuotientSpace(mat, SparseMatrix.zero(0, mat.rows)))
-        return tuple(quotients)
+        """(A/c)_w and (B/cB)_w, the latter on the stacked target."""
+        return tuple(
+            QuotientSpace(mat, SparseMatrix.zero(0, mat.rows)) for mat in self._conductor_slices(w)
+        )
 
     @slice_memo
     def _stacked_index(self, w) -> dict:
@@ -304,19 +292,16 @@ class ResolutionSquare:
         each branch's C_{q+1}.  Branch k contributes its chain map and -b.
         """
         ctx_A = self.engine_A.ctx
-        blocks = []
-        if q >= 1:
-            blocks.append((0, 0, ctx_A.b_matrix(q, w)))
-        maps = self.chain_map_matrix(q, w) if q >= 0 else ()
-        roff = ctx_A.dim(q - 1, w)
-        coff = ctx_A.dim(q, w)
-        for k, engine in enumerate(self.branch_engines):
-            if q >= 0:
-                blocks.append((roff, 0, maps[k]))
-                blocks.append((roff, coff, engine.ctx.b_matrix(q + 1, w).scale(-1)))
-            roff += engine.ctx.dim(q, w)
-            coff += engine.ctx.dim(q + 1, w)
-        return SparseMatrix.from_blocks(roff, coff, blocks)
+        ctxs = [engine.ctx for engine in self.branch_engines]
+        blocks = [(0, 0, ctx_A.b_matrix(q, w))] if q >= 1 else []
+        if q >= 0:
+            for k, (chain_map, ctx) in enumerate(zip(self.chain_map_matrix(q, w), ctxs), 1):
+                blocks += [(k, 0, chain_map), (k, k, ctx.b_matrix(q + 1, w).scale(-1))]
+        return SparseMatrix.from_blocks(
+            [ctx_A.dim(q - 1, w), *(ctx.dim(q, w) for ctx in ctxs)],
+            [ctx_A.dim(q, w), *(ctx.dim(q + 1, w) for ctx in ctxs)],
+            blocks,
+        )
 
     # -- homology-level maps ----------------------------------------------
 
@@ -325,13 +310,12 @@ class ResolutionSquare:
         if n < 0:
             return SparseMatrix.zero(0, 0)
         source = self.engine_A.hh_space(n, w)
-        blocks = []
-        roff = 0
-        for engine, chain_map in zip(self.branch_engines, self.chain_map_matrix(n, w)):
-            block = source.induced_matrix(chain_map, engine.hh_space(n, w))
-            blocks.append((roff, 0, block))
-            roff += block.rows
-        return SparseMatrix.from_blocks(roff, source.dim, blocks)
+        targets = [engine.hh_space(n, w) for engine in self.branch_engines]
+        blocks = [
+            (k, 0, source.induced_matrix(chain_map, target))
+            for k, (chain_map, target) in enumerate(zip(self.chain_map_matrix(n, w), targets))
+        ]
+        return SparseMatrix.from_blocks([t.dim for t in targets], [source.dim], blocks)
 
     def _target_hh(self, n: int, w) -> int:
         """dim of HH_n of the branches together; 0 for n < 0."""
@@ -341,7 +325,7 @@ class ResolutionSquare:
 
     def fiber_dims(self, m: int, w) -> int:
         """dim H^m(F) at weight w; cohomological H^{-q} is homological q."""
-        self._validate_at(w)
+        self.validate(w)
         q = -m
         cone = homology_dim(self.cone_matrix(q + 1, w), self.cone_matrix(q, w))
         # long exact sequence bookkeeping, computed independently
@@ -381,7 +365,7 @@ class ResolutionSquare:
 
     def tk_hodge(self, n: int, w, i: int) -> int:
         """H^{1-n} of the (i-1)-st Hodge piece of the fiber."""
-        self._validate_at(w)
+        self.validate(w)
         p = i - 1
         dA1, dB1, r1 = self._piece_data(n - 1, w, p)
         dA0, dB0, r0 = self._piece_data(n, w, p)
@@ -413,7 +397,7 @@ class ResolutionSquare:
 
     def cdh_omega(self, p: int, q: int, w) -> int:
         """H^q_cdh of Omega^p at weight w for one-point squares (q in {0, 1})."""
-        self._validate_at(w)
+        self.validate(w)
         if q not in (0, 1):
             raise UnsupportedDimensionError(
                 f"cdh cohomology of forms implemented for q in {{0,1}}, got {q}"
@@ -468,22 +452,14 @@ def pic_conductor(square: ResolutionSquare, poly_vars: int,
     part with the positive-weight slice of the quotient, so the cokernel
     is exact linear algebra on conductor quotients.
     """
-    square.validate(weight_probe)
-    probe = weight_probe if weight_probe is not None else PROBE
+    probe = square.validate(weight_probe)._validated_upto
     n_total = 0
     for w in range(1, probe + 1):
-        quot_A, *quot_B = square.conductor_quotients(w)
-        n_til = sum(q.dim for q in quot_B)
-        if n_til == 0:
-            continue
-        # image of nil(A/c): map A_w through nu, read classes branchwise
-        blocks = []
-        roff = 0
-        for (_, hom), qs in zip(square.branches, quot_B):
-            blocks.append((roff, 0, quot_A.induced_matrix(hom.matrix_on_weight((w,)), qs)))
-            roff += qs.dim
-        rank = SparseMatrix.from_blocks(n_til, quot_A.dim, blocks).rank()
-        n_total += n_til - rank
+        quot_A, quot_B = square.conductor_quotients(w)
+        if quot_B.dim:
+            # image of nil(A/c): map A_w through nu into the stacked (B/cB)_w
+            image = quot_A.induced_matrix(square._stacked_hom_matrix(w), quot_B)
+            n_total += quot_B.dim - image.rank()
     report = PicReport(square.algebra.name, poly_vars, degree_cutoff, n_total)
     for j in range(degree_cutoff + 1):
         # monomials of degree j in poly_vars variables
@@ -509,14 +485,11 @@ def seminormalization(square: ResolutionSquare, weight_probe: int | None = None)
     is seminormal and A^+ = A.  Otherwise, for a monomial curve, close the
     value semigroup under m with 2m, 3m already present.
     """
-    square.validate(weight_probe)
+    probe = square.validate(weight_probe)._validated_upto
     A = square.algebra
-    probe = weight_probe if weight_probe is not None else PROBE
     if any(A.nilpotent_upto(A.gen_poly(i), 3 * probe) for i in range(A.ngens)):
         return Seminormalization("UNSUPPORTED", note="not reduced")
-    nil_til = sum(
-        q.dim for w in range(1, probe + 1) for q in square.conductor_quotients(w)[1:]
-    )
+    nil_til = sum(square.conductor_quotients(w)[1].dim for w in range(1, probe + 1))
     if nil_til == 0:
         return Seminormalization("ALREADY_SEMINORMAL",
                                  note="conductor is radical in the target")

@@ -108,24 +108,17 @@ class HomologyEngine:
     def total_matrix(self, m: int, w) -> SparseMatrix:
         """D_m : T_m -> T_{m-1} of the (b, B) total complex."""
         src_degs = self.total_blocks(m)
-        dst_degs = self.total_blocks(m - 1)
-        src_off, pos = [], 0
-        for d in src_degs:
-            src_off.append(pos)
-            pos += self.ctx.dim(d, w)
-        src_total = pos
-        dst_off, pos = [], 0
-        for d in dst_degs:
-            dst_off.append(pos)
-            pos += self.ctx.dim(d, w)
-        dst_total = pos
         blocks = []
         for k, deg in enumerate(src_degs):
             if deg >= 1:
-                blocks.append((dst_off[k], src_off[k], self.ctx.b_matrix(deg, w)))
+                blocks.append((k, k, self.ctx.b_matrix(deg, w)))
             if k >= 1:
-                blocks.append((dst_off[k - 1], src_off[k], self.ctx.B_matrix(deg, w)))
-        return SparseMatrix.from_blocks(dst_total, src_total, blocks)
+                blocks.append((k - 1, k, self.ctx.B_matrix(deg, w)))
+        return SparseMatrix.from_blocks(
+            [self.ctx.dim(d, w) for d in self.total_blocks(m - 1)],
+            [self.ctx.dim(d, w) for d in src_degs],
+            blocks,
+        )
 
     @slice_memo
     def hc_dim(self, n: int, w) -> int:
@@ -268,23 +261,20 @@ class HomologyEngine:
         hc_n = self.hc_space(n, w)
         hc_n2 = self.hc_space(n - 2, w) if n >= 2 else None
         hh_n1 = self.hh_space(n - 1, w) if n >= 1 else None
-        dim_cn = self.ctx.dim(n, w)
-        t_n = self.total_matrix(n, w).cols
-        # I: C_n included as block 0 of T_n
-        inc = SparseMatrix.from_blocks(t_n, dim_cn, [(0, 0, SparseMatrix.identity(dim_cn))])
+        # T_n = C_n + T_{n-2}: I includes the C_n slot, S keeps the other
+        one = SparseMatrix.identity
+        c_n = self.ctx.dim(n, w)
+        t_n = [c_n, hc_n.ambient_dim - c_n]
+        inc = SparseMatrix.from_blocks(t_n, [c_n], [(0, 0, one(c_n))])
         i_star = hh_n.induced_matrix(inc, hc_n)
         result = {"n": n, "w": w}
         if hc_n2 is not None:
-            # S: T_n -> T_{n-2} drops the leading block
-            proj = SparseMatrix.from_blocks(
-                t_n - dim_cn, t_n, [(0, dim_cn, SparseMatrix.identity(t_n - dim_cn))]
-            )
+            proj = SparseMatrix.from_blocks(t_n[1:], t_n, [(0, 1, one(t_n[1]))])
             s_star = hc_n.induced_matrix(proj, hc_n2)
-            # connecting map: B of the leading block of a T_{n-2} cycle
-            dim_cn2 = self.ctx.dim(n - 2, w)
-            lead = SparseMatrix.from_blocks(
-                dim_cn2, hc_n2.ambient_dim, [(0, 0, SparseMatrix.identity(dim_cn2))]
-            )
+            # connecting map: B of the C_{n-2} slot of a T_{n-2} cycle
+            c_n2 = self.ctx.dim(n - 2, w)
+            t_n2 = [c_n2, hc_n2.ambient_dim - c_n2]
+            lead = SparseMatrix.from_blocks([c_n2], t_n2, [(0, 0, one(c_n2))])
             del_star = hc_n2.induced_matrix(self.ctx.B_matrix(n - 2, w) @ lead, hh_n1)
             exact_at_hcn = (
                 (s_star @ i_star).is_zero()
@@ -408,7 +398,7 @@ class CuspCycleReport:
     fallback_classes: dict = field(default_factory=dict)  # i -> (dim, chain string)
 
 
-def verify_cusp_cycles(i_max: int, algebra: GradedAlgebra | None = None) -> CuspCycleReport:
+def verify_cusp_cycles(i_max: int) -> CuspCycleReport:
     """Check the cusp's generating cycles and bracket the sign ambiguity.
 
     (a) z = 2x[y] + 3y[x] is a cycle with a nonzero class in HH_1 weight 5,
@@ -423,7 +413,7 @@ def verify_cusp_cycles(i_max: int, algebra: GradedAlgebra | None = None) -> Cusp
 
     if i_max < 1:
         raise PreconditionError("i_max >= 1 required")
-    cusp = algebra if algebra is not None else parse_algebra(CUSP_TEXT)
+    cusp = parse_algebra(CUSP_TEXT)
     report = CuspCycleReport(i_max)
 
     std = SliceContext(cusp, "standard")

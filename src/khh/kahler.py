@@ -162,18 +162,15 @@ def de_rham_matrix(forms: DifferentialForms, p: int, w) -> SparseMatrix:
     return forms.slice(p + 1, w).class_matrix(src.class_keys(), d)
 
 
-def hkr_matrix(algebra: GradedAlgebra, n: int, w, ctx=None) -> SparseMatrix:
+def hkr_matrix(algebra: GradedAlgebra, n: int, w, ctx) -> SparseMatrix:
     """Antisymmetrization Omega^n -> C_n on the (n, w) slice.
 
     a0 dg_{i1}^...^dg_{in} maps to (1/n!) sum_sigma sgn(sigma)
     a0[g_{i sigma(1)}|...|g_{i sigma(n)}]; the image consists of cycles and
     the 1/n! makes the map split the top Hodge idempotent.
     """
-    from .barcomplex import SliceContext
     from .hodge import _perms, _sign
 
-    if ctx is None:
-        ctx = SliceContext(algebra)
     w = algebra._coerce_weight(w)
     src = DifferentialForms(algebra).slice(n, w)
     index = ctx.index(n, w)
@@ -190,12 +187,8 @@ def hkr_matrix(algebra: GradedAlgebra, n: int, w, ctx=None) -> SparseMatrix:
     return SparseMatrix.from_images(len(index), src.class_keys(), antisymmetrize, index)
 
 
-def hkr_class_rank(algebra: GradedAlgebra, n: int, w, engine=None) -> int:
+def hkr_class_rank(algebra: GradedAlgebra, n: int, w, engine) -> int:
     """Rank of the antisymmetrization map into HH_n classes at weight w."""
-    from .homology import HomologyEngine
-
-    if engine is None:
-        engine = HomologyEngine(algebra)
     w = algebra._coerce_weight(w)
     mat = hkr_matrix(algebra, n, w, engine.ctx)
     return engine.hh_space(n, w).matrix_of(mat.columns()).rank()
@@ -250,6 +243,9 @@ def _wedge_images(codomain, gen_images, wedge):
         yield sign, tuple(sorted(js)), poly
 
 
+NILPOTENCY_PROBE = 24  # the weight jacobian_smooth searches a nilpotent generator to
+
+
 @dataclass
 class SmoothnessVerdict:
     status: str  # SMOOTH | SINGULAR | INDETERMINATE
@@ -259,7 +255,7 @@ class SmoothnessVerdict:
     note: str = ""
 
 
-def jacobian_smooth(algebra: GradedAlgebra, probe: int = 24) -> SmoothnessVerdict:
+def jacobian_smooth(algebra: GradedAlgebra) -> SmoothnessVerdict:
     """Jacobian criterion for a connected graded presentation.
 
     A free presentation is smooth.  Otherwise all Jacobian entries are
@@ -268,14 +264,14 @@ def jacobian_smooth(algebra: GradedAlgebra, probe: int = 24) -> SmoothnessVerdic
     generator, reported INDETERMINATE as a non-minimal presentation); with
     every entry in the graded maximal ideal the origin is singular.
 
-    The relations are the complete reduced basis; `probe` bounds only the
-    nilpotency search, which multiplies out a generator's powers until
-    their weight passes it.  The leads do not decide nilpotency: the
+    The relations are the complete reduced basis; NILPOTENCY_PROBE bounds
+    only the nilpotency search, which multiplies out a generator's powers
+    until their weight passes it.  The leads do not decide nilpotency: the
     cusp's lead is y^2, yet y is not nilpotent.
     """
     relations = algebra.reduced_relations()
     non_reduced = any(
-        algebra.nilpotent_upto(algebra.gen_poly(i), probe)
+        algebra.nilpotent_upto(algebra.gen_poly(i), NILPOTENCY_PROBE)
         for i in range(algebra.ngens)
     )
     if not relations:

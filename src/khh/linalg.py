@@ -26,6 +26,15 @@ rows, one dict lookup per term; the first non-int coefficient sends the
 whole matrix through the constructor, which brings QQ entries over a
 common denominator.
 
+Block matrices are laid out by slot.  `SparseMatrix.from_blocks(row_sizes,
+col_sizes, blocks)` takes each block with its (block row, block column)
+and is the one place slots become offsets.  A block must have exactly its
+slot's shape, so a block in the wrong slot raises ValueError rather than
+landing inside the matrix; blocks in one slot add up, which is how
+`__add__` sums.  The total complex, SBI's maps over T_n = C_n + T_{n-2},
+the fiber cone, the stacked class maps and the block-diagonal idempotents
+and conductor slices of a square are all built this way.
+
 There is one eliminator in the package, `Factor`, fraction-free in the style of Bareiss
 (every update is an exact cross-multiplication followed by a gcd strip),
 with two pivot rules.  Markowitz pivots keep fill-in low on the
@@ -69,6 +78,7 @@ no elimination and rest only on the verified composite.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import gcd, lcm
 
 from .rationals import QQ
@@ -182,24 +192,28 @@ class SparseMatrix:
         return cls(rows, len(sources), entries)
 
     @classmethod
-    def from_blocks(cls, rows, cols, blocks):
-        """The rows x cols sum of blocks placed at offsets.
+    def from_blocks(cls, row_sizes, col_sizes, blocks):
+        """The block matrix whose slots have the given row and column sizes.
 
-        blocks: iterable of (row offset, col offset, SparseMatrix); each block
-        must fit, and entries of overlapping blocks add up.
+        blocks: iterable of (block row, block column, SparseMatrix).  A block
+        must have exactly its slot's shape, else ValueError; blocks in one
+        slot add up.  Only here do slots become offsets.
         """
+        row_off = list(accumulate(row_sizes, initial=0))
+        col_off = list(accumulate(col_sizes, initial=0))
         blocks = list(blocks)
-        den = 1
-        for _, _, block in blocks:
-            den = lcm(den, block.den)
-        rowdata = [{} for _ in range(rows)]
-        for r0, c0, block in blocks:
-            if r0 < 0 or c0 < 0 or r0 + block.rows > rows or c0 + block.cols > cols:
-                raise IndexError(
-                    f"{block.rows}x{block.cols} block at ({r0},{c0}) outside {rows}x{cols}"
+        den = lcm(1, *(block.den for _, _, block in blocks))
+        rowdata = [{} for _ in range(row_off[-1])]
+        for bi, bj, block in blocks:
+            in_layout = 0 <= bi < len(row_sizes) and 0 <= bj < len(col_sizes)
+            if not in_layout or (block.rows, block.cols) != (row_sizes[bi], col_sizes[bj]):
+                raise ValueError(
+                    f"{block.rows}x{block.cols} block does not fit slot ({bi},{bj}) "
+                    f"of a {len(row_sizes)}x{len(col_sizes)} block layout"
                 )
             f = den // block.den
-            for i, brow in enumerate(block._rowdata, r0):
+            c0 = col_off[bj]
+            for i, brow in enumerate(block._rowdata, row_off[bi]):
                 if not brow:
                     continue
                 row = rowdata[i]
@@ -210,7 +224,7 @@ class SparseMatrix:
                         row[j] = s
                     else:
                         del row[j]
-        return cls._of_rows(rows, cols, rowdata, den)
+        return cls._of_rows(row_off[-1], col_off[-1], rowdata, den)
 
     @classmethod
     def identity(cls, n):
@@ -264,8 +278,7 @@ class SparseMatrix:
         return SparseMatrix._of_rows(self.cols, self.rows, out, self.den)
 
     def __add__(self, other):
-        self._check_shape(other)
-        return SparseMatrix.from_blocks(self.rows, self.cols, [(0, 0, self), (0, 0, other)])
+        return SparseMatrix.from_blocks([self.rows], [self.cols], [(0, 0, self), (0, 0, other)])
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -305,10 +318,6 @@ class SparseMatrix:
             if t:
                 out[i] = QQ(t, den)
         return out
-
-    def _check_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
 
     # -- elimination --------------------------------------------------
 

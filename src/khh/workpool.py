@@ -18,22 +18,11 @@ from .errors import PreconditionError, SanityError
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    """Worker count: jobs, else KHH_JOBS, else the cores (at most 8).
-
-    A count below 1, or a KHH_JOBS that is not an integer, is rejected.
-    """
-    source = "jobs"
+    """Worker count: jobs, else the cores (at most 8); jobs below 1 is rejected."""
     if jobs is None:
-        env = os.environ.get("KHH_JOBS")
-        if not env:
-            return min(8, os.cpu_count() or 1)
-        source = "KHH_JOBS"
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise PreconditionError(f"KHH_JOBS={env!r} is not an integer") from None
+        return min(8, os.cpu_count() or 1)
     if jobs < 1:
-        raise PreconditionError(f"{source} must be at least 1, got {jobs}")
+        raise PreconditionError(f"jobs must be at least 1, got {jobs}")
     return jobs
 
 
@@ -69,9 +58,9 @@ def _algebra_payload(algebra: GradedAlgebra):
 def _rebuild_algebra(payload) -> GradedAlgebra:
     from .rationals import QQ
 
-    name, gens, weights, rels, rank = payload
+    name, gens, weights, rels, _ = payload
     relations = [{m: QQ(num, den) for m, (num, den) in rel} for rel in rels]
-    return GradedAlgebra(name, gens, weights, relations, _rank=rank)
+    return GradedAlgebra(name, gens, weights, relations)
 
 
 def _run_cell(engine, kind, n, w):

@@ -161,6 +161,26 @@ def test_pic_and_cdh_omega():
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("tk", "--square", corpus_file("cusp", "square.sq"), "--max-weight", "1"),
+    ("tk", "--square", corpus_file("cusp", "square.sq"), "--max-weight", "2"),
+    ("tk", "--square", corpus_file("cusp", "square.sq"), "--max-weight", "3"),
+    ("tk", "--square", corpus_file("t2t5", "square.sq"), "--max-weight", "8"),
+    ("pic", "--square", corpus_file("t2t5", "square.sq"), "--max-weight", "8"),
+    ("pic", "--square", corpus_file("cusp", "square.sq"), "--max-weight", "0"),
+], ids=["tk-cusp-1", "tk-cusp-2", "tk-cusp-3", "tk-t2t5-8", "pic-t2t5-8", "pic-cusp-0"])
+def test_squares_at_small_bounds(argv):
+    # a square is certified at least up to the default probe, so a small
+    # bound neither rejects it nor truncates the conductor sums
+    proc = run_cli(*argv, "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    ref = run_cli(*argv[:-1], "14", "--format", "json")
+    cells, ref_cells = json.loads(proc.stdout)["cells"], json.loads(ref.stdout)["cells"]
+    assert cells == {key: ref_cells[key] for key in cells}
+    if argv[0] == "pic" and "cusp" in argv[2]:
+        assert json.loads(proc.stdout)["metadata"]["unipotent_rank"] == 1
+
+
 def test_curve_command():
     proc = run_cli("curve", "--curve", corpus_file("curve37a", "curve.crv"),
                    "--format", "json")
@@ -272,16 +292,9 @@ def test_invalid_job_counts_exit_3():
         "kunneth", "--algebra", corpus_file("cusp", "algebra.alg"),
         "--n-max", "1", "--max-weight", "4", "--t-cutoff", "1", "--format", "json",
     )
-    for argv, env in (
-        (kunneth + ("--jobs", "-3"), None),
-        (kunneth + ("--jobs", "0"), None),
-        (kunneth, {"KHH_JOBS": "abc"}),
-        (kunneth, {"KHH_JOBS": "0"}),
-        (("report", "--jobs", "-7"), None),
-        (("report",), {"KHH_JOBS": "abc"}),
-    ):
-        proc = run_cli(*argv, env=env)
-        assert proc.returncode == 3, (argv, env)
+    for argv in (kunneth + ("--jobs", "-3"), kunneth + ("--jobs", "0"), ("report", "--jobs", "-7")):
+        proc = run_cli(*argv)
+        assert proc.returncode == 3, argv
         assert proc.stdout == ""
         assert "jobs" in proc.stderr.lower()
 
@@ -292,7 +305,6 @@ def test_valid_job_counts_still_run(tmp_path):
         "--n-max", "1", "--max-weight", "4", "--t-cutoff", "1", "--format", "json",
     )
     assert run_cli(*kunneth, "--jobs", "2").returncode == 0
-    assert run_cli(*kunneth, env={"KHH_JOBS": "2"}).returncode == 0
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "q").symlink_to(default_corpus_dir() / "q")

@@ -149,8 +149,8 @@ def test_dualnum_table_matches_polynomial_count(e37):
     # the rank-j slice count of a two-variable polynomial algebra
     P = e37.point(0, 0)
     tabs = cusp_bundle_tables(e37, P, O, (0, 2), 1, 5)
-    plus = [row for row in tabs.dualnum_table if row["convention"] == "plus"]
-    assert [row["p0"] for row in plus] == [1, 2, 3, 4, 5]
+    plus = [row for row in tabs.twist_table if row["convention"] == "plus"]
+    assert [row["h0"] for row in plus] == [1, 2, 3, 4, 5]
 
 
 def test_parse_curve_file():

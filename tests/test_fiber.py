@@ -131,6 +131,14 @@ conductor x
         square.validate(6)
 
 
+def test_square_rejects_conductor_outside_the_image():
+    # (x) is not the conductor of t^2, t^5: x*t = t^3 has no preimage in A_3 = 0
+    text = read_corpus_text("t2t5", "square.sq").replace("conductor x^2 y", "conductor x")
+    square = ResolutionSquare.parse(text)
+    with pytest.raises(SquareInvalidError, match="conductor element escapes the image at weight 3"):
+        square.validate(6)
+
+
 @pytest.mark.parametrize("call", [
     lambda square: square.cdh_omega(1, 0, 20),
     lambda square: square.tk(1, 18),

@@ -256,7 +256,7 @@ def test_slice_memo(cusp, cusp_square, monkeypatch):
         (cusp_square, "chain_map_matrix", (1, -1)), (cusp_square, "cone_matrix", (1, -1)),
         (ctx, "_cyclic", (1, -1)),
         (cusp_square, "_stacked_hom_matrix", (-1,)), (cusp_square, "_stacked_index", (-1,)),
-        (cusp_square, "conductor_quotients", (-1,)),
+        (cusp_square, "_conductor_slices", (-1,)), (cusp_square, "conductor_quotients", (-1,)),
         (DifferentialForms(cusp), "slice", (1, -1)),
     ]
     for obj, name, args in entry_points:

@@ -108,6 +108,20 @@ def test_eigenspace_diagonal():
     assert len(eigenspace(m, 4)) == 1
 
 
+def test_from_blocks_places_blocks_by_slot():
+    a = SparseMatrix.from_dense([[1, 2]])
+    b = SparseMatrix.from_dense([[3], [QQ(1, 2)]])
+    # slots of 1 and 2 rows by 2, 0 and 1 columns: the empty slot takes no room
+    mat = SparseMatrix.from_blocks([1, 2], [2, 0, 1], [(0, 0, a), (1, 2, b), (1, 2, b)])
+    assert mat == SparseMatrix.from_dense([[1, 2, 0], [0, 0, 6], [0, 0, 1]])
+    empty = SparseMatrix.zero(2, 0)
+    assert SparseMatrix.from_blocks([1, 2], [2, 0], [(1, 1, empty)]) == SparseMatrix.zero(3, 2)
+    # a block must have its slot's shape, even where it would fit inside
+    for slot in [(0, 2, b), (1, 0, a), (0, 1, a), (2, 0, a), (-1, 0, b)]:
+        with pytest.raises(ValueError, match="does not fit slot"):
+            SparseMatrix.from_blocks([1, 2], [2, 0, 1], [slot])
+
+
 def test_eigenspace_jordan_block():
     m = SparseMatrix.from_dense([[0, 1], [0, 0]])
     assert len(eigenspace(m, 0)) == 1
@@ -277,7 +291,7 @@ def test_fraction_and_scaled_int_builds_compare_equal(data):
     ints = {(i, j): int(v * den) for i, row in enumerate(dense) for j, v in enumerate(row) if v}
     from_ints = SparseMatrix(rows, cols, ints).scale(QQ(1, den))
     assert from_fractions == from_ints
-    assert SparseMatrix.from_blocks(rows, cols, [(0, 0, from_ints)]) == from_fractions
+    assert SparseMatrix.from_blocks([rows], [cols], [(0, 0, from_ints)]) == from_fractions
     assert from_fractions.scale(den) == SparseMatrix(rows, cols, ints)
     assert (from_fractions.scale(QQ(1, 2)) == from_fractions) == from_fractions.is_zero()
 
