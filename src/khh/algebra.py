@@ -28,7 +28,7 @@ import inspect
 import re
 from itertools import combinations
 
-from .rationals import QQ, ZERO, qq, qq_str
+from .rationals import QQ, add_term, qq, qq_str
 from .errors import (
     ParseError,
     InhomogeneousRelationError,
@@ -60,27 +60,6 @@ def vec_leq(a: WeightVec, b: WeightVec) -> bool:
 
 def vec_total(a: WeightVec) -> int:
     return sum(a)
-
-
-def poly_add(p, q):
-    out = dict(p)
-    for m, c in q.items():
-        s = out.get(m, ZERO) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
-
-
-def poly_scale(c, p):
-    if not c:
-        return {}
-    return {m: c * v for m, v in p.items()}
-
-
-def poly_sub(p, q):
-    return poly_add(p, poly_scale(QQ(-1), q))
 
 
 def mono_mul_raw(a: Mono, b: Mono) -> Mono:
@@ -190,10 +169,11 @@ class GradedAlgebra:
         lcm = tuple(max(a, b) for a, b in zip(lf, lg))
         mf = vec_sub(lcm, lf)
         mg = vec_sub(lcm, lg)
-        pf = {mono_mul_raw(m, mf): c for m, c in f.items()}
-        pg = {mono_mul_raw(m, mg): c for m, c in g.items()}
-        cf, cg = pf[lcm], pg[lcm]
-        return poly_sub(poly_scale(cg, pf), poly_scale(cf, pg))
+        cf, cg = f[lf], g[lg]
+        out = {mono_mul_raw(m, mf): cg * c for m, c in f.items()}
+        for m, c in g.items():
+            add_term(out, mono_mul_raw(m, mg), -(cf * c))
+        return out
 
     def _reduce(self, p):
         """Full reduction against the current basis."""
@@ -210,20 +190,13 @@ class GradedAlgebra:
                     hit = g
                     break
             if hit is None:
-                out[m] = out.get(m, ZERO) + c
-                if not out[m]:
-                    del out[m]
+                add_term(out, m, c)
                 continue
             shift = vec_sub(m, self.lead(hit))
             for gm, gc in hit.items():
                 if gm == self.lead(hit):
                     continue
-                mm = mono_mul_raw(gm, shift)
-                s = work.get(mm, ZERO) - c * gc
-                if s:
-                    work[mm] = s
-                else:
-                    work.pop(mm, None)
+                add_term(work, mono_mul_raw(gm, shift), -(c * gc))
         return out
 
     def _gb_insert(self, p):
@@ -285,20 +258,11 @@ class GradedAlgebra:
         acc = {}
         for m1, c1 in p.items():
             for m2, c2 in q.items():
-                m = mono_mul_raw(m1, m2)
-                s = acc.get(m, ZERO) + c1 * c2
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
+                add_term(acc, mono_mul_raw(m1, m2), c1 * c2)
         out = {}
         for m, c in acc.items():
             for rm, rc in self.nf_mono(m).items():
-                s = out.get(rm, ZERO) + c * rc
-                if s:
-                    out[rm] = s
-                else:
-                    out.pop(rm, None)
+                add_term(out, rm, c * rc)
         return out
 
     def mono_mul(self, a: Mono, b: Mono):
@@ -550,7 +514,8 @@ class GradedHom:
     def apply(self, p):
         out = {}
         for m, c in p.items():
-            out = poly_add(out, poly_scale(c, self.apply_mono(m)))
+            for rm, rc in self.apply_mono(m).items():
+                add_term(out, rm, c * rc)
         return self.codomain.nf(out)
 
     @classmethod
@@ -634,11 +599,7 @@ def parse_poly(text: str, gens, line_no=None) -> dict:
         raise ParseError("empty polynomial", line_no, 1)
     out = {}
     for m, c in terms:
-        s = out.get(m, ZERO) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
+        add_term(out, m, c)
     return out
 
 

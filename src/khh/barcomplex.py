@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .rationals import QQ, ZERO
+from .rationals import QQ, add_term
 from .linalg import SparseMatrix
 from .errors import CompositionNonzeroError, ParseError, PreconditionError
 from .algebra import GradedAlgebra, slice_memo, vec_total, vec_sub, vec_leq
@@ -103,11 +103,7 @@ class BarChain:
                     raise ValueError("tensor length does not match degree")
                 if any(m == unit for m in tensor[1:]):
                     continue  # normalized complex: scalars inside the bar vanish
-                s = self.terms.get(tensor, ZERO) + c
-                if s:
-                    self.terms[tensor] = s
-                else:
-                    self.terms.pop(tensor, None)
+                add_term(self.terms, tensor, c)
 
     def is_zero(self):
         return not self.terms
@@ -129,11 +125,7 @@ class BarChain:
         self._compat(other)
         out = dict(self.terms)
         for t, c in other.terms.items():
-            s = out.get(t, ZERO) + c
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
+            add_term(out, t, c)
         return BarChain(self.algebra, self.degree, out)
 
     def __sub__(self, other):
@@ -227,12 +219,7 @@ def parse_chain(algebra: GradedAlgebra, text: str, degree=None) -> BarChain:
         elif deg != len(entries):
             raise ParseError("mixed degrees in chain")
         for hm, hc in algebra.nf(head).items():
-            tensor = (hm, *tensor_entries)
-            c = terms.get(tensor, ZERO) + sign * hc
-            if c:
-                terms[tensor] = c
-            else:
-                terms.pop(tensor, None)
+            add_term(terms, (hm, *tensor_entries), sign * hc)
     return BarChain(algebra, deg if deg is not None else 0, terms)
 
 
@@ -347,24 +334,14 @@ class SliceContext:
             sign = -1 if i % 2 else 1
             before, after = tensor[:i], tensor[i + 2 :]
             for m, c in self._product(tensor[i], tensor[i + 1]):
-                t = before + (m,) + after
-                s = out.get(t, 0) + sign * c
-                if s:
-                    out[t] = s
-                else:
-                    out.pop(t, None)
+                add_term(out, before + (m,) + after, sign * c)
         if not self.conv.b_drop_wrap:
             sign = -1 if n % 2 else 1
             if self.conv.b_wrap_flip:
                 sign = -sign
             body = tensor[1:n]
             for m, c in self._product(tensor[n], tensor[0]):
-                t = (m, *body)
-                s = out.get(t, 0) + sign * c
-                if s:
-                    out[t] = s
-                else:
-                    out.pop(t, None)
+                add_term(out, (m, *body), sign * c)
         return out
 
     def B_tensor(self, tensor):
@@ -384,12 +361,7 @@ class SliceContext:
             if any(m == unit for m in rotated):
                 continue  # the old head is a scalar here: dies in the normalized complex
             sign = -1 if (n * i) % 2 else 1
-            t = (unit, *rotated)
-            s = out.get(t, 0) + sign
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
+            add_term(out, (unit, *rotated), sign)
         return out
 
     # -- chain-level operations ------------------------------------------
@@ -398,22 +370,14 @@ class SliceContext:
         out = {}
         for tensor, c in chain.terms.items():
             for t, v in self.b_tensor(tensor).items():
-                s = out.get(t, ZERO) + c * v
-                if s:
-                    out[t] = s
-                else:
-                    out.pop(t, None)
+                add_term(out, t, c * v)
         return BarChain(chain.algebra, chain.degree - 1, out)
 
     def B_chain(self, chain: BarChain) -> BarChain:
         out = {}
         for tensor, c in chain.terms.items():
             for t, v in self.B_tensor(tensor).items():
-                s = out.get(t, ZERO) + c * v
-                if s:
-                    out[t] = s
-                else:
-                    out.pop(t, None)
+                add_term(out, t, c * v)
         return BarChain(chain.algebra, chain.degree + 1, out)
 
     def shuffle(self, left: BarChain, right: BarChain) -> BarChain:
@@ -441,12 +405,7 @@ class SliceContext:
                             entries[s] = next(it)
                     coeff = base * sign
                     for hm, hc in head.items():
-                        t = (hm, *entries)
-                        s2 = out.get(t, ZERO) + coeff * hc
-                        if s2:
-                            out[t] = s2
-                        else:
-                            out.pop(t, None)
+                        add_term(out, (hm, *entries), coeff * hc)
         return BarChain(alg, p + q, out)
 
     def shuffle_power(self, chain: BarChain, k: int) -> BarChain:
@@ -559,11 +518,7 @@ class SliceContext:
             for j, v in bar_row.items():
                 c = column[j]
                 if c is not None:
-                    v = row.get(c, 0) + sign * v
-                    if v:
-                        row[c] = v
-                    else:
-                        del row[c]
+                    add_term(row, c, sign * v)
         return SparseMatrix._of_rows(len(rows), len(reps), rows, bar.den)
 
     # -- identity verification --------------------------------------------

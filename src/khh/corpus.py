@@ -143,12 +143,10 @@ def compute_observed(entry: CorpusEntry) -> dict:
             out["nk0"] = {"status": nk.status, "passed": bool(nk.passed)}
     if entry.curve_data is not None:
         curve, points = entry.curve_data
-        tors = [
-            {"point": repr(p), "torsion": curve.is_torsion(p)[0],
-             "order": curve.is_torsion(p)[1]}
-            for p in points
-        ]
-        out["torsion"] = tors
+        out["torsion"] = []
+        for p in points:
+            torsion, order = curve.is_torsion(p)
+            out["torsion"].append({"point": repr(p), "torsion": torsion, "order": order})
         if meta.get("cuspbundle") and len(points) >= 2:
             P, Q = points[0], points[1]
             tabs = cusp_bundle_tables(

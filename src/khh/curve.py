@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rationals import QQ, qq, qq_str
+from .rationals import QQ, add_term, qq, qq_str
 from .errors import ParseError, PreconditionError, TorsionPointError
 
 MAZUR_BOUND = 12
@@ -209,11 +209,8 @@ class SummandList:
     def make(cls, items):
         merged = {}
         for s in items:
-            key = (s.j_power, s.l_twist)
-            merged[key] = merged.get(key, 0) + s.multiplicity
-        entries = tuple(
-            Summand(j, l, m) for (j, l), m in sorted(merged.items()) if m
-        )
+            add_term(merged, (s.j_power, s.l_twist), s.multiplicity)
+        entries = tuple(Summand(j, l, m) for (j, l), m in sorted(merged.items()))
         return cls(entries)
 
 
@@ -296,6 +293,8 @@ def cusp_bundle_tables(
     """
     if j_cutoff < 1:
         raise PreconditionError("j_cutoff >= 1 required")
+    if n_range[0] > n_range[1]:
+        raise PreconditionError("n_min <= n_max required")
     div = DivisorGroup(curve)
     if not (curve.on_curve(P) and curve.on_curve(Q)):
         raise PreconditionError("P and Q must lie on the curve")

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from math import comb
 
-from .rationals import QQ, ZERO
+from .rationals import QQ, add_term
 from .linalg import SparseMatrix, QuotientSpace, homology_dim
 from .errors import (
     OracleDisagreementError,
@@ -275,12 +275,7 @@ class ResolutionSquare:
             nxt = {}
             for t, c in acc.items():
                 for m, v in img.items():
-                    key = t + (m,)
-                    s = nxt.get(key, ZERO) + c * v
-                    if s:
-                        nxt[key] = s
-                    else:
-                        nxt.pop(key, None)
+                    add_term(nxt, t + (m,), c * v)
             acc = nxt
         return acc
 

@@ -166,7 +166,7 @@ def element_matrix(element: dict, ctx, n: int, w) -> SparseMatrix:
         head = tensor[:1]
         for inv, c in scaled:
             row = rows[index[head + tuple([tensor[k] for k in inv])]]
-            row[j] = row.get(j, 0) + c
+            row[j] = row.get(j, 0) + c  # sums cancel often: drop zeros once, below
     rowdata = [{j: v for j, v in row.items() if v} for row in rows]
     return SparseMatrix._of_rows(len(basis), len(basis), rowdata, den)
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
 
-from .rationals import QQ, ZERO
+from .rationals import QQ, add_term
 from .linalg import SparseMatrix, QuotientSpace
 from .errors import PreconditionError
-from .algebra import GradedAlgebra, GradedHom, poly_add, slice_memo, vec_add, vec_total
+from .algebra import GradedAlgebra, GradedHom, slice_memo, vec_add, vec_total
 
 
 class DifferentialForms:
@@ -45,13 +45,7 @@ class DifferentialForms:
                 if e:
                     lowered = list(m)
                     lowered[i] -= 1
-                    out.setdefault(i, {})
-                    mono = tuple(lowered)
-                    s = out[i].get(mono, ZERO) + c * e
-                    if s:
-                        out[i][mono] = s
-                    else:
-                        out[i].pop(mono, None)
+                    add_term(out.setdefault(i, {}), tuple(lowered), c * e)
         return {i: alg.nf(p) for i, p in out.items() if p}
 
     @slice_memo
@@ -214,8 +208,8 @@ def omega_hom_matrix(hom: GradedHom, p: int, w) -> SparseMatrix:
         head = hom.apply_mono(mono)
         out = {}
         for sign, hwedge, coeffpoly in _wedge_images(B, gen_images, wedge):
-            scaled = B.multiply(head, coeffpoly)
-            out = poly_add(out, {(mm, hwedge): sign * c for mm, c in scaled.items()})
+            for mm, c in B.multiply(head, coeffpoly).items():
+                add_term(out, (mm, hwedge), sign * c)
         return out
 
     return fb.slice(p, w).class_matrix(fa.slice(p, w).class_keys(), image)

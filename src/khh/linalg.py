@@ -22,9 +22,10 @@ and units class matrices) go through `QuotientSpace.matrix_of`, which is
 the same builder over class coordinates.  Lookups are strict: a term
 outside the target basis is a bug in the map, so it raises SanityError
 (exit 5) and is never dropped.  Int coefficients go straight into int
-rows, one dict lookup per term; the first non-int coefficient sends the
-whole matrix through the constructor, which brings QQ entries over a
-common denominator.
+rows, one dict lookup per term, so images must keep int coefficients int
+(`rationals.add_term` does); the first non-int coefficient sends the whole
+matrix through the constructor, which brings QQ entries over a common
+denominator.
 
 Block matrices are laid out by slot.  `SparseMatrix.from_blocks(row_sizes,
 col_sizes, blocks)` takes each block with its (block row, block column)
@@ -81,7 +82,7 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import gcd, lcm
 
-from .rationals import QQ
+from .rationals import QQ, add_term
 from .errors import CompositionNonzeroError, NotSquareError, PreconditionError, SanityError
 
 
@@ -218,12 +219,7 @@ class SparseMatrix:
                     continue
                 row = rowdata[i]
                 for j, v in brow.items():
-                    j += c0
-                    s = row.get(j, 0) + v * f
-                    if s:
-                        row[j] = s
-                    else:
-                        del row[j]
+                    add_term(row, j + c0, v * f)
         return cls._of_rows(row_off[-1], col_off[-1], rowdata, den)
 
     @classmethod
@@ -297,7 +293,7 @@ class SparseMatrix:
         orows = other._rowdata
         out = []
         for row in self._rowdata:
-            acc = {}
+            acc = {}  # sums cancel often here: add everything, drop zeros once
             for k, a in row.items():
                 for j, b in orows[k].items():
                     acc[j] = acc.get(j, 0) + a * b

@@ -6,14 +6,30 @@ stdlib Fraction.  Linear algebra does not compute in this type: `linalg`
 stores int rows over a common denominator and eliminates on ints, and QQ
 appears only in normal forms, chain coefficients and the vectors and class
 coordinates that `linalg` hands back.
+
+Sparse combinations (polynomials, chains, matrix rows) are dicts key ->
+coefficient that never store a zero: `SparseMatrix`'s canonical storage
+and the int path of `from_images` rely on it.  `add_term` is the one place
+a term is added and a sum that cancels to zero is dropped; only the product
+kernels `SparseMatrix.__matmul__` and `hodge.element_matrix` sum first and
+drop zeros once at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as QQ
 
-ZERO = QQ(0)
-ONE = QQ(1)
+
+def add_term(out, key, c):
+    """out[key] += c on a sparse dict; a key whose sum is zero is dropped.
+
+    The sum starts from the int 0, so int coefficients stay ints.
+    """
+    s = out.get(key, 0) + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
 
 
 def qq(value, den=None):

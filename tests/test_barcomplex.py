@@ -217,3 +217,16 @@ def test_cusp_t_bases_are_pinned(cusp):
             for j in range(5):
                 digest.update(repr((n, w, j, ctx.basis(n, (w, j)))).encode())
     assert digest.hexdigest() == CUSP_T_BASES_SHA256
+
+
+@pytest.mark.parametrize("name", ["cusp", "free1"])
+def test_integral_b_and_B_images_keep_int_coefficients(name, request):
+    # from_images keeps int rows only for int coefficients: a QQ zero
+    # would give the same matrices and silently leave that fast path
+    ctx = SliceContext(request.getfixturevalue(name).with_polynomial_generator("t"))
+    for w, j, n in product(range(7), range(3), range(1, 4)):
+        for tensor in ctx.basis(n, (w, j)):
+            for image in (ctx.b_tensor(tensor), ctx.B_tensor(tensor)):
+                assert all(type(c) is int for c in image.values()), (n, w, j, tensor)
+        rows = ctx.cyclic_b_matrix(n, (w, j))._rowdata
+        assert all(type(c) is int for row in rows for c in row.values()), (n, w, j)

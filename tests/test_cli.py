@@ -203,6 +203,16 @@ def test_cuspbundle_command():
     assert "discrepancy" in tables[1]["metadata"]["findings"]
 
 
+def test_cuspbundle_rejects_a_reversed_n_range():
+    curve = corpus_file("curve37a", "curve.crv")
+    proc = run_cli("cuspbundle", "--curve", curve, "--n-min", "3", "--n-max", "1",
+                   "--format", "json")
+    assert proc.returncode == 3 and proc.stdout == ""
+    proc = run_cli("cuspbundle", "--curve", curve, "--n-min", "1", "--n-max", "1",
+                   "--format", "json")
+    assert proc.returncode == 0
+
+
 def test_smoothness_command():
     proc = run_cli("smoothness", "--format", "json")
     assert proc.returncode == 0

@@ -2,9 +2,11 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _span_targets():
@@ -28,3 +30,50 @@ def test_bench_span_targets_resolve():
             assert hasattr(obj, attr), f"khh.{module_name}.{path}"
             obj = getattr(obj, attr)
         assert callable(obj), f"khh.{module_name}.{path}"
+
+
+# a hand-rolled "get, add, store or drop" loop; sparse sums go through add_term
+_ACCUMULATE = re.compile(r"\.get\([^)]*, (0|ZERO)\) [+-]")
+# the primitive itself, and the two product kernels that sum everything and
+# drop zeros once at the end (their sums cancel often)
+_ACCUMULATE_ALLOWED = {
+    ("rationals", "add_term"),
+    ("linalg", "SparseMatrix.__matmul__"),
+    ("hodge", "element_matrix"),
+}
+
+
+def _functions(tree, prefix=""):
+    """(qualified name, node) of every function and method, outermost first."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if isinstance(node, ast.FunctionDef):
+                yield name, node
+            yield from _functions(node, name + ".")
+
+
+def test_sparse_sums_go_through_add_term():
+    hits = []
+    paths = sorted((ROOT / "src" / "khh").glob("*.py"))
+    assert paths
+    for path in paths:
+        text = path.read_text()
+        lines = text.splitlines()
+        functions = list(_functions(ast.parse(text)))
+        for lineno, line in enumerate(lines, start=1):
+            if not _ACCUMULATE.search(line):
+                continue
+            owner = None  # the innermost function holding the line
+            for name, node in functions:
+                if node.lineno <= lineno <= node.end_lineno:
+                    owner = name, node
+            where = f"{path.name}:{lineno}: {line.strip()}"
+            key = (path.stem, owner[0] if owner else None)
+            if key not in _ACCUMULATE_ALLOWED:
+                hits.append(where)
+            elif key[0] != "rationals":
+                body = lines[owner[1].lineno - 1 : owner[1].end_lineno]
+                if not any("drop zeros once" in ln for ln in body):
+                    hits.append(where + "  (no comment saying why)")
+    assert not hits, "use rationals.add_term:\n" + "\n".join(hits)
