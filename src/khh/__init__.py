@@ -8,7 +8,7 @@ cohomology tables on elliptic curves.
 """
 
 from .rationals import QQ
-from .linalg import SparseMatrix, rank, kernel_basis, homology_dim, eigenspace
+from .linalg import SparseMatrix, rank, kernel_basis, eigenspace
 from .algebra import GradedAlgebra, GradedHom, parse_algebra
 from .barcomplex import BarChain, SliceContext, parse_chain
 from .homology import HomologyEngine, verify_kunneth, verify_cusp_cycles
@@ -29,7 +29,6 @@ __all__ = [
     "SparseMatrix",
     "rank",
     "kernel_basis",
-    "homology_dim",
     "eigenspace",
     "GradedAlgebra",
     "GradedHom",

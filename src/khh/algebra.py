@@ -378,6 +378,23 @@ class GradedAlgebra:
                     return k
         return 0
 
+    def top_weight(self) -> int:
+        """The largest weight with a nonzero slice, for a rank-1 graded algebra
+        of Krull dimension 0.
+
+        There every generator has a power x_i^e_i among the leads, so the
+        standard monomials lie in the box below those powers: the top weight
+        is the largest weight up to the box's corner, sum (e_i - 1) w_i, with
+        a nonzero slice, and weight 0 always has one.
+        """
+        if self.krull_dim():
+            raise PreconditionError(f"algebra {self.name} is infinite-dimensional")
+        corner = sum(
+            (min(lead[i] for lead in self._leads if lead[i] == sum(lead)) - 1) * vec_total(gw)
+            for i, gw in enumerate(self.weights)
+        )
+        return next(w for w in range(corner, -1, -1) if self.dim(w))
+
     # -- probes ----------------------------------------------------------
 
     def nilpotent_upto(self, p, bound: int) -> bool:

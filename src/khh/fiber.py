@@ -16,16 +16,19 @@ from the same checked layer as `khh hh`.  Only the square stacks the
 branches, always in branch order on the slots of `linalg`'s block layout:
 the cone differential, the class map with its block-diagonal idempotents,
 nu on A_w (`_stacked_hom_matrix`, rows keyed by `_stacked_index`), and the
-conductor.
+conductor.  The cone is checked identity by identity (`cone_holds`) and
+ranked by `linalg.chain_rank`, like every complex of the engines.
 
 The conductor is one layer of the square with one stacked target.  Its
 nonzero images in each branch are computed once, at construction.
 `_conductor_slices(w)` memoizes c_w in A and cB_w, the block diagonal of
 the branches' ideal slices on the stacked target, and
-`conductor_quotients(w)` their cokernels (A/c)_w and (B/cB)_w.  `validate`
-certifies a square up to the weight asked, and always up to at least
-PROBE: there cB_w must lie in the image of nu, and both quotients must
-vanish on a trailing window of weights, which makes them vanish above it.
+`conductor_quotients(w)` their cokernels (A/c)_w and (B/cB)_w.  Finite
+colength is decided exactly, by Krull dimension 0 of each quotient's
+presentation.  `validate` certifies a square up to the weight asked, at
+least up to PROBE, and far enough past the quotients' top weight for a
+trailing window: there cB_w must lie in the image of nu, and both
+quotients must vanish on the window, which makes them vanish above it.
 The units Mayer-Vietoris computations sum over the certified weights:
 Picard growth over polynomial extensions via unipotent units of the
 finite quotient rings (one induced map of nu into (B/cB)_w per weight),
@@ -36,12 +39,13 @@ pairing the two.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from math import comb
 
 from .rationals import QQ, add_term
-from .linalg import SparseMatrix, QuotientSpace, homology_dim
+from .linalg import SparseMatrix, QuotientSpace, chain_rank
 from .errors import (
+    CompositionNonzeroError,
     OracleDisagreementError,
     ParseError,
     SquareInvalidError,
@@ -165,13 +169,15 @@ class ResolutionSquare:
     # -- validation -------------------------------------------------------
 
     def validate(self, w=None):
-        """Certify the square up to weight w, and at least up to PROBE.
+        """Certify the square up to weight w, at least up to PROBE, and at
+        least maxgw + 1 past the top weight of the conductor quotients.
 
         The checks resume above the last certified weight.  Finite colength
-        is certified on the trailing window of `conductor_quotients`: both
-        quotients are generated in weights up to the largest generator
-        weight maxgw, so vanishing on maxgw + 1 consecutive weights is
-        vanishing at every weight above them.
+        is decided exactly (`_colength_top`), then certified again on the
+        trailing window of `conductor_quotients`: both quotients are
+        generated in weights up to the largest generator weight maxgw, so
+        vanishing on maxgw + 1 consecutive weights is vanishing at every
+        weight above them, and the bound puts that window above the top.
         """
         A = self.algebra
         if A.weight_rank != 1:
@@ -179,6 +185,12 @@ class ResolutionSquare:
         bound = PROBE if w is None else max(PROBE, vec_total(A._coerce_weight(w)))
         if bound <= self._validated_upto:
             return self
+        maxgw = max(
+            (vec_total(wt) for alg in (A, *(B for B, _ in self.branches)) for wt in alg.weights),
+            default=1,
+        )
+        # the trailing window below must lie above both quotients' top weight
+        bound = max(bound, self._colength_top + maxgw + 1)
         # weights an earlier call certified stay certified: a kernel vector
         # found nilpotent stays so under the larger search bound
         weights = range(self._validated_upto + 1, bound + 1)
@@ -198,10 +210,6 @@ class ResolutionSquare:
             if not all(map(nu_columns.contains, self._conductor_slices(w)[1].columns())):
                 raise SquareInvalidError(f"conductor element escapes the image at weight {w}")
         # finite colength on both sides, certified on a trailing window
-        maxgw = max(
-            (vec_total(wt) for alg in (A, *(B for B, _ in self.branches)) for wt in alg.weights),
-            default=1,
-        )
         for w in range(max(1, bound - maxgw), bound + 1):
             for side, quot in zip(("A", "target"), self.conductor_quotients(w)):
                 if quot.dim != 0:
@@ -210,6 +218,30 @@ class ResolutionSquare:
                     )
         self._validated_upto = bound
         return self
+
+    @cached_property
+    def _colength_top(self) -> int:
+        """The top weight of A/c and of every B_k/cB_k; -1 where all are zero.
+
+        Finite colength is decided exactly: a quotient is finite exactly when
+        its presentation plus the conductor has Krull dimension 0.  A unit
+        generator (free1's conductor 1) makes its quotient zero.
+        """
+        sides = [("A", self.algebra, self.conductor)]
+        sides += [("target", B, imgs) for (B, _), imgs in zip(self.branches, self.conductor_images)]
+        top = -1
+        for side, algebra, gens in sides:
+            gens = [g for g in gens if g]
+            if any(vec_total(algebra.poly_weight(g)) == 0 for g in gens):
+                continue  # a unit; GradedAlgebra rejects it as a weight-0 relation
+            quotient = GradedAlgebra(
+                algebra.name, algebra.gens, algebra.weights, [*algebra.relations, *gens]
+            )
+            dim = quotient.krull_dim()
+            if dim:
+                raise SquareInvalidError(f"{side}/conductor not finite: Krull dimension {dim}")
+            top = max(top, quotient.top_weight())
+        return top
 
     @slice_memo
     def _conductor_slices(self, w) -> tuple:
@@ -298,6 +330,18 @@ class ResolutionSquare:
             blocks,
         )
 
+    @slice_memo
+    def cone_holds(self, q: int, w) -> bool:
+        """Does D_q D_{q+1} = 0 hold at weight w?  Its blocks are b.b on A and on
+        each branch (the contexts' `holds`) and f_q b_{q+1} - b_{q+1} f_{q+1}."""
+        ctx_A, ctxs = self.engine_A.ctx, [engine.ctx for engine in self.branch_engines]
+        b_A = ctx_A.b_matrix(q + 1, w)
+        return ctx_A.holds("b.b", q, w) and all(
+            ctx.holds("b.b", q + 1, w)
+            and ctx_A._products_cancel([(f, b_A), (ctx.b_matrix(q + 1, w), g.scale(-1))])
+            for f, g, ctx in zip(self.chain_map_matrix(q, w), self.chain_map_matrix(q + 1, w), ctxs)
+        )
+
     # -- homology-level maps ----------------------------------------------
 
     def class_map(self, n: int, w) -> SparseMatrix:
@@ -322,7 +366,13 @@ class ResolutionSquare:
         """dim H^m(F) at weight w; cohomological H^{-q} is homological q."""
         self.validate(w)
         q = -m
-        cone = homology_dim(self.cone_matrix(q + 1, w), self.cone_matrix(q, w))
+        if not self.cone_holds(q, w):
+            raise CompositionNonzeroError(f"cone D_{q} D_{q + 1} != 0 at (m={m}, w={w})")
+        ranks = (
+            chain_rank(lambda j: self.cone_matrix(j, w), k, lambda j: self.cone_holds(j - 1, w))
+            for k in (q, q + 1)
+        )
+        cone = self.cone_matrix(q, w).cols - sum(ranks)
         # long exact sequence bookkeeping, computed independently
         r_q = self.class_map(q, w).rank()
         r_q1 = self.class_map(q + 1, w).rank()
@@ -391,7 +441,17 @@ class ResolutionSquare:
     # -- cdh cohomology of forms ----------------------------------------------
 
     def cdh_omega(self, p: int, q: int, w) -> int:
-        """H^q_cdh of Omega^p at weight w for one-point squares (q in {0, 1})."""
+        """H^q_cdh of Omega^p at weight w for one-point squares (q in {0, 1}).
+
+        cdh descent for the abstract blow-up square X' = the branches over X,
+        center a point, E_red one point per branch, gives the Mayer-Vietoris
+        sequence 0 -> H^0 -> Omega^p(B) + Omega^p(pt) -> Omega^p(E_red) ->
+        H^1 -> 0, the terms to its right vanishing on smooth affine schemes.
+        For p >= 1 the points carry no forms, so H^0 = Omega^p(B) and H^1 =
+        0.  For p = 0 the map (b, z) -> (b_k(pt) - z) is onto k^#branches,
+        so H^1 = 0; it lives in weight 0, where its kernel is one-dimensional
+        (the sections that agree at the center), and above it H^0 = B_w.
+        """
         self.validate(w)
         if q not in (0, 1):
             raise UnsupportedDimensionError(
@@ -399,11 +459,11 @@ class ResolutionSquare:
             )
         w = self.algebra._coerce_weight(w)
         if q == 1:
-            return 0  # the comparison map over the point centers is onto
+            return 0  # the map onto Omega^p(E_red) is onto
         if p == 0:
             total = sum(B.dim(w) for B, _ in self.branches)
             if vec_total(w) == 0:
-                total = 1  # sections agree at the center point
+                total = 1  # the kernel in weight 0: sections agree at the center
             return total
         return sum(DifferentialForms(B).dim(p, w) for B, _ in self.branches)
 

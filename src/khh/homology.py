@@ -13,7 +13,7 @@ checks its class count against the Connes dimension.  Class-level work
 which keeps exact class coordinates on the free coordinates of d_n.
 
 Each dimension is dim C_n - rank d_n - rank d_{n+1}, and the ranks are
-chain-compressed (the lemma in `linalg`): where d_{m-1} d_m = 0 has been
+chain-compressed by `linalg.chain_rank`: where d_{m-1} d_m = 0 has been
 verified exactly, d_m is ranked without its rows at the pivot columns of
 d_{m-1}'s factor, itself compressed the same way.  Where that identity
 fails, which only the corrupt conventions reach, d_m is ranked in full.
@@ -21,7 +21,7 @@ The quotient path factors d_n in natural order and d_{n+1}'s columns at
 d_n's free coordinates (the second lemma in `linalg`), so the class count
 it checks against the ranks comes from separate eliminations.
 
-An engine builds each slice value once: dimensions, ranks, total-complex
+An engine builds each slice value once: dimensions, total-complex
 matrices, quotient spaces and induced idempotents are `slice_memo`
 entries, keyed by method and arguments with the weight coerced to a
 vector.  With `KHH_CACHE_DIR` set, HH and HC dimensions also go through
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rationals import QQ
-from .linalg import SparseMatrix, Factor, QuotientSpace, eigenspace
+from .linalg import SparseMatrix, Factor, QuotientSpace, chain_rank, eigenspace
 from .errors import (
     IdempotentSanityError,
     OracleDisagreementError,
@@ -187,24 +187,12 @@ class HomologyEngine:
         d_out = self._differentials(complex_, n, w)[1]
         return d_out.cols - self._rank(complex_, n, w) - self._rank(complex_, n + 1, w)
 
-    @slice_memo
     def _rank(self, complex_, m, w) -> int:
-        """rank d_m, without the rows at d_{m-1}'s pivot columns where
-        d_{m-1} d_m = 0 holds (the compression lemma in `linalg`).
-
-        d_{m-1} is ranked the same way first, so the whole chain below m is
-        compressed.  Where the identity fails, which only the corrupt
-        conventions reach, d_m is factored in full.
-        """
-        d = self._differential(complex_, m, w)
-        if m >= 1 and all(
-            self.ctx.holds(identity, k, w)
-            for identity, k in self._identities(complex_, m - 1, w)
-        ):
-            self._rank(complex_, m - 1, w)
-            skip = self._differential(complex_, m - 1, w).pivot_columns()
-            return d.rank(skip_rows=skip)
-        return d.rank()
+        """rank d_m by `linalg.chain_rank`, compressed where the identities hold."""
+        return chain_rank(
+            lambda k: self._differential(complex_, k, w), m,
+            lambda k: all(self.ctx.holds(i, j, w) for i, j in self._identities(complex_, k - 1, w)),
+        )
 
     # -- Hodge/Adams -------------------------------------------------------
 

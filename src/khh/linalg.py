@@ -46,9 +46,9 @@ holds a `QuotientSpace`'s boundaries.  None of those answers depends on the
 pivot order.  Kernels do: the basis is the reduced one for the free
 columns, so `echelon` and `kernel_basis` use natural column order, whose
 free columns, and hence the pinned representatives, are those of a
-rational echelon with pivots scaled to 1.  The only check of a composite
-here is in `homology_dim`; bar and total complexes are verified once per
-identity and slice by `SliceContext`.
+rational echelon with pivots scaled to 1.  No composite is multiplied
+out here: complexes are checked identity by identity, the fiber cone's
+included (b.b by `SliceContext.holds`, plus its chain-map identity).
 
 Compression (Bauer, Kerber and Reininghaus, *Clear and Compress*; the
 chain-complex view is Kaczynski, Mrozek and Slusarek's reduction).  Let
@@ -57,8 +57,8 @@ factor of d_{m-1}.  The factor's rows restricted to P are triangular with
 a nonzero diagonal, so dropping the coordinates in P is injective on
 ker d_{m-1}, which contains im d_m.  Hence d_m with its rows in P deleted
 has the rank and the row space of d_m, and its own pivot columns serve
-the next differential.  `rank(skip_rows=P)` applies this; it is exact,
-and valid only after the composite has been verified.
+the next differential.  `chain_rank`, the one walk over every complex,
+passes `rank(skip_rows=P)` only where the composite has been verified.
 
 Classes on free coordinates, the same lemma on the cycle side.  Let
 d_out d_in = 0 hold and let F be the free columns of d_out's natural
@@ -83,7 +83,7 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from .rationals import QQ, add_term
-from .errors import CompositionNonzeroError, NotSquareError, PreconditionError, SanityError
+from .errors import NotSquareError, PreconditionError, SanityError
 
 
 class SparseMatrix:
@@ -322,7 +322,7 @@ class SparseMatrix:
 
         Precondition: each skipped row lies in the span of the rows kept, so
         the kept rows have the rank and the row space of the whole matrix
-        (`homology_dim` and the homology engine skip a row only where the
+        (`chain_rank` skips a row only where the
         lemma in the module docstring proves this).  The factor's pivot
         columns are cached and their count returned; its fill-in dies with
         the call.  A later call returns the cached count, whatever rows it
@@ -674,23 +674,16 @@ def kernel_basis(matrix: SparseMatrix):
     return matrix.kernel_basis()
 
 
-def homology_dim(d_in: SparseMatrix, d_out: SparseMatrix) -> int:
-    """dim ker(d_out) - rank(d_in) for consecutive differentials.
-
-    d_in : C_{n+1} -> C_n,  d_out : C_n -> C_{n-1}.  The composite is
-    checked exactly; a nonzero product means a differential is wrong.  Only
-    once it is zero does d_in lose its rows at d_out's pivot columns, by
-    the compression lemma of the module docstring.  Bar and total complexes
-    skip this: their slices are verified identity by identity in
-    `SliceContext`; the fiber cone is checked here.
-    """
-    if d_in.cols and d_out.rows:
-        if d_out.cols != d_in.rows:
-            raise ValueError("differentials do not compose")
-        if not (d_out @ d_in).is_zero():
-            raise CompositionNonzeroError("d_out . d_in != 0")
-    nullity_out = d_out.cols - d_out.rank()
-    return nullity_out - d_in.rank(skip_rows=d_out.pivot_columns())
+def chain_rank(differential, m: int, composes) -> int:
+    """rank d_m, given d_k as differential(k), kept by the caller with its
+    cached pivots, and "d_{k-1} d_k = 0 is verified" as composes(k).  Where
+    that holds, d_{k-1} is ranked first and d_k loses its rows at d_{k-1}'s
+    pivot columns (the lemma above); elsewhere d_k is factored in full."""
+    d = differential(m)
+    if m >= 1 and composes(m):
+        chain_rank(differential, m - 1, composes)
+        return d.rank(skip_rows=differential(m - 1).pivot_columns())
+    return d.rank()
 
 
 def eigenspace(matrix: SparseMatrix, lam):

@@ -8,6 +8,7 @@ import pytest
 
 from khh import cli
 from khh.corpus import default_corpus_dir
+from conftest import read_corpus_text
 
 
 def run_cli(*argv, env=None):
@@ -179,6 +180,37 @@ def test_squares_at_small_bounds(argv):
     assert cells == {key: ref_cells[key] for key in cells}
     if argv[0] == "pic" and "cusp" in argv[2]:
         assert json.loads(proc.stdout)["metadata"]["unipotent_rank"] == 1
+
+
+T4T5 = """
+algebra t4t5
+vars x:4 y:5
+rel y^4 - x^5
+
+algebra line
+vars t:1
+
+normalize line x->t^4 y->t^5
+conductor x^3 x^2*y x*y^2 y^3
+"""
+
+
+def test_square_with_a_conductor_above_the_probe_window(tmp_path, capsys):
+    # k[t^4, t^5] has conductor t^12 k[t]: its quotients reach weight 11, so
+    # the colength window is certified above the bound asked, never rejected
+    path = tmp_path / "t4t5.sq"
+    path.write_text(T4T5)
+    cells = {}
+    for w in (14, 20):
+        assert cli.main(["tk", "--square", str(path), "--max-weight", str(w), "--format", "json"]) == 0
+        cells[w] = json.loads(capsys.readouterr().out)["cells"]
+    assert cells[14] == {key: cells[20][key] for key in cells[14]}
+    assert cli.main(["pic", "--square", str(path), "--max-weight", "8"]) == 0
+    # axes with conductor x: (A/x) = k[y] has infinite colength
+    axes = tmp_path / "axes.sq"
+    axes.write_text(read_corpus_text("axes", "square.sq").replace("conductor x y", "conductor x"))
+    assert cli.main(["tk", "--square", str(axes), "--max-weight", "14"]) == 3
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_curve_command():

@@ -1,9 +1,12 @@
 """Resolution squares: fibers, typical pieces, Picard and NK_0 machinery."""
 
 from collections import Counter
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from khh import cli
 from khh.rationals import QQ
 from khh.algebra import GradedHom, parse_algebra
 from khh.linalg import QuotientSpace, SparseMatrix
@@ -14,8 +17,10 @@ from khh.fiber import (
     pic_conductor,
     seminormalization,
 )
-from khh.kahler import torsion_dims
+from khh.corpus import default_corpus_dir
+from khh.kahler import DifferentialForms, torsion_dims
 from khh.errors import (
+    CompositionNonzeroError,
     OracleDisagreementError,
     SanityError,
     SquareInvalidError,
@@ -106,6 +111,20 @@ def test_cdh_omega(cusp_square):
     assert all(cusp_square.cdh_omega(2, 0, w) == 0 for w in range(5))
     with pytest.raises(UnsupportedDimensionError):
         cusp_square.cdh_omega(1, 2, 3)
+
+
+@pytest.mark.parametrize("name, max_weight", [("axes", 8), ("fatplane", 6)])
+def test_cdh_omega_off_the_cusp(name, max_weight):
+    # the Mayer-Vietoris sequence of the blow-up square, with E_red one point
+    # per branch: h^1 = 0 and h^0 - h^1 = sum_k dim Omega^p(B_k)_w, plus
+    # 1 - #branches at p = w = 0 (two branches on axes, non-reduced E on fatplane)
+    square = ResolutionSquare.parse(read_corpus_text(name, "square.sq"))
+    forms = [DifferentialForms(B) for B, _ in square.branches]
+    for p in range(3):
+        for w in range(max_weight + 1):
+            assert square.cdh_omega(p, 1, w) == 0
+            expect = sum(f.dim(p, w) for f in forms) + (p == w == 0) * (1 - len(forms))
+            assert square.cdh_omega(p, 0, w) == expect, (name, p, w)
 
 
 def test_dual_numbers_collapse_square(dual_square):
@@ -203,6 +222,71 @@ def test_chain_map_term_outside_the_branch_basis_is_fatal(monkeypatch):
     monkeypatch.setattr(GradedHom, "apply_mono", stray)
     with pytest.raises(SanityError, match="outside the target basis"):
         square.chain_map_matrix(1, 5)
+
+
+def test_planted_non_chain_map_is_fatal(monkeypatch):
+    # f_1 + e_00 on the cusp breaks f_1 b_2 = b_2 f_2, the cone's one block
+    # that b.b on A and on the branch leaves open
+    real = ResolutionSquare.chain_map_matrix
+
+    def planted(square, n, w):
+        maps = real(square, n, w)
+        if n != 1 or not (maps[0].rows and maps[0].cols):
+            return maps
+        bump = SparseMatrix(maps[0].rows, maps[0].cols, {(0, 0): 1})
+        return (maps[0] + bump, *maps[1:])
+
+    monkeypatch.setattr(ResolutionSquare, "chain_map_matrix", planted)
+    square = ResolutionSquare.parse(read_corpus_text("cusp", "square.sq"))
+    for w in range(4, 10):
+        assert not square.cone_holds(1, w)
+        with pytest.raises(CompositionNonzeroError, match="cone D_1 D_2 != 0"):
+            square.tk(2, w)
+    path = str(default_corpus_dir() / "cusp" / "square.sq")
+    assert cli.main(["tk", "--square", path, "--n-max", "2", "--max-weight", "6"]) == 5
+
+
+def monomial_curve_square(a, b):
+    """The square of k[t^a, t^b] -> k[t], a < b coprime, and its conductor
+    exponent c = (a-1)(b-1); the conductor t^c k[t] is generated by
+    t^c .. t^{c+a-1}, each written as some x^i y^j with ai + bj = s."""
+    c = (a - 1) * (b - 1)
+    gens = []
+    for s in range(c, c + a):
+        j = next(j for j in range(a) if b * j <= s and (s - b * j) % a == 0)
+        gens.append(f"x^{(s - b * j) // a}*y^{j}")
+    text = f"""
+algebra mono
+vars x:{a} y:{b}
+rel y^{a} - x^{b}
+
+algebra line
+vars t:1
+
+normalize line x->t^{a} y->t^{b}
+conductor {" ".join(gens)}
+"""
+    return ResolutionSquare.parse(text), c
+
+
+# coprime 2 <= a < b <= 7 whose conductor exponent is at most 12; the
+# larger conductors, (4, 7) up to (6, 7), take 0.9-4 s each
+MONOMIAL_CURVES = [
+    (a, b) for b in range(3, 8) for a in range(2, b) if gcd(a, b) == 1 and (a - 1) * (b - 1) <= 12
+]
+
+
+@settings(max_examples=len(MONOMIAL_CURVES))
+@given(st.sampled_from(MONOMIAL_CURVES))
+def test_fiber_cone_les_on_monomial_curves(pair):
+    # each tk cell compares the cone's homology with the LES bookkeeping and
+    # is fatal on a mismatch; the Hodge formula holds cell by cell
+    square, c = monomial_curve_square(*pair)
+    w_max = c + pair[1]
+    for n in range(3):
+        for w in range(w_max + 1):
+            assert square.tk(n, w) >= 0
+    assert square.tk_formula_check(2, w_max).cellwise_equal
 
 
 def test_pic_cusp(cusp_square):

@@ -16,10 +16,11 @@ from khh.linalg import (
     QuotientSpace,
     rank,
     kernel_basis,
-    homology_dim,
+    chain_rank,
     eigenspace,
 )
-from khh.errors import CompositionNonzeroError, NotSquareError, PreconditionError
+from khh.barcomplex import SliceContext
+from khh.errors import NotSquareError, PreconditionError
 
 
 def test_rank_empty_matrix():
@@ -51,34 +52,47 @@ def test_kernel_single_row():
         assert not m.apply(v)
 
 
-def test_homology_dim_zero_complex():
+def _two_step(d_in, d_out):
+    """d_0 = d_out and d_1 = d_in for `chain_rank`, with d_0 d_1 = 0 checked
+    as `SliceContext.holds` checks an identity."""
+    composite_vanishes = SliceContext._products_cancel([(d_out, d_in)])
+    return [d_out, d_in].__getitem__, lambda k: composite_vanishes
+
+
+def _homology(d_in, d_out):
+    """dim ker d_out - rank d_in, both ranks through the chain walk."""
+    differential, composes = _two_step(d_in, d_out)
+    return d_out.cols - sum(chain_rank(differential, k, composes) for k in (0, 1))
+
+
+def test_chain_rank_zero_complex():
     d_in = SparseMatrix.zero(0, 0)
     d_out = SparseMatrix.zero(0, 2)
-    assert homology_dim(d_in, d_out) == 2
+    assert _homology(d_in, d_out) == 2
 
 
-def test_homology_dim_exact_complex():
+def test_chain_rank_exact_complex():
     d_in = SparseMatrix.identity(2)
     d_out = SparseMatrix.zero(0, 2)
-    assert homology_dim(d_in, d_out) == 0
+    assert _homology(d_in, d_out) == 0
 
 
-def test_homology_dim_rank_count():
+def test_chain_rank_rank_count():
     d_in = SparseMatrix.from_dense([[2], [0]])
     d_out = SparseMatrix.from_dense([[0, 1]])
-    assert homology_dim(d_in, d_out) == 0
+    assert _homology(d_in, d_out) == 0
 
 
-def test_homology_dim_detects_bad_composition():
-    d_in = SparseMatrix.identity(2)
-    d_out = SparseMatrix.identity(2)
-    with pytest.raises(CompositionNonzeroError):
-        homology_dim(d_in, d_out)
+def test_chain_rank_factors_a_bad_composition_in_full():
+    # the identity check sees d_0 d_1 != 0, so the walk keeps every row of d_1
+    differential, composes = _two_step(SparseMatrix.identity(2), SparseMatrix.identity(2))
+    assert not composes(1)
+    assert chain_rank(differential, 1, composes) == 2
 
 
-def test_homology_dim_checks_the_composite_before_skipping_rows(monkeypatch):
+def test_chain_rank_skips_no_rows_where_the_composite_fails(monkeypatch):
     # d_out's pivot column 0 is d_in's only nonzero row: skipped, the rank
-    # of d_in would read 0, so homology_dim must raise before any skip
+    # of d_in would read 0, so the walk must pass no skip_rows here
     d_out = SparseMatrix.from_dense([[1, 0]])
     assert SparseMatrix.from_dense([[1], [0]]).rank(skip_rows=d_out.pivot_columns()) == 0
     calls = []
@@ -89,12 +103,13 @@ def test_homology_dim_checks_the_composite_before_skipping_rows(monkeypatch):
         return rank(m, skip_rows)
 
     monkeypatch.setattr(SparseMatrix, "rank", recording)
-    with pytest.raises(CompositionNonzeroError):
-        homology_dim(SparseMatrix.from_dense([[1], [0]]), d_out)
+    differential, composes = _two_step(SparseMatrix.from_dense([[1], [0]]), d_out)
+    assert not composes(1)
+    assert chain_rank(differential, 1, composes) == 1
     assert not any(calls)
     # a composable pair: d_in loses row 0 and keeps its rank
     d_in, d_out = SparseMatrix.from_dense([[1], [1]]), SparseMatrix.from_dense([[1, -1]])
-    assert homology_dim(d_in, d_out) == 0
+    assert _homology(d_in, d_out) == 0
     assert frozenset({0}) in calls
 
 

@@ -77,3 +77,18 @@ def test_sparse_sums_go_through_add_term():
                 if not any("drop zeros once" in ln for ln in body):
                     hits.append(where + "  (no comment saying why)")
     assert not hits, "use rationals.add_term:\n" + "\n".join(hits)
+
+
+def test_rows_are_skipped_only_by_the_chain_walk():
+    # the compression lemma holds only after the composite is verified, and
+    # linalg.chain_rank is the one place that asks; a second caller passing
+    # skip_rows= would be a second copy of that rule
+    calls = []
+    for path in sorted((ROOT / "src" / "khh").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = list(_functions(tree))
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and any(kw.arg == "skip_rows" for kw in call.keywords):
+                owners = [n for n, f in functions if f.lineno <= call.lineno <= f.end_lineno]
+                calls.append((path.stem, owners[-1] if owners else None))
+    assert calls == [("linalg", "chain_rank")]
