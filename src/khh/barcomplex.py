@@ -12,7 +12,16 @@ are sorted by the slot weights of m1..mn, each slot by (total weight,
 weight vector), then by the head's position in the weight basis of the
 weight left over, then by each entry's position in its own weight basis.
 `basis` builds this order in one pass over compositions of the weight into
-bar slots, whose slot trees each context shares between its slices.
+bar slots.  Their slot trees, like the normal-form products of monomial
+pairs, read neither the weight asked nor the convention, so every context
+of one algebra shares them, between its slices and with the other
+contexts, for as long as the algebra lives.
+
+b is defined once, as the stream of face terms `b_faces` yields for one
+tensor; a tensor may recur in it, and its terms add up.  `b_tensor` and
+`b_chain` add the stream into dicts, for chains and the test oracle, and
+`b_matrix` feeds it through `SparseMatrix.from_images` straight into the
+slice's rows, with no dict per tensor.
 
 Connes' complex C^lambda_n is the quotient of the positive-weight tensors
 (head included) by the signed rotation t = (-1)^n rotation, with the b
@@ -44,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from weakref import WeakKeyDictionary
 
 from .rationals import QQ, add_term
 from .linalg import SparseMatrix
@@ -223,6 +233,10 @@ def parse_chain(algebra: GradedAlgebra, text: str, degree=None) -> BarChain:
     return BarChain(algebra, deg if deg is not None else 0, terms)
 
 
+# the convention-independent tables of each live algebra
+_ALGEBRA_TABLES = WeakKeyDictionary()
+
+
 class SliceContext:
     """Slice bases and differential matrices of one algebra under one
     convention, each built once: every per-slice method is a `slice_memo`
@@ -240,8 +254,9 @@ class SliceContext:
         self.conv = convention(conv) if isinstance(conv, str) else conv
         self._memo = {}  # the slice_memo entries
         self._positive = {}  # w -> [(total, v, weight basis of v)], positive v <= w, sorted
-        self._slot_trees = {}  # (k, remaining) -> the slot tree of `basis`
-        self._products = {}
+        # (a, b) -> `_product(a, b)` and (k, remaining) -> the slot tree of
+        # `basis`, shared by every context of the algebra (module docstring)
+        self._products, self._slot_trees = _ALGEBRA_TABLES.setdefault(algebra, ({}, {}))
 
     # -- bases --------------------------------------------------------
 
@@ -261,12 +276,13 @@ class SliceContext:
 
             def slots(k, remaining):
                 """The ways to fill k bar slots within `remaining`, as a tree
-                shared between branches and slices: the head's weight basis at
-                k = 0 (the head takes the weight left over, possibly zero),
-                else [(weight basis of v, slots(k - 1, remaining - v))] over
-                the slot weights v in basis order, without empty branches.
-                It depends on (k, remaining) alone: `positive` holds every
-                positive weight <= w, and remaining <= w."""
+                shared between branches, slices and contexts: the head's
+                weight basis at k = 0 (the head takes the weight left over,
+                possibly zero), else [(weight basis of v, slots(k - 1,
+                remaining - v))] over the slot weights v in basis order,
+                without empty branches.  It depends on (k, remaining) alone:
+                the `positive` of every weight w >= remaining lists the same
+                slot weights v <= remaining, in the same order."""
                 found = trees.get((k, remaining))
                 if found is None:
                     if k == 0:
@@ -317,31 +333,35 @@ class SliceContext:
             )
         return cached
 
-    def b_tensor(self, tensor):
-        """b of one tensor as {tensor: coeff}."""
+    def b_faces(self, tensor):
+        """b of one tensor as a stream of (tensor, coeff) face terms, face by
+        face; a tensor may recur, and its terms add up.  The one definition
+        of b: `b_tensor` sums the stream, `b_matrix` streams it into rows."""
         if self.conv.reverse_tensors:
-            flipped = self._b_tensor_std(self._reverse(tensor))
-            return {self._reverse(t): c for t, c in flipped.items()}
-        return self._b_tensor_std(tensor)
+            reverse = self._reverse
+            return ((reverse(t), c) for t, c in self._b_faces_std(reverse(tensor)))
+        return self._b_faces_std(tensor)
 
-    def _b_tensor_std(self, tensor):
+    def _b_faces_std(self, tensor):
         n = len(tensor) - 1
-        out = {}
-        if n == 0:
-            return out
-
         for i in range(n):
             sign = -1 if i % 2 else 1
             before, after = tensor[:i], tensor[i + 2 :]
             for m, c in self._product(tensor[i], tensor[i + 1]):
-                add_term(out, before + (m,) + after, sign * c)
-        if not self.conv.b_drop_wrap:
+                yield before + (m,) + after, sign * c
+        if n and not self.conv.b_drop_wrap:
             sign = -1 if n % 2 else 1
             if self.conv.b_wrap_flip:
                 sign = -sign
             body = tensor[1:n]
             for m, c in self._product(tensor[n], tensor[0]):
-                add_term(out, (m, *body), sign * c)
+                yield (m, *body), sign * c
+
+    def b_tensor(self, tensor):
+        """b of one tensor as {tensor: coeff}: its faces added up."""
+        out = {}
+        for t, c in self.b_faces(tensor):
+            add_term(out, t, c)
         return out
 
     def B_tensor(self, tensor):
@@ -369,7 +389,7 @@ class SliceContext:
     def b_chain(self, chain: BarChain) -> BarChain:
         out = {}
         for tensor, c in chain.terms.items():
-            for t, v in self.b_tensor(tensor).items():
+            for t, v in self.b_faces(tensor):
                 add_term(out, t, c * v)
         return BarChain(chain.algebra, chain.degree - 1, out)
 
@@ -419,7 +439,7 @@ class SliceContext:
     @slice_memo
     def b_matrix(self, n: int, w) -> SparseMatrix:
         dst_index = self.index(n - 1, w) if n >= 1 else {}
-        return SparseMatrix.from_images(len(dst_index), self.basis(n, w), self.b_tensor, dst_index)
+        return SparseMatrix.from_images(len(dst_index), self.basis(n, w), self.b_faces, dst_index)
 
     @slice_memo
     def idempotent_matrix(self, n: int, w, i: int) -> SparseMatrix:

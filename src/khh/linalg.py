@@ -15,17 +15,19 @@ class coordinates come out as QQ.
 
 One builder turns a map given on basis elements into a matrix:
 `SparseMatrix.from_images(rows, sources, image, index)` writes column j
-from image(sources[j]), a dict of terms, at the rows index assigns them.
-Bar b and B, chain maps, the antisymmetrization, ideal slices and form
-relations use it directly; class maps (de Rham d, induced maps, the HKR
-and units class matrices) go through `QuotientSpace.matrix_of`, which is
-the same builder over class coordinates.  Lookups are strict: a term
-outside the target basis is a bug in the map, so it raises SanityError
-(exit 5) and is never dropped.  Int coefficients go straight into int
-rows, one dict lookup per term, so images must keep int coefficients int
-(`rationals.add_term` does); the first non-int coefficient sends the whole
-matrix through the constructor, which brings QQ entries over a common
-denominator.
+from image(sources[j]), a dict of terms or a stream of (key, coefficient)
+terms, at the rows index assigns them; a stream's repeated keys add up,
+and a sum that cancels leaves no entry.  Bar b streams its faces straight
+into the rows this way, with no dict per tensor.  Bar B, chain maps, the
+antisymmetrization, ideal slices and form relations pass dicts; class
+maps (de Rham d, induced maps, the HKR and units class matrices) go
+through `QuotientSpace.matrix_of`, which is the same builder over class
+coordinates.  Lookups are strict: a term outside the target basis is a
+bug in the map, so it raises SanityError (exit 5) and is never dropped.
+Int coefficients go straight into int rows, so images must keep int
+coefficients int (`rationals.add_term` does); any non-int coefficient
+sends the whole matrix through the constructor, which brings QQ entries
+over a common denominator.
 
 Block matrices are laid out by slot.  `SparseMatrix.from_blocks(row_sizes,
 col_sizes, blocks)` takes each block with its (block row, block column)
@@ -169,22 +171,26 @@ class SparseMatrix:
     def from_images(cls, rows, sources, image, index):
         """The rows x len(sources) matrix of a map given on basis elements.
 
-        Column j is image(sources[j]), a dict {key: nonzero coefficient},
-        written at the rows index[key]; pass range(rows) where the keys
-        already are rows (never negative, as range would wrap them).  A key outside index raises SanityError.  Int
+        Column j is image(sources[j]): a dict {key: coefficient} or a stream
+        of (key, coefficient) terms whose repeated keys add up, written at
+        the rows index[key]; pass range(rows) where the keys already are rows
+        (never negative, as range would wrap them).  A key outside index
+        raises SanityError, and a sum that cancels stores nothing.  Int
         coefficients go straight into int rows; any other coefficient sends
         the entries through the constructor.
         """
         rowdata = [{} for _ in range(rows)]
         integral = True
         for j, source in enumerate(sources):
-            for key, c in image(source).items():
+            terms = image(source)
+            for key, c in terms.items() if isinstance(terms, dict) else terms:
                 try:
-                    rowdata[index[key]][j] = c
+                    row = rowdata[index[key]]
                 except (KeyError, IndexError):
                     raise SanityError(
                         f"column {j}: image term {key!r} lies outside the target basis"
                     ) from None
+                add_term(row, j, c)
                 if type(c) is not int:
                     integral = False
         if integral:
@@ -288,16 +294,36 @@ class SparseMatrix:
         return SparseMatrix._of_rows(self.rows, self.cols, rowdata, self.den * c.denominator)
 
     def __matmul__(self, other):
+        """The product, each row scattered into one dense accumulator.
+
+        Gustavson's row-by-row kernel (ACM TOMS 4, 1978): acc holds None at
+        every column no term of the row has reached, and `touched` lists the
+        columns reached, in first-touch order, so a row costs its terms plus
+        its touched columns and acc is clean again for the next row.  Sums
+        cancel often here, so zeros are dropped once, when a row is read out.
+        """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         orows = other._rowdata
+        acc = [None] * other.cols
         out = []
         for row in self._rowdata:
-            acc = {}  # sums cancel often here: add everything, drop zeros once
+            touched = []
             for k, a in row.items():
                 for j, b in orows[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            out.append({j: v for j, v in acc.items() if v})
+                    v = acc[j]
+                    if v is None:
+                        touched.append(j)
+                        acc[j] = a * b
+                    else:
+                        acc[j] = v + a * b
+            sums = {}
+            for j in touched:
+                v = acc[j]
+                acc[j] = None
+                if v:
+                    sums[j] = v
+            out.append(sums)
         return SparseMatrix._of_rows(self.rows, other.cols, out, self.den * other.den)
 
     def apply(self, vec):

@@ -2,11 +2,20 @@
 
 `map_cells` ships one task per slice weight (w, j).  Weights never mix in
 the bar complex, its B operator or the idempotents, so a task holds every
-(kind, n) cell of its weight, builds a HomologyEngine from the algebra's
-presentation data and drops it on return; a worker's memory is one
-weight's slices at a time.  `khh report` maps the corpus entries over the
-same helper.  Results come back in task order, so reports stay
-deterministic no matter how many workers run.
+(kind, n) cell of its weight.  A process that runs weight tasks (a pool
+worker, or the caller at one job) keeps one algebra, rebuilt only when a
+task's presentation payload (name, generators, weights and relations)
+differs in any part from the last task's.  With it persist the algebra's
+Groebner basis, its normal-form and weight-basis caches, and the
+bar-complex tables every `SliceContext` of the algebra shares: nf
+products of monomial pairs and the slot trees of the bases.  None of
+these depends on the weight asked or the sign convention, and each is
+bounded by the largest weight the process meets.  The HomologyEngine, its
+slices and its matrices live for one task and are dropped on return, so
+a worker's memory is one weight's slices plus those bounded tables.
+`khh report` maps the corpus entries over the same helper.  Results come
+back in task order, so reports stay deterministic no matter how many
+workers run.
 """
 
 from __future__ import annotations
@@ -75,12 +84,24 @@ def _run_cell(engine, kind, n, w):
         return None  # reported as a located sanity failure by the caller
 
 
+_warm = None  # (payload, algebra) of the last weight task in this process
+
+
 def _run_weight(task):
-    """The cells of one slice weight, on an engine that lives for this task."""
+    """The cells of one slice weight, on an engine that lives for this task.
+
+    The algebra is the process's warm one when the payload equals the last
+    task's, so its caches and shared slice tables carry over from task to
+    task; any other payload replaces it.  Engines are never kept: their
+    slices and matrices belong to this task's weight alone.
+    """
     from .homology import HomologyEngine
 
+    global _warm
     payload, conv_name, w, cells = task
-    engine = HomologyEngine(_rebuild_algebra(payload), conv_name)
+    if _warm is None or _warm[0] != payload:
+        _warm = (payload, _rebuild_algebra(payload))
+    engine = HomologyEngine(_warm[1], conv_name)
     return [_run_cell(engine, kind, n, w) for kind, n in cells]
 
 

@@ -20,7 +20,8 @@ from conftest import algebra_of, small_algebras
 
 class _PerTensorSlices:
     """The former slice assembly; b and B of one tensor come from a
-    separate `SliceContext`, whose `b_tensor` is the one definition of b."""
+    separate `SliceContext`, whose `b_faces` is the one definition of b
+    (`b_tensor` adds them up)."""
 
     def __init__(self, algebra, conv):
         self.algebra = algebra

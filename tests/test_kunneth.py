@@ -4,6 +4,11 @@ The full-size run at (n, w, j) <= (3, 12, 4) lives in the acceptance
 suite; these tests keep the cutoffs small enough for quick iteration.
 """
 
+import json
+import subprocess
+import sys
+
+from conftest import read_corpus_text
 from khh.algebra import GradedAlgebra, parse_algebra
 from khh.homology import verify_kunneth
 
@@ -62,3 +67,45 @@ def test_parallel_matches_serial_on_corrupt_convention(cusp):
     serial = cells(1)
     assert any(c[-1] == "sanity" and c[4] is None for c in serial)
     assert serial == cells(2)
+
+
+# one cell list per case, computed in an interpreter of its own
+_FRESH_RUN = """
+import json, sys
+from khh.algebra import parse_algebra
+from khh.homology import verify_kunneth
+algebra = parse_algebra(sys.argv[1])
+report = verify_kunneth(algebra, t_cutoff=1, n_max=2, w_max=5, conv=sys.argv[2], jobs=1)
+print(json.dumps([[c.kind, c.n, c.w, c.j, c.left, c.right, c.status] for c in report.cells]))
+"""
+
+
+def test_warm_worker_state_does_not_leak_between_runs():
+    # a weight task reuses its process's algebra when the payload is the
+    # same; every run below must match a fresh interpreter, including one
+    # whose algebra shares cusp's name and not its relation
+    cusp = read_corpus_text("cusp", "algebra.alg")
+    planted = cusp.replace("rel y^2 - x^3", "rel x*y")
+    assert planted != cusp
+    runs = [
+        (cusp, "standard"),
+        (read_corpus_text("free1", "algebra.alg"), "standard"),
+        (cusp, "corrupt-b-drop-wrap"),
+        (cusp, "standard"),
+        (planted, "standard"),
+    ]
+    fresh = {}
+    for run in runs:
+        if run not in fresh:
+            out = subprocess.run(
+                [sys.executable, "-c", _FRESH_RUN, *run],
+                capture_output=True, text=True, check=True,
+            )
+            fresh[run] = [tuple(cell) for cell in json.loads(out.stdout)]
+    assert fresh[(planted, "standard")] != fresh[(cusp, "standard")]
+    for jobs in (1, 2):
+        for text, conv in runs:
+            algebra = parse_algebra(text)
+            report = verify_kunneth(algebra, t_cutoff=1, n_max=2, w_max=5, conv=conv, jobs=jobs)
+            cells = [(c.kind, c.n, c.w, c.j, c.left, c.right, c.status) for c in report.cells]
+            assert cells == fresh[(text, conv)], (jobs, text, conv)

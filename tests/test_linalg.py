@@ -20,7 +20,7 @@ from khh.linalg import (
     eigenspace,
 )
 from khh.barcomplex import SliceContext
-from khh.errors import NotSquareError, PreconditionError
+from khh.errors import NotSquareError, PreconditionError, SanityError
 
 
 def test_rank_empty_matrix():
@@ -135,6 +135,28 @@ def test_from_blocks_places_blocks_by_slot():
     for slot in [(0, 2, b), (1, 0, a), (0, 1, a), (2, 0, a), (-1, 0, b)]:
         with pytest.raises(ValueError, match="does not fit slot"):
             SparseMatrix.from_blocks([1, 2], [2, 0, 1], [slot])
+
+
+def test_from_images_adds_up_a_stream_of_terms():
+    # an image may be a generator of (key, coefficient) terms, as b's faces are
+    index = {"p": 0, "q": 1, "r": 2}
+    images = {
+        "u": [("p", 1), ("q", 2), ("p", 3)],  # p repeats: 1 + 3
+        "v": [("q", 5), ("r", 1), ("q", -5)],  # q cancels: no entry
+        "w": [("r", -2), ("r", 2)],  # the whole column cancels
+    }
+    mat = SparseMatrix.from_images(3, "uvw", lambda s: (term for term in images[s]), index)
+    assert mat._rowdata == ({0: 4}, {0: 2}, {1: 1})
+    assert mat == SparseMatrix.from_dense([[4, 0, 0], [2, 0, 0], [0, 1, 0]])
+    # a term outside the target basis is a bug in the map, never dropped
+    with pytest.raises(SanityError, match="outside the target basis"):
+        SparseMatrix.from_images(3, "u", lambda s: (t for t in [("p", 1), ("s", 1)]), index)
+    # a QQ coefficient sends the matrix through the constructor: over den
+    half = SparseMatrix.from_images(
+        2, "u", lambda s: (t for t in [("p", QQ(1, 2)), ("q", 1), ("p", 1)]), index
+    )
+    assert (half.den, half._rowdata) == (2, ({0: 3}, {0: 2}))
+    assert all(type(v) is int for row in half._rowdata for v in row.values())
 
 
 def test_eigenspace_jordan_block():
@@ -257,17 +279,41 @@ def _ref_rank(dense):
     return r
 
 
+@st.composite
+def _storage_cases(draw):
+    """(n, k, m, a, b, c, scalar, target, vec): dense a, b of shape n x k,
+    c of shape k x m, a scalar, a target of length n and a vector of length k."""
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+    da, db = _draw_dense(draw, n, k), _draw_dense(draw, n, k)
+    dc = _draw_dense(draw, k, m)
+    scalar = draw(_ENTRIES)
+    target = [draw(_ENTRIES) for _ in range(n)]
+    vec = [draw(_ENTRIES) for _ in range(k)]
+    return n, k, m, da, db, dc, scalar, target, vec
+
+
+def _qq(x):
+    """A nested list of numbers as QQ entries."""
+    return [_qq(v) for v in x] if isinstance(x, list) else QQ(x)
+
+
 @settings(max_examples=80)
-@given(st.data())
-def test_int_storage_agrees_with_dense_fraction_reference(data):
-    n, k, m = (data.draw(st.integers(0, 4)) for _ in range(3))
-    da, db = _draw_dense(data.draw, n, k), _draw_dense(data.draw, n, k)
-    dc = _draw_dense(data.draw, k, m)
+@given(_storage_cases())
+# a product entry cancels to 0 mid-row and is touched again; another cancels for good
+@example((1, 3, 2, _qq([[1, 1, 1]]), _qq([[0, 2, QQ(1, 2)]]), _qq([[1, 2], [-1, -2], [1, 0]]),
+          QQ(-1, 2), _qq([1]), _qq([1, 0, -1])))
+# a factor with no columns: a is 2 x 0 and c is 0 x 3
+@example((2, 0, 3, [[], []], [[], []], [], QQ(3), _qq([1, 0]), []))
+# an all-zero row of a, above a row whose product cancels in one column
+@example((2, 2, 2, _qq([[0, 0], [1, -1]]), _qq([[1, 0], [0, 0]]), _qq([[1, 2], [3, 2]]),
+          QQ(2), _qq([0, 1]), _qq([1, 1])))
+def test_int_storage_agrees_with_dense_fraction_reference(case):
+    n, k, m, da, db, dc, scalar, target, vec = case
     a, b, c = _sparse(da, k), _sparse(db, k), _sparse(dc, m)
-    scalar = data.draw(_ENTRIES)
 
     assert _to_dense(a) == da
     assert _to_dense(a @ c) == _ref_mul(da, dc, k, m)
+    assert a @ c == _sparse(_ref_mul(da, dc, k, m), m)  # canonical: no stored zeros
     assert _to_dense(a + b) == [[x + y for x, y in zip(r, s)] for r, s in zip(da, db)]
     assert _to_dense(a - b) == [[x - y for x, y in zip(r, s)] for r, s in zip(da, db)]
     assert _to_dense(a.scale(scalar)) == [[scalar * x for x in r] for r in da]
@@ -281,14 +327,12 @@ def test_int_storage_agrees_with_dense_fraction_reference(data):
     assert len(kernel) == k - r
     dense_kernel = [[v.get(j, Fraction(0)) for j in range(k)] for v in kernel]
     assert _ref_rank(dense_kernel) == len(kernel)
-    for vec in dense_kernel:
-        assert all(row == [0] for row in _ref_mul(da, [[x] for x in vec], k, 1))
+    for kvec in dense_kernel:
+        assert all(row == [0] for row in _ref_mul(da, [[x] for x in kvec], k, 1))
 
     columns = a.column_echelon()
-    target = [data.draw(_ENTRIES) for _ in range(n)]
     inside = _ref_rank([row + [t] for row, t in zip(da, target)]) == r
     assert columns.contains({i: t for i, t in enumerate(target) if t}) == inside
-    vec = [data.draw(_ENTRIES) for _ in range(k)]
     image = a.apply({j: x for j, x in enumerate(vec) if x})
     ref_image = _ref_mul(da, [[x] for x in vec], k, 1)
     assert image == {i: row[0] for i, row in enumerate(ref_image) if row[0]}

@@ -34,11 +34,11 @@ def test_bench_span_targets_resolve():
 
 # a hand-rolled "get, add, store or drop" loop; sparse sums go through add_term
 _ACCUMULATE = re.compile(r"\.get\([^)]*, (0|ZERO)\) [+-]")
-# the primitive itself, and the two product kernels that sum everything and
-# drop zeros once at the end (their sums cancel often)
+# the primitive itself, and the idempotent kernel that sums everything and
+# drops zeros once at the end (its sums cancel often); the matrix product
+# scatters into a dense accumulator and has no get-add loop
 _ACCUMULATE_ALLOWED = {
     ("rationals", "add_term"),
-    ("linalg", "SparseMatrix.__matmul__"),
     ("hodge", "element_matrix"),
 }
 
