@@ -535,10 +535,6 @@ class GradedHom:
                 add_term(out, rm, c * rc)
         return self.codomain.nf(out)
 
-    @classmethod
-    def identity(cls, algebra: GradedAlgebra):
-        return cls(algebra, algebra, [algebra.gen_poly(i) for i in range(algebra.ngens)])
-
 
 # -- text format -------------------------------------------------------------
 

@@ -18,10 +18,10 @@ of one algebra shares them, between its slices and with the other
 contexts, for as long as the algebra lives.
 
 b is defined once, as the stream of face terms `b_faces` yields for one
-tensor; a tensor may recur in it, and its terms add up.  `b_tensor` and
-`b_chain` add the stream into dicts, for chains and the test oracle, and
-`b_matrix` feeds it through `SparseMatrix.from_images` straight into the
-slice's rows, with no dict per tensor.
+tensor; a tensor may recur in it, and its terms add up.  `b_chain` adds
+the stream into a chain's dict, and `b_matrix` feeds it through
+`SparseMatrix.from_images` straight into the slice's rows, with no dict
+per tensor.
 
 Connes' complex C^lambda_n is the quotient of the positive-weight tensors
 (head included) by the signed rotation t = (-1)^n rotation, with the b
@@ -131,30 +131,12 @@ class BarChain:
                 raise PreconditionError("chain is not weight-homogeneous")
         return w
 
-    def __add__(self, other):
-        self._compat(other)
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            add_term(out, t, c)
-        return BarChain(self.algebra, self.degree, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = QQ(c)
-        return BarChain(self.algebra, self.degree, {t: c * v for t, v in self.terms.items()})
-
     def __eq__(self, other):
         return (
             isinstance(other, BarChain)
             and self.degree == other.degree
             and self.terms == other.terms
         )
-
-    def _compat(self, other):
-        if self.algebra is not other.algebra or self.degree != other.degree:
-            raise ValueError("chains live in different groups")
 
     def vector(self, index):
         """Sparse coordinates w.r.t. a slice index {tensor: position}."""
@@ -336,7 +318,7 @@ class SliceContext:
     def b_faces(self, tensor):
         """b of one tensor as a stream of (tensor, coeff) face terms, face by
         face; a tensor may recur, and its terms add up.  The one definition
-        of b: `b_tensor` sums the stream, `b_matrix` streams it into rows."""
+        of b: `b_chain` sums the stream, `b_matrix` streams it into rows."""
         if self.conv.reverse_tensors:
             reverse = self._reverse
             return ((reverse(t), c) for t, c in self._b_faces_std(reverse(tensor)))
@@ -356,13 +338,6 @@ class SliceContext:
             body = tensor[1:n]
             for m, c in self._product(tensor[n], tensor[0]):
                 yield (m, *body), sign * c
-
-    def b_tensor(self, tensor):
-        """b of one tensor as {tensor: coeff}: its faces added up."""
-        out = {}
-        for t, c in self.b_faces(tensor):
-            add_term(out, t, c)
-        return out
 
     def B_tensor(self, tensor):
         if self.conv.reverse_tensors:
@@ -392,13 +367,6 @@ class SliceContext:
             for t, v in self.b_faces(tensor):
                 add_term(out, t, c * v)
         return BarChain(chain.algebra, chain.degree - 1, out)
-
-    def B_chain(self, chain: BarChain) -> BarChain:
-        out = {}
-        for tensor, c in chain.terms.items():
-            for t, v in self.B_tensor(tensor).items():
-                add_term(out, t, c * v)
-        return BarChain(chain.algebra, chain.degree + 1, out)
 
     def shuffle(self, left: BarChain, right: BarChain) -> BarChain:
         """Shuffle product: graded commutative, b acts as a derivation."""
@@ -590,13 +558,6 @@ class SliceContext:
             product = f @ g
             total = product if total is None else total + product
         return total is None or total.is_zero()
-
-    def check_slice(self, n: int, w):
-        """b^2, B^2 and, unless the convention is corrupt, bB + Bb at (n, w)."""
-        self.verify("b.b", n, w)
-        self.verify("B.B", n, w)
-        if not self.conv.corrupt:
-            self.verify("b.B + B.b", n, w)
 
     def in_boundary(self, chain: BarChain) -> bool:
         w = chain.weight()

@@ -166,6 +166,8 @@ def cmd_cycles(args):
 
 def cmd_tk(args):
     _check_cutoffs(args, "n_max", "max_weight", "degree_cutoff")
+    if args.degree_cutoff is not None and not args.nk0:
+        raise PreconditionError("--degree-cutoff bounds the --nk0 crosscheck; pass --nk0")
     square = _read_square(args)
     square.validate(args.max_weight)
     tables = []
@@ -193,7 +195,8 @@ def cmd_tk(args):
                       1 if cell["equal"] else 0)
         tables.append(check)
     if args.nk0:
-        rep = nk0_crosscheck(square, args.degree_cutoff, args.max_weight)
+        cutoff = 6 if args.degree_cutoff is None else args.degree_cutoff
+        rep = nk0_crosscheck(square, cutoff, args.max_weight)
         nk_table = DimensionTable(
             f"nk0 crosscheck for {square.algebra.name}", ("j",),
             metadata=_common_meta(args, status=rep.status,
@@ -417,7 +420,7 @@ def build_parser():
     p.add_argument("--max-weight", type=int, required=True)
     p.add_argument("--formula-check", action="store_true")
     p.add_argument("--nk0", action="store_true")
-    p.add_argument("--degree-cutoff", type=int, default=6)
+    p.add_argument("--degree-cutoff", type=int, default=None)  # --nk0 only; 6 by default
     p.set_defaults(func=cmd_tk)
 
     p = sub.add_parser("pic", help="Picard growth over polynomial extensions")

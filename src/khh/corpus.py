@@ -2,10 +2,10 @@
 
 Each entry directory holds the input files (algebra.alg, optionally
 square.sq and curve.crv) plus expected.json with the frozen values.  Every
-value group carries a source tag: "trivial" and "literature" values are
-asserted as-is, "oracle:*" values are regenerated by the corresponding
-computation and must match bit-exactly; a disagreement between two oracle
-paths is a hard failure, never something to smooth over.
+value group carries a source tag ("trivial", "literature" or "oracle:*");
+`verify_entry` recomputes every group and reports each cell that differs
+from its frozen value, whatever its source, and a disagreement between
+two oracle paths is a hard failure, never something to smooth over.
 """
 
 from __future__ import annotations
@@ -188,39 +188,6 @@ def verify_entry(entry: CorpusEntry):
                 {"group": group, "frozen": frozen, "observed": observed[group]}
             )
     return observed, diffs
-
-
-def regenerate_derived(corpus_dir=None, write=False):
-    """Recompute oracle-sourced golden values; trivial/literature values are
-    asserted, never rewritten.  Returns {entry: diffs}."""
-    report = {}
-    for entry in load_corpus(corpus_dir):
-        observed, diffs = verify_entry(entry)
-        fixed_diffs = []
-        changed = False
-        for diff in diffs:
-            group = diff.get("group")
-            src = (
-                entry.expected.get("values", {})
-                .get(group, {})
-                .get("source", "oracle:unknown")
-            )
-            if src.startswith("oracle:"):
-                if write:
-                    entry.expected["values"][group]["cells"] = observed[group]
-                    changed = True
-                fixed_diffs.append(diff)
-            else:
-                raise OracleDisagreementError(
-                    f"{entry.name}/{group}: frozen {src} value disagrees with "
-                    f"the oracle: {diff}"
-                )
-        if changed:
-            (entry.path / "expected.json").write_text(
-                json.dumps(entry.expected, indent=1, sort_keys=True) + "\n"
-            )
-        report[entry.name] = fixed_diffs
-    return report
 
 
 # -- the main-theorem property suite ------------------------------------------

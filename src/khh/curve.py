@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rationals import QQ, add_term, qq, qq_str
+from .rationals import qq, qq_str
 from .errors import ParseError, PreconditionError, TorsionPointError
 
 MAZUR_BOUND = 12
@@ -156,16 +156,10 @@ class DivisorGroup:
     def of_point(self, P: Point) -> DivisorClass:
         return self.reduce([(P, 1)])
 
-    def trivial(self) -> DivisorClass:
-        return DivisorClass(0, O)
-
     def add(self, D1: DivisorClass, D2: DivisorClass) -> DivisorClass:
         return DivisorClass(
             D1.degree + D2.degree, self.curve.add(D1.reducer, D2.reducer)
         )
-
-    def neg(self, D: DivisorClass) -> DivisorClass:
-        return DivisorClass(-D.degree, self.curve.neg(D.reducer))
 
     def power(self, D: DivisorClass, k: int) -> DivisorClass:
         return DivisorClass(k * D.degree, self.curve.mul(k, D.reducer))
@@ -178,82 +172,35 @@ class DivisorGroup:
             return (0, -D.degree)
         return (1, 1) if D.is_principal() else (0, 0)
 
-    def serre_twist_threshold(self, D: DivisorClass, L: DivisorClass) -> int:
-        """Least N0 with h^1(D + N L) = 0 and deg(D + N L) >= 2 for all N > N0.
-
-        Degree grows monotonically and h^1 vanishes as soon as the degree is
-        positive, so the threshold is pure degree bookkeeping: the last N
-        with deg(D) + N deg(L) < 2, clamped at 0.
-        """
-        if L.degree <= 0:
-            raise PreconditionError("twisting class is not ample (degree <= 0)")
-        last_bad = -((D.degree - 2) // L.degree) - 1  # = ceil((2 - deg D)/deg L) - 1
-        return max(0, last_bad)
-
 
 # -- sheaf summand bookkeeping ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Summand:
-    j_power: int  # exponent of J = O(P - Q)
-    l_twist: int  # exponent of the ample class
-    multiplicity: int = 1
+def reduced_k_summands(n: int, m: int) -> tuple:
+    """The J-powers, sorted, of the summands of the relative K_n sheaf of
+    the cusp bundle x A^m, with J = O(P - Q).
 
-
-@dataclass
-class SummandList:
-    entries: tuple
-
-    @classmethod
-    def make(cls, items):
-        merged = {}
-        for s in items:
-            add_term(merged, (s.j_power, s.l_twist), s.multiplicity)
-        entries = tuple(Summand(j, l, m) for (j, l), m in sorted(merged.items()))
-        return cls(entries)
-
-
-def assemble_vn(n: int) -> SummandList:
-    """V_n over the curve: only the leading J-power survives.
-
-    On a curve the higher form modules vanish and Omega^1 is trivial, so
-    V_{2i} and V_{2i+1} both reduce to J^{6(i-1)}.
-    """
-    if n < 2:
-        raise PreconditionError("V_n defined for n >= 2")
-    i = n // 2
-    return SummandList.make([Summand(6 * (i - 1), 0)])
-
-
-def reduced_k_summands(n: int, m: int) -> SummandList:
-    """J-power summands of the relative K_n sheaf of the cusp bundle x A^m.
-
-    n < 0 and the n = 0, 1 cases are the conductor-square classes J and
-    J (x) Omega^1; from n = 2 on the (J^5 + J^6) (x) V_n block plus
-    J (x) Omega^n terms.  Polynomial factors contribute trivial bundles
-    only, so each entry is a positive J-power (multiplicity counts the
-    structural terms with a nonzero polynomial-form factor).
+    n < 0 has none; n = 0, 1 are the conductor-square classes J and
+    J (x) Omega^1, where Omega^1 splits as trivial summands; from n = 2 on
+    the (J^5 + J^6) (x) V_n block plus the J (x) Omega^n term.  Polynomial
+    factors contribute trivial bundles only, so each power is positive.
     """
     if n < 0:
-        return SummandList.make([])
-    if n == 0:
-        return SummandList.make([Summand(1, 0)])
-    if n == 1:
-        # J (x) Omega^1 of the base; Omega^1 splits as trivial summands
-        return SummandList.make([Summand(1, 0, multiplicity=m + 1)])
+        return ()
+    if n <= 1:
+        return (1,)
     i = n // 2
-    items = []
+    powers = set()
     # (J^5 + J^6) (x) V_n(R[t_1..t_m]): V-terms J^{6(i-1-k)} (x) Omega^{2k(+1)}
     for k in range(i):
         omega_deg = 2 * k + (1 if n % 2 else 0)
         if omega_deg > m + 1:
             continue  # the form module vanishes on curve x A^m
         for base in (5, 6):
-            items.append(Summand(base + 6 * (i - 1 - k), 0))
+            powers.add(base + 6 * (i - 1 - k))
     if n <= m + 1:
-        items.append(Summand(1, 0))  # J (x) Omega^n term
-    return SummandList.make(items)
+        powers.add(1)  # J (x) Omega^n term
+    return tuple(sorted(powers))
 
 
 # -- top-level tables ----------------------------------------------------------
@@ -261,10 +208,6 @@ def reduced_k_summands(n: int, m: int) -> SummandList:
 
 @dataclass
 class CuspBundleTables:
-    curve: dict
-    j_cutoff: int
-    m: int
-    n_range: tuple
     regular_table: list = field(default_factory=list)
     regular_verdict: bool = True
     twist_table: list = field(default_factory=list)
@@ -305,24 +248,14 @@ def cusp_bundle_tables(
             f"P - Q has finite order {order}; the tables require infinite order"
         )
     J = DivisorClass(0, delta)
-    L = div.add(div.of_point(Q), div.trivial())  # O(Q), degree 1, ample
+    L = div.of_point(Q)  # O(Q), degree 1, ample
 
-    tables = CuspBundleTables(
-        curve={"a1": qq_str(curve.a1), "a2": qq_str(curve.a2),
-               "a3": qq_str(curve.a3), "a4": qq_str(curve.a4),
-               "a6": qq_str(curve.a6)},
-        j_cutoff=j_cutoff, m=m, n_range=tuple(n_range),
-    )
-
+    tables = CuspBundleTables()
     for n in range(n_range[0], n_range[1] + 1):
-        summands = reduced_k_summands(n, m)
         row = {"n": n, "cells": []}
-        for s in summands.entries:
-            D = div.power(J, s.j_power)
-            h0, h1 = div.rr_dims(D)
-            row["cells"].append(
-                {"j_power": s.j_power, "mult": s.multiplicity, "h0": h0, "h1": h1}
-            )
+        for j_power in reduced_k_summands(n, m):
+            h0, h1 = div.rr_dims(div.power(J, j_power))
+            row["cells"].append({"j_power": j_power, "h0": h0, "h1": h1})
             if h0 or h1:
                 tables.regular_verdict = False
         tables.regular_table.append(row)

@@ -152,23 +152,20 @@ def element_matrix(element: dict, ctx, n: int, w) -> SparseMatrix:
     fixed: out[perm(i)] = in[i], read off as out[k] = in[inv(k)] with each
     inverse taken once.  The element is scaled to ints over the common
     denominator of its coefficients (a divisor of n!), so the entries are
-    summed as ints.
+    summed as ints and the matrix is scaled by 1/den once.
     """
     den = lcm(*(c.denominator for c in element.values()))
     scaled = [
         (tuple(k + 1 for k in _inverse(perm)), c.numerator * (den // c.denominator))
         for perm, c in element.items()
     ]
-    basis = ctx.basis(n, w)
-    index = ctx.index(n, w)
-    rows = [{} for _ in basis]
-    for j, tensor in enumerate(basis):
+
+    def image(tensor):
         head = tensor[:1]
-        for inv, c in scaled:
-            row = rows[index[head + tuple([tensor[k] for k in inv])]]
-            row[j] = row.get(j, 0) + c  # sums cancel often: drop zeros once, below
-    rowdata = [{j: v for j, v in row.items() if v} for row in rows]
-    return SparseMatrix._of_rows(len(basis), len(basis), rowdata, den)
+        return ((head + tuple([tensor[k] for k in inv]), c) for inv, c in scaled)
+
+    index = ctx.index(n, w)
+    return SparseMatrix.from_images(len(index), ctx.basis(n, w), image, index).scale(QQ(1, den))
 
 
 # descents of sigma, not of its inverse: the variant whose idempotents commute with b

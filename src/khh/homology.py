@@ -4,13 +4,12 @@ HH_n comes from the normalized bar complex slice.  In positive weight HC_n
 comes from Connes' complex C^lambda (Loday, Cyclic Homology, Thm 2.1.5),
 and each dimension is checked against Goodwillie's HC_n = sum_k (-1)^k
 HH_{n-k}, which holds over Q in positive weight because S vanishes there.
-Weight 0, the corrupt conventions and every class-level HC computation
-(`hc_space`, SBI) use the (b, B) total complex truncated at the
-connectedness bound (each weight slice of the bicomplex is finite, so the
-truncation is exact bookkeeping, not an approximation); `hc_space` then
-checks its class count against the Connes dimension.  Class-level work
-(representatives, Hodge projections, SBI maps) runs through QuotientSpace,
-which keeps exact class coordinates on the free coordinates of d_n.
+Weight 0 and the corrupt conventions use the (b, B) total complex
+truncated at the connectedness bound (each weight slice of the bicomplex
+is finite, so the truncation is exact bookkeeping, not an approximation).
+Class-level work (representatives, Hodge projections, psi_2) runs through
+QuotientSpace, which keeps exact class coordinates on the free
+coordinates of d_n.
 
 Each dimension is dim C_n - rank d_n - rank d_{n+1}, and the ranks are
 chain-compressed by `linalg.chain_rank`: where d_{m-1} d_m = 0 has been
@@ -33,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rationals import QQ
-from .linalg import SparseMatrix, Factor, QuotientSpace, chain_rank, eigenspace
+from .linalg import SparseMatrix, QuotientSpace, chain_rank, eigenspace
 from .errors import (
     IdempotentSanityError,
     OracleDisagreementError,
@@ -138,12 +137,6 @@ class HomologyEngine:
                 )
         return value
 
-    @slice_memo
-    def hc_space(self, n: int, w) -> QuotientSpace:
-        space = QuotientSpace(*self._differentials("total", n, w))
-        _check_space_dim(space, self.hc_dim(n, w), "HC", n, w)
-        return space
-
     # -- chain complexes: the bar complex, Connes' and the total complex ----
 
     def _differential(self, complex_, m, w) -> SparseMatrix:
@@ -224,59 +217,6 @@ class HomologyEngine:
         """e_n^(i) induced on the classes of hh_space(n, w)."""
         space = self.hh_space(n, w)
         return space.induced_matrix(self.ctx.idempotent_matrix(n, w, i), space)
-
-    def hodge_representatives(self, n: int, w, i: int):
-        """Cycle representatives spanning the i-th Hodge piece of HH_n."""
-        space = self.hh_space(n, w)
-        emat = self.ctx.idempotent_matrix(n, w, i)
-        basis = self.ctx.basis(n, w)
-        picked = []
-        ech = Factor(space.dim)
-        for rep in space.reps:
-            img = emat.apply(rep)
-            if ech.add_row(space.coords(img)) is not None:
-                picked.append(
-                    BarChain(self.algebra, n, {basis[r]: c for r, c in img.items()})
-                )
-        return picked
-
-    # -- SBI ----------------------------------------------------------------
-
-    def sbi_check(self, n: int, w) -> dict:
-        """Exactness of HH_n -> HC_n -> HC_{n-2} -> HH_{n-1} at the middle."""
-        w = self.algebra._coerce_weight(w)
-        hh_n = self.hh_space(n, w)
-        hc_n = self.hc_space(n, w)
-        hc_n2 = self.hc_space(n - 2, w) if n >= 2 else None
-        hh_n1 = self.hh_space(n - 1, w) if n >= 1 else None
-        # T_n = C_n + T_{n-2}: I includes the C_n slot, S keeps the other
-        one = SparseMatrix.identity
-        c_n = self.ctx.dim(n, w)
-        t_n = [c_n, hc_n.ambient_dim - c_n]
-        inc = SparseMatrix.from_blocks(t_n, [c_n], [(0, 0, one(c_n))])
-        i_star = hh_n.induced_matrix(inc, hc_n)
-        result = {"n": n, "w": w}
-        if hc_n2 is not None:
-            proj = SparseMatrix.from_blocks(t_n[1:], t_n, [(0, 1, one(t_n[1]))])
-            s_star = hc_n.induced_matrix(proj, hc_n2)
-            # connecting map: B of the C_{n-2} slot of a T_{n-2} cycle
-            c_n2 = self.ctx.dim(n - 2, w)
-            t_n2 = [c_n2, hc_n2.ambient_dim - c_n2]
-            lead = SparseMatrix.from_blocks([c_n2], t_n2, [(0, 0, one(c_n2))])
-            del_star = hc_n2.induced_matrix(self.ctx.B_matrix(n - 2, w) @ lead, hh_n1)
-            exact_at_hcn = (
-                (s_star @ i_star).is_zero()
-                and i_star.rank() == hc_n.dim - s_star.rank()
-            )
-            exact_at_hcn2 = (
-                (del_star @ s_star).is_zero()
-                and s_star.rank() == hc_n2.dim - del_star.rank()
-            )
-            result.update(exact_at_hc_n=exact_at_hcn, exact_at_hc_n2=exact_at_hcn2)
-        else:
-            # short range: exactness at HC_n degenerates to surjectivity of I
-            result.update(exact_at_hc_n=i_star.rank() == hc_n.dim, exact_at_hc_n2=True)
-        return result
 
 
 def _check_space_dim(space: QuotientSpace, dim: int, kind: str, n: int, w) -> None:

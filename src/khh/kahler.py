@@ -245,7 +245,6 @@ class SmoothnessVerdict:
     status: str  # SMOOTH | SINGULAR | INDETERMINATE
     non_reduced: bool = False
     zero_divisors: bool = False
-    witness_weights: tuple = ()
     note: str = ""
 
 
@@ -272,7 +271,6 @@ def jacobian_smooth(algebra: GradedAlgebra) -> SmoothnessVerdict:
         return SmoothnessVerdict("SMOOTH")
     zero_div = algebra.zero_divisor_probe() is not None
     forms = DifferentialForms(algebra)
-    weights = set()
     for rel in relations:
         for i, coeff in forms.partials(rel).items():
             if not coeff:
@@ -284,12 +282,9 @@ def jacobian_smooth(algebra: GradedAlgebra) -> SmoothnessVerdict:
                     note="a Jacobian entry is a unit: presentation has an "
                     "eliminable generator",
                 )
-            if w is not None:
-                weights.add(vec_total(w))
     return SmoothnessVerdict(
         "SINGULAR",
         non_reduced=non_reduced,
         zero_divisors=zero_div,
-        witness_weights=tuple(sorted(weights)),
         note="nilpotent generator" if non_reduced else "Jacobian ideal is graded-proper",
     )

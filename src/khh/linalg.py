@@ -6,7 +6,7 @@ storage is canonical (no stored zeros, gcd(content, den) = 1), so equal
 matrices compare equal.  Every differential this package builds is
 integral and has den = 1; rational operators such as the Eulerian
 idempotents carry their 1/n! factors in `den`.  Products, sums, scaling,
-transposes, block assembly (`from_blocks`) and ranks run on ints alone,
+block assembly (`from_blocks`) and ranks run on ints alone,
 with the denominators multiplied or brought to a common multiple; the
 factors take the int rows as they are, since scaling by `den` does not
 change the row space.  QQ re-enters only at the edges: `items` yields QQ
@@ -34,9 +34,9 @@ col_sizes, blocks)` takes each block with its (block row, block column)
 and is the one place slots become offsets.  A block must have exactly its
 slot's shape, so a block in the wrong slot raises ValueError rather than
 landing inside the matrix; blocks in one slot add up, which is how
-`__add__` sums.  The total complex, SBI's maps over T_n = C_n + T_{n-2},
-the fiber cone, the stacked class maps and the block-diagonal idempotents
-and conductor slices of a square are all built this way.
+`__add__` sums.  The total complex, the fiber cone, the stacked class
+maps and the block-diagonal idempotents and conductor slices of a square
+are all built this way.
 
 There is one eliminator in the package, `Factor`, fraction-free in the style of Bareiss
 (every update is an exact cross-multiplication followed by a gcd strip),
@@ -157,17 +157,6 @@ class SparseMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_dense(cls, data, rows=None, cols=None):
-        rows = len(data) if rows is None else rows
-        cols = (len(data[0]) if data else 0) if cols is None else cols
-        entries = {}
-        for i, row in enumerate(data):
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = v
-        return cls(rows, cols, entries)
-
-    @classmethod
     def from_images(cls, rows, sources, image, index):
         """The rows x len(sources) matrix of a map given on basis elements.
 
@@ -271,13 +260,6 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
     # -- arithmetic ---------------------------------------------------
-
-    def transpose(self):
-        out = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self._rowdata):
-            for j, v in row.items():
-                out[j][i] = v
-        return SparseMatrix._of_rows(self.cols, self.rows, out, self.den)
 
     def __add__(self, other):
         return SparseMatrix.from_blocks([self.rows], [self.cols], [(0, 0, self), (0, 0, other)])
@@ -400,10 +382,10 @@ class Factor:
 
     Each pivot row is a primitive int row, positive at its pivot and zero at
     every earlier pivot column, so fill-in from a pivot row lands only on
-    later pivots: `reduce` is one sweep in pivot order, and the rank is the
+    later pivots: `_reduce` is one sweep in pivot order, and the rank is the
     number of pivots.  Rows given at construction are eliminated at once;
-    `add_row` appends pivots.  QQ rows are lifted over their common
-    denominator, and `reduce` returns QQ values.
+    `QuotientSpace` appends its class pivots with `_append`.  QQ rows are
+    lifted over their common denominator.
     """
 
     def __init__(self, ncols, rows=(), markowitz=True):
@@ -493,7 +475,6 @@ class Factor:
                 row[j] //= h
         self._position[c] = len(self.pivot_rows)
         self.pivot_rows[c] = row
-        return c
 
     def _reduce(self, row, s):
         """(residual, scale) of the int row / s modulo the row space; row is consumed.
@@ -519,16 +500,6 @@ class Factor:
                         row[j] //= h
                     s //= h
         return row, s
-
-    def reduce(self, row):
-        """Residual of a row modulo the current row space, as QQ values."""
-        row, s = self._reduce(*_lift(row))
-        return {j: QQ(v, s) for j, v in row.items()}
-
-    def add_row(self, row):
-        """Insert a row; returns the new pivot column, or None if dependent."""
-        row, _ = self._reduce(*_lift(row))
-        return self._append(row, min(row)) if row else None
 
     def contains(self, row):
         return not self._reduce(*_lift(row))[0]
@@ -667,15 +638,9 @@ class QuotientSpace:
         reduces to the class columns alone; a projection accepts any vector,
         so the cycle condition d_out . vec = 0 is checked first.
         """
+        if self._d_out.apply(vec):
+            raise PreconditionError("vector is not a cycle in this slice")
         row, s = _lift(vec)
-        for out_row in self._d_out._rowdata:
-            t = 0
-            for j, a in out_row.items():
-                x = row.get(j)
-                if x is not None:
-                    t += a * x
-            if t:
-                raise PreconditionError("vector is not a cycle in this slice")
         free = self._free
         reduced, s = self._ech._reduce({j: v for j, v in row.items() if j in free}, s)
         ambient = self.ambient_dim

@@ -10,9 +10,9 @@ coordinates that `linalg` hands back.
 Sparse combinations (polynomials, chains, matrix rows) are dicts key ->
 coefficient that never store a zero: `SparseMatrix`'s canonical storage
 and the int path of `from_images` rely on it.  `add_term` is the one place
-a term is added and a sum that cancels to zero is dropped; only the product
-kernels `SparseMatrix.__matmul__` and `hodge.element_matrix` sum first and
-drop zeros once at the end.
+a term is added and a sum that cancels to zero is dropped; only the matrix
+product `SparseMatrix.__matmul__` sums first and drops zeros once at the
+end.
 """
 
 from __future__ import annotations

@@ -25,9 +25,6 @@ class DimensionTable:
             raise ValueError(f"expected {len(self.axes)} coordinates, got {coords}")
         self.cells[coords] = int(value)
 
-    def get(self, coords):
-        return self.cells[tuple(coords)]
-
     def to_json_obj(self):
         return {
             "label": self.label,
@@ -38,14 +35,6 @@ class DimensionTable:
             },
             "metadata": self.metadata,
         }
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        table = cls(obj["label"], tuple(obj["axes"]), metadata=dict(obj["metadata"]))
-        for key, value in obj["cells"].items():
-            coords = tuple(int(c) for c in key.split(",")) if key else ()
-            table.cells[coords] = int(value)
-        return table
 
     def canonical_json(self) -> str:
         return canonical_json(self.to_json_obj())

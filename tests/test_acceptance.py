@@ -20,6 +20,7 @@ from khh.fiber import ResolutionSquare
 from khh.homology import HomologyEngine, verify_cusp_cycles, verify_kunneth
 from khh.kahler import omega_dims, torsion_dims
 from khh import cli, hodge
+from conftest import check_slice
 
 
 # sha256 of the full corpus `khh report --format json`: every HH, HC, Hodge,
@@ -77,7 +78,7 @@ def test_c01_structural_sanity(entries):
         ctx = SliceContext(algebra)
         for n in range(n_max + 1):
             for w in range(w_max + 1):
-                ctx.check_slice(n, w)
+                check_slice(ctx, n, w)
                 if 1 <= n and ctx.dim(n, (w,)):
                     hodge.check_slice_completeness(ctx, n, (w,))
                     if ctx.dim(n, (w,)) <= 120:

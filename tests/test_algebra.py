@@ -87,7 +87,7 @@ def test_algebra_hom_cusp_to_line(cusp):
 
 
 def test_algebra_hom_identity(cusp):
-    iden = GradedHom.identity(cusp)
+    iden = GradedHom(cusp, cusp, [cusp.gen_poly(i) for i in range(cusp.ngens)])
     p = cusp.nf(parse_poly("x^3 + x y", cusp.gens))
     assert iden.apply(p) == p
 

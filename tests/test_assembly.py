@@ -15,13 +15,14 @@ from hypothesis import example, given, settings
 from khh.algebra import vec_leq, vec_sub, vec_total
 from khh.barcomplex import CONVENTIONS, SliceContext
 from khh.linalg import SparseMatrix
+from khh.rationals import add_term
 from conftest import algebra_of, small_algebras
 
 
 class _PerTensorSlices:
     """The former slice assembly; b and B of one tensor come from a
     separate `SliceContext`, whose `b_faces` is the one definition of b
-    (`b_tensor` adds them up)."""
+    (`b_tensor` adds them up here)."""
 
     def __init__(self, algebra, conv):
         self.algebra = algebra
@@ -69,6 +70,12 @@ class _PerTensorSlices:
     def index(self, n, w):
         return {t: i for i, t in enumerate(self.basis(n, w))}
 
+    def b_tensor(self, tensor):
+        out = {}
+        for t, c in self.ops.b_faces(tensor):
+            add_term(out, t, c)
+        return out
+
     def _matrix(self, src, dst_index, image):
         entries = {}
         for j, tensor in enumerate(src):
@@ -78,7 +85,7 @@ class _PerTensorSlices:
 
     def b_matrix(self, n, w):
         dst = self.index(n - 1, w) if n >= 1 else {}
-        return self._matrix(self.basis(n, w), dst, self.ops.b_tensor)
+        return self._matrix(self.basis(n, w), dst, self.b_tensor)
 
     def B_matrix(self, n, w):
         return self._matrix(self.basis(n, w), self.index(n + 1, w), self.ops.B_tensor)
@@ -120,7 +127,7 @@ class _PerTensorSlices:
         dst_index, dst_basis = self.cyclic(n - 1, w)
         entries = {}
         for j, tensor in enumerate(src):
-            for t, c in self.ops.b_tensor(tensor).items():
+            for t, c in self.b_tensor(tensor).items():
                 hit = dst_index[t]
                 if hit is not None:
                     ij = (hit[0], j)

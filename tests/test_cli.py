@@ -147,6 +147,21 @@ def test_tk_with_crosschecks():
     assert tk_cells["2,5"] == 1 and tk_cells["2,7"] == 1
 
 
+def test_tk_degree_cutoff_needs_nk0(capsys):
+    # the cutoff bounds only the NK_0 crosscheck, so alone it is refused, not ignored
+    argv = ["tk", "--square", corpus_file("cusp", "square.sq"), "--max-weight", "6",
+            "--format", "json"]
+    assert cli.main([*argv, "--degree-cutoff", "2"]) == 3
+    assert "--nk0" in capsys.readouterr().err
+    outputs = {}
+    for extra in ([], ["--degree-cutoff", "6"], ["--degree-cutoff", "2"]):
+        assert cli.main([*argv, "--nk0", *extra]) == 0
+        outputs[tuple(extra)] = json.loads(capsys.readouterr().out)
+    assert outputs[()] == outputs[("--degree-cutoff", "6")]
+    assert list(outputs[()][-1]["cells"]) == ["1", "2", "3", "4", "5", "6"]
+    assert list(outputs[("--degree-cutoff", "2")][-1]["cells"]) == ["1", "2"]
+
+
 def test_pic_and_cdh_omega():
     proc = run_cli(
         "pic", "--square", corpus_file("t2t5", "square.sq"),

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from khh.corpus import smoothness_suite, verify_entry
+from khh import cli
+from khh.corpus import load_corpus, smoothness_suite, verify_entry
 from khh.errors import OracleDisagreementError
 
 
@@ -34,7 +35,7 @@ def test_fast_entries_match_frozen_values(corpus_entries, name):
     assert diffs == [], diffs
 
 
-def test_literature_disagreement_is_fatal(corpus_entries, tmp_path):
+def test_literature_disagreement_is_fatal(corpus_entries, tmp_path, capsys):
     entry = corpus_entries["cusp"]
     tampered = json.loads((entry.path / "expected.json").read_text())
     tampered["values"]["pinned"]["cells"]["tk:0,1"] = 7
@@ -43,10 +44,14 @@ def test_literature_disagreement_is_fatal(corpus_entries, tmp_path):
     for f in entry.path.iterdir():
         (bad_dir / f.name).write_text(f.read_text())
     (bad_dir / "expected.json").write_text(json.dumps(tampered))
-    from khh.corpus import regenerate_derived
-
-    with pytest.raises(OracleDisagreementError):
-        regenerate_derived(tmp_path)
+    # the frozen literature value is reported against the oracle's, never
+    # replaced by it, and the report fails
+    [bad] = load_corpus(tmp_path)
+    observed, diffs = verify_entry(bad)
+    assert observed["tk"]["0,1"] == 1
+    assert diffs == [{"group": "pinned", "cell": "tk:0,1", "frozen": 7, "observed": 1}]
+    assert cli.main(["report", "--corpus", str(tmp_path), "--jobs", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == [{"entry": "cusp", "diffs": diffs}]
 
 
 def test_krull_dims_are_exact(corpus_entries):

@@ -9,7 +9,6 @@ from khh.curve import (
     DivisorGroup,
     EllipticCurve,
     O,
-    assemble_vn,
     cusp_bundle_tables,
     parse_curve_file,
     reduced_k_summands,
@@ -86,7 +85,7 @@ def test_rr_dims(e37, div37):
         assert div37.rr_dims(div37.add(div37.of_point(P), div37.power(div37.of_point(O), j - 1))) == (j, 0)
     for r in (1, 2, 3, -1, -4):
         assert div37.rr_dims(div37.power(J, r)) == (0, 0)
-    assert div37.rr_dims(div37.trivial()) == (1, 1)
+    assert div37.rr_dims(DivisorClass(0, O)) == (1, 1)
 
 
 def test_rr_riemann_roch_and_serre_duality(e37, div37):
@@ -96,31 +95,15 @@ def test_rr_riemann_roch_and_serre_duality(e37, div37):
         D = DivisorClass(rng.randint(-5, 5), e37.mul(rng.randint(-3, 3), P))
         h0, h1 = div37.rr_dims(D)
         assert h0 - h1 == D.degree
-        assert (h1, h0) == div37.rr_dims(div37.neg(D))
-
-
-def test_serre_twist_thresholds(div37):
-    L = div37.of_point(O)
-    assert div37.serre_twist_threshold(div37.trivial(), L) == 1
-    assert div37.serre_twist_threshold(div37.power(L, -5), L) == 6
-    assert div37.serre_twist_threshold(div37.trivial(), div37.power(L, 3)) == 0
-    with pytest.raises(PreconditionError):
-        div37.serre_twist_threshold(div37.trivial(), div37.trivial())
-
-
-def test_assemble_vn():
-    assert [(s.j_power, s.multiplicity) for s in assemble_vn(2).entries] == [(0, 1)]
-    assert [(s.j_power, s.multiplicity) for s in assemble_vn(3).entries] == [(0, 1)]
-    assert [(s.j_power, s.multiplicity) for s in assemble_vn(4).entries] == [(6, 1)]
-    with pytest.raises(PreconditionError):
-        assemble_vn(1)
+        assert (h1, h0) == div37.rr_dims(DivisorClass(-D.degree, e37.neg(D.reducer)))
 
 
 def test_reduced_k_summands_all_positive():
     for n in range(-1, 8):
         for m in range(0, 3):
-            for s in reduced_k_summands(n, m).entries:
-                assert s.j_power > 0
+            powers = reduced_k_summands(n, m)
+            assert powers == tuple(sorted(set(powers)))
+            assert all(j_power > 0 for j_power in powers)
 
 
 def test_cusp_bundle_tables(e37):

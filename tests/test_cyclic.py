@@ -10,7 +10,7 @@ from khh.errors import CompositionNonzeroError, OracleDisagreementError
 from khh.homology import HomologyEngine
 from khh.linalg import SparseMatrix
 from khh.workpool import _algebra_payload
-from conftest import algebra_of, small_algebras
+from conftest import algebra_of, hc_space, small_algebras
 
 
 def test_cyclic_basis_keeps_one_rotation_per_live_orbit(free1):
@@ -114,4 +114,4 @@ def test_connes_total_complex_and_goodwillie_agree(spec):
         for n in range(4):
             connes = engine.hc_dim(n, w)
             goodwillie = sum((-1) ** k * engine.hh_dim(n - k, w) for k in range(n + 1))
-            assert connes == goodwillie == engine.hc_space(n, w).dim, (spec, n, w)
+            assert connes == goodwillie == hc_space(engine, n, w).dim, (spec, n, w)

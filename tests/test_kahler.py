@@ -76,7 +76,7 @@ def test_torsion_dims_cusp(cusp_to_line):
 
 
 def test_torsion_identity_map_is_zero(free1):
-    iden = GradedHom.identity(free1)
+    iden = GradedHom(free1, free1, [free1.gen_poly(i) for i in range(free1.ngens)])
     assert all(torsion_dims(iden, 1, w) == 0 for w in range(1, 6))
 
 

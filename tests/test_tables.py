@@ -16,7 +16,10 @@ def _sample():
 def test_json_round_trip_bit_exact():
     table = _sample()
     text = table.canonical_json()
-    back = DimensionTable.from_json_obj(json.loads(text))
+    obj = json.loads(text)
+    back = DimensionTable(obj["label"], tuple(obj["axes"]), metadata=obj["metadata"])
+    for key, value in obj["cells"].items():
+        back.set(key.split(","), value)
     assert back.canonical_json() == text
     assert back.cells == table.cells and back.axes == table.axes
 

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import re
+from fnmatch import fnmatch
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,13 +35,9 @@ def test_bench_span_targets_resolve():
 
 # a hand-rolled "get, add, store or drop" loop; sparse sums go through add_term
 _ACCUMULATE = re.compile(r"\.get\([^)]*, (0|ZERO)\) [+-]")
-# the primitive itself, and the idempotent kernel that sums everything and
-# drops zeros once at the end (its sums cancel often); the matrix product
-# scatters into a dense accumulator and has no get-add loop
-_ACCUMULATE_ALLOWED = {
-    ("rationals", "add_term"),
-    ("hodge", "element_matrix"),
-}
+# the primitive itself; the matrix product scatters into a dense accumulator
+# and has no get-add loop
+_ACCUMULATE_ALLOWED = {("rationals", "add_term")}
 
 
 def _functions(tree, prefix=""):
@@ -67,15 +64,9 @@ def test_sparse_sums_go_through_add_term():
             owner = None  # the innermost function holding the line
             for name, node in functions:
                 if node.lineno <= lineno <= node.end_lineno:
-                    owner = name, node
-            where = f"{path.name}:{lineno}: {line.strip()}"
-            key = (path.stem, owner[0] if owner else None)
-            if key not in _ACCUMULATE_ALLOWED:
-                hits.append(where)
-            elif key[0] != "rationals":
-                body = lines[owner[1].lineno - 1 : owner[1].end_lineno]
-                if not any("drop zeros once" in ln for ln in body):
-                    hits.append(where + "  (no comment saying why)")
+                    owner = name
+            if (path.stem, owner) not in _ACCUMULATE_ALLOWED:
+                hits.append(f"{path.name}:{lineno}: {line.strip()}")
     assert not hits, "use rationals.add_term:\n" + "\n".join(hits)
 
 
@@ -92,3 +83,100 @@ def test_rows_are_skipped_only_by_the_chain_walk():
                 owners = [n for n, f in functions if f.lineno <= call.lineno <= f.end_lineno]
                 calls.append((path.stem, owners[-1] if owners else None))
     assert calls == [("linalg", "chain_rank")]
+
+
+# -- every src function earns its place ----------------------------------------
+
+# a def that no verb reaches stays only for a reason; "module.qualified name"
+# patterns
+_UNREACHED_ALLOWED = {
+    **dict.fromkeys([
+        "kahler.omega_dims", "kahler.de_rham_matrix", "kahler.hkr_matrix",
+        "kahler.hkr_class_rank", "kahler.torsion_dims", "kahler.omega_hom_matrix",
+        "kahler._wedge_images", "kahler.OmegaSlice.class_keys",
+        "kahler.OmegaSlice.class_matrix",
+    ], "items 10/8 wire them"),
+    "cache.*": "reached with `KHH_CACHE_DIR`",
+    "linalg.SparseMatrix.nnz": "bench/spans.py sizes spans with it",
+}
+
+# the special methods that operators and formatting call
+_OPERATOR_METHODS = {
+    ast.Add: "__add__", ast.Sub: "__sub__", ast.Mult: "__mul__",
+    ast.MatMult: "__matmul__", ast.Div: "__truediv__", ast.Pow: "__pow__",
+    ast.USub: "__neg__", ast.Eq: "__eq__", ast.NotEq: "__eq__",
+}
+_CONSTRUCTORS = ("__init__", "__post_init__")
+
+
+def _reached_names(node):
+    """The names a piece of code can reach: identifiers, attributes, and the
+    special methods behind its operators and formatting."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, (ast.BinOp, ast.UnaryOp, ast.AugAssign)):
+            names.add(_OPERATOR_METHODS.get(type(sub.op)))
+        elif isinstance(sub, ast.Compare):
+            names.update(_OPERATOR_METHODS.get(type(op)) for op in sub.ops)
+        elif isinstance(sub, ast.FormattedValue):
+            names.add("__repr__")
+    if names & {"repr", "str"}:
+        names.add("__repr__")
+    return names
+
+
+def _defs_and_import_time_names(tree, prefix=""):
+    """(qualified name, node) of every function, method and class, and the
+    names that the code run on import reaches: module and class bodies,
+    decorators and defaults.  A nested def is part of the def holding it."""
+    defs, names = [], set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef):
+            defs.append((prefix + node.name, node))
+            for part in (*node.decorator_list, *node.args.defaults, *node.args.kw_defaults):
+                names |= _reached_names(part) if part else set()
+        elif isinstance(node, ast.ClassDef):
+            defs.append((prefix + node.name, node))
+            inner, inner_names = _defs_and_import_time_names(node, prefix + node.name + ".")
+            defs += inner
+            names |= inner_names
+        elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= _reached_names(node)
+    return defs, names
+
+
+def test_every_src_function_is_reached():
+    # name-level closure from the verbs (cli.main), the public khh.__all__
+    # and the bench span targets: a name reached reaches every def so named,
+    # and a class reaches its constructor, not every method
+    import khh
+
+    defs, todo = {}, ["main", *khh.__all__]
+    todo += [path.rsplit(".", 1)[-1] for _, path, _, _ in _span_targets()]
+    for path in sorted((ROOT / "src" / "khh").glob("*.py")):
+        found, names = _defs_and_import_time_names(ast.parse(path.read_text()))
+        defs.update((f"{path.stem}.{qualname}", node) for qualname, node in found)
+        todo += names
+    by_name = {}
+    for qualname, node in defs.items():
+        by_name.setdefault(qualname.rsplit(".", 1)[-1], []).append(node)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for node in by_name.get(name, ()):
+                isclass = isinstance(node, ast.ClassDef)
+                todo += _CONSTRUCTORS if isclass else _reached_names(node)
+    stray = [
+        qualname for qualname, node in defs.items()
+        if isinstance(node, ast.FunctionDef) and qualname.rsplit(".", 1)[-1] not in reached
+        and not any(fnmatch(qualname, pattern) for pattern in _UNREACHED_ALLOWED)
+    ]
+    assert not stray, "no verb reaches these; call, publish or delete them:\n" + "\n".join(stray)
+    stale = [p for p in _UNREACHED_ALLOWED if not any(fnmatch(q, p) for q in defs)]
+    assert not stale, f"allow-list entries that name no def: {stale}"
