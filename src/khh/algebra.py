@@ -6,6 +6,11 @@ weight-homogeneous.  Construction runs Buchberger's algorithm until no
 S-pair is left, so the basis is complete in every weight: normal forms,
 weight bases and every invariant below are read from it exactly.
 
+Monomials are plain exponent tuples, polynomials are dicts monomial -> QQ.
+The monomial order is graded reverse lexicographic (weighted degree first,
+later generators more significant), which fixes bases and representatives
+across runs.
+
 Dimension lemma.  The standard monomials (those no lead divides) are a
 basis of A in every weight, so A and QQ[x]/in(I) have the same Hilbert
 series and hence the same Krull dimension.  The zero set of a monomial
@@ -14,10 +19,15 @@ generators that contain no lead's support, so dim A is the size of the
 largest such S (Cox, Little and O'Shea, *Ideals, Varieties, and
 Algorithms*, ch. 9, sections 1-3).  No grading enters the count.
 
-Monomials are plain exponent tuples, polynomials are dicts monomial -> QQ.
-The monomial order is graded reverse lexicographic (weighted degree first,
-later generators more significant), which fixes bases and representatives
-across runs.
+Nilpotency lemma.  The first generator z is the least significant: on a
+homogeneous polynomial every term without z is larger than every term
+with it.  So a homogeneous polynomial whose lead z divides is divisible
+by z, dividing each basis element by its largest power of z gives a
+Groebner basis of the saturation I : z^oo, and z is nilpotent (I : z^oo
+is the unit ideal) exactly when some lead is a pure power of z (Bayer and
+Stillman, "A criterion for detecting m-regularity", Invent. Math. 87,
+1987).  `is_nilpotent` tests any homogeneous p this way, as z in
+A[z]/(z - p).
 """
 
 from __future__ import annotations
@@ -395,21 +405,22 @@ class GradedAlgebra:
         )
         return next(w for w in range(corner, -1, -1) if self.dim(w))
 
-    # -- probes ----------------------------------------------------------
+    # -- nilpotency and zero divisors ---------------------------------------
 
-    def nilpotent_upto(self, p, bound: int) -> bool:
-        """True if some power of p vanishes before its weight passes `bound`."""
+    def is_nilpotent(self, p) -> bool:
+        """Is the homogeneous p nilpotent?  Exact: p is z in A[z]/(z - p),
+        z adjoined as the first generator, and the nilpotency lemma in the
+        module docstring reads the answer from that algebra's leads."""
+        p = self.nf(p)
         w = self._weight_of_poly(p)
         if w is None:
             return True
         if vec_total(w) == 0:
-            return False
-        q = self.nf(p)
-        while q:
-            if vec_total(self._weight_of_poly(q)) > bound:
-                return False
-            q = self.multiply(q, p)
-        return True
+            return False  # a nonzero constant
+        relations = [{(0,) + m: c for m, c in g.items()} for g in (*self._gb, p)]
+        relations[-1][(1,) + (0,) * self.ngens] = QQ(-1)  # p - z
+        extended = GradedAlgebra(self.name, ("z",) + self.gens, (w,) + self.weights, relations)
+        return any(not any(lead[1:]) for lead in extended._leads)
 
     def zero_divisor_probe(self):
         """A pair of nonzero elements multiplying to zero, or None if the

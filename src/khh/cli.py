@@ -196,11 +196,11 @@ def cmd_tk(args):
         tables.append(check)
     if args.nk0:
         cutoff = 6 if args.degree_cutoff is None else args.degree_cutoff
-        rep = nk0_crosscheck(square, cutoff, args.max_weight)
+        rep = nk0_crosscheck(square, cutoff)
         nk_table = DimensionTable(
             f"nk0 crosscheck for {square.algebra.name}", ("j",),
             metadata=_common_meta(args, status=rep.status,
-                                  passed=str(bool(rep.passed)), note=rep.note),
+                                  passed=str(bool(rep.passed)), note=rep.semi.note),
         )
         for j, v in rep.pic_growth.items():
             nk_table.set((j,), v)
@@ -214,8 +214,8 @@ def cmd_tk(args):
 def cmd_pic(args):
     _check_cutoffs(args, "poly_vars", "degree_cutoff", "max_weight")
     square = _read_square(args)
-    report = pic_conductor(square, args.poly_vars, args.degree_cutoff,
-                           args.max_weight)
+    square.validate(args.max_weight)
+    report = pic_conductor(square, args.poly_vars, args.degree_cutoff)
     table = DimensionTable(
         f"Pic growth of {square.algebra.name}[s_1..s_{args.poly_vars}]", ("j",),
         metadata=_common_meta(args, unipotent_rank=report.unipotent_rank,

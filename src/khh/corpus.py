@@ -18,7 +18,7 @@ from .errors import OracleDisagreementError, PreconditionError
 from .algebra import parse_algebra
 from .homology import HomologyEngine
 from .kahler import DifferentialForms, jacobian_smooth
-from .fiber import ResolutionSquare, pic_conductor, nk0_crosscheck, seminormalization
+from .fiber import ResolutionSquare, nk0_crosscheck
 from .curve import parse_curve_file, cusp_bundle_tables
 from .workpool import _algebra_payload
 
@@ -132,14 +132,12 @@ def compute_observed(entry: CorpusEntry) -> dict:
             out["tk"] = _cells_str(tk)
         if meta.get("nk0_degree"):
             deg = meta["nk0_degree"]
-            pic = pic_conductor(sq, 1, deg, meta.get("w_max", 8))
-            out["pic_growth"] = {str(j): pic.per_degree[j] for j in range(deg + 1)}
-            semi = seminormalization(sq, meta.get("w_max", 8))
+            nk = nk0_crosscheck(sq, deg)
+            out["pic_growth"] = {str(j): nk.pic.per_degree[j] for j in range(deg + 1)}
             out["seminormalization"] = {
-                "status": semi.status,
-                "quotient_dim": semi.quotient_dim,
+                "status": nk.semi.status,
+                "quotient_dim": nk.semi.quotient_dim,
             }
-            nk = nk0_crosscheck(sq, deg, meta.get("w_max", 8))
             out["nk0"] = {"status": nk.status, "passed": bool(nk.passed)}
     if entry.curve_data is not None:
         curve, points = entry.curve_data

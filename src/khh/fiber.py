@@ -27,12 +27,15 @@ the branches' ideal slices on the stacked target, and
 colength is decided exactly, by Krull dimension 0 of each quotient's
 presentation.  `validate` certifies a square up to the weight asked, at
 least up to PROBE, and far enough past the quotients' top weight for a
-trailing window: there cB_w must lie in the image of nu, and both
-quotients must vanish on the window, which makes them vanish above it.
-The units Mayer-Vietoris computations sum over the certified weights:
-Picard growth over polynomial extensions via unipotent units of the
-finite quotient rings (one induced map of nu into (B/cB)_w per weight),
-the seminormalization for monomial curves, and the NK_0 crosscheck
+trailing window: there the kernel of nu must be nilpotent, which is
+decided exactly (`GradedAlgebra.is_nilpotent`), cB_w must lie in the image
+of nu, and both quotients must vanish on the window, which makes them
+vanish above it.  The units Mayer-Vietoris computations certify the
+square and then read the exact top weight `_colength_top`, above which
+both quotients vanish, so no weight bound enters their sums: Picard
+growth over polynomial extensions via unipotent units of the finite
+quotient rings (one induced map of nu into (B/cB)_w per weight), the
+seminormalization for monomial curves, and the NK_0 crosscheck
 pairing the two.
 """
 
@@ -191,15 +194,13 @@ class ResolutionSquare:
         )
         # the trailing window below must lie above both quotients' top weight
         bound = max(bound, self._colength_top + maxgw + 1)
-        # weights an earlier call certified stay certified: a kernel vector
-        # found nilpotent stays so under the larger search bound
         weights = range(self._validated_upto + 1, bound + 1)
         # kernel per weight: injective, or nilpotent (thickening collapse)
         for w in weights:
             basis = A.weight_basis((w,))
             for vec in self._stacked_hom_matrix(w).kernel_basis():
                 poly = {basis[i]: c for i, c in vec.items()}
-                if not A.nilpotent_upto(poly, 3 * bound + 6):
+                if not A.is_nilpotent(poly):
                     raise SquareInvalidError(
                         f"normalization map has a non-nilpotent kernel at weight {w}"
                     )
@@ -498,8 +499,7 @@ class PicReport:
     torus_rank: int = 0
 
 
-def pic_conductor(square: ResolutionSquare, poly_vars: int,
-                  degree_cutoff: int = 6, weight_probe: int | None = None) -> PicReport:
+def pic_conductor(square: ResolutionSquare, poly_vars: int, degree_cutoff: int = 6) -> PicReport:
     """Picard growth of A[s_1..s_m] per s-degree from the units sequence.
 
     Units of the artinian graded quotients split as constants times
@@ -507,9 +507,8 @@ def pic_conductor(square: ResolutionSquare, poly_vars: int,
     part with the positive-weight slice of the quotient, so the cokernel
     is exact linear algebra on conductor quotients.
     """
-    probe = square.validate(weight_probe)._validated_upto
     n_total = 0
-    for w in range(1, probe + 1):
+    for w in range(1, square.validate()._colength_top + 1):
         quot_A, quot_B = square.conductor_quotients(w)
         if quot_B.dim:
             # image of nil(A/c): map A_w through nu into the stacked (B/cB)_w
@@ -533,18 +532,18 @@ class Seminormalization:
         return len(self.added_weights)
 
 
-def seminormalization(square: ResolutionSquare, weight_probe: int | None = None) -> Seminormalization:
+def seminormalization(square: ResolutionSquare) -> Seminormalization:
     """A^+/A for the desk corpus.
 
     If the conductor is radical in the target (and A is reduced) the ring
     is seminormal and A^+ = A.  Otherwise, for a monomial curve, close the
     value semigroup under m with 2m, 3m already present.
     """
-    probe = square.validate(weight_probe)._validated_upto
+    top = square.validate()._colength_top
     A = square.algebra
-    if any(A.nilpotent_upto(A.gen_poly(i), 3 * probe) for i in range(A.ngens)):
+    if any(A.is_nilpotent(A.gen_poly(i)) for i in range(A.ngens)):
         return Seminormalization("UNSUPPORTED", note="not reduced")
-    nil_til = sum(square.conductor_quotients(w)[1].dim for w in range(1, probe + 1))
+    nil_til = sum(square.conductor_quotients(w)[1].dim for w in range(1, top + 1))
     if nil_til == 0:
         return Seminormalization("ALREADY_SEMINORMAL",
                                  note="conductor is radical in the target")
@@ -565,7 +564,7 @@ def seminormalization(square: ResolutionSquare, weight_probe: int | None = None)
         if coeff != 1:
             return Seminormalization("UNSUPPORTED", note="non-monomial curve")
         exps.append(mono[0])
-    bound = probe // tau + 1
+    bound = top // tau + 1
     # the semigroup the exponents generate, up to 3 * bound: one ascending
     # sieve, since every exponent is positive
     semigroup = {0}
@@ -584,37 +583,34 @@ def seminormalization(square: ResolutionSquare, weight_probe: int | None = None)
                     if s + m <= 3 * bound:
                         closure.add(s + m)
                 changed = True
-    added = sorted(m for m in closure - semigroup if m * tau <= probe)
+    added = sorted(m for m in closure - semigroup if m * tau <= top)
     return Seminormalization("OK", added_weights=tuple(m * tau for m in added))
 
 
 @dataclass
 class Nk0Report:
-    algebra: str
-    status: str  # OK | UNSUPPORTED
-    degree_cutoff: int = 0
-    pic_growth: dict = field(default_factory=dict)
-    seminormal_side: dict = field(default_factory=dict)
-    note: str = ""
+    """The Picard growth and the seminormalization that the crosscheck pairs."""
+
+    pic: PicReport  # over one polynomial variable
+    semi: Seminormalization
+
+    @property
+    def status(self):  # OK | UNSUPPORTED
+        return "UNSUPPORTED" if self.semi.status == "UNSUPPORTED" else "OK"
+
+    @property
+    def pic_growth(self):
+        """Pic(A[s])/Pic(A) per s-degree j >= 1; empty when unsupported."""
+        if self.status != "OK":
+            return {}
+        return {j: self.pic.per_degree[j] for j in range(1, self.pic.degree_cutoff + 1)}
 
     @property
     def passed(self):
-        if self.status != "OK":
-            return False
-        return all(
-            self.pic_growth[j] == self.seminormal_side[j]
-            for j in self.pic_growth
-        )
+        growth = self.pic_growth.values()
+        return self.status == "OK" and all(v == self.semi.quotient_dim for v in growth)
 
 
-def nk0_crosscheck(square: ResolutionSquare, degree_cutoff: int = 6,
-                   weight_probe: int | None = None) -> Nk0Report:
+def nk0_crosscheck(square: ResolutionSquare, degree_cutoff: int = 6) -> Nk0Report:
     """Pic(A[s])/Pic(A) growth against dim(A^+/A), per s-degree."""
-    A = square.algebra
-    semi = seminormalization(square, weight_probe)
-    if semi.status == "UNSUPPORTED":
-        return Nk0Report(A.name, "UNSUPPORTED", degree_cutoff, note=semi.note)
-    pic = pic_conductor(square, 1, degree_cutoff, weight_probe)
-    growth = {j: pic.per_degree[j] for j in range(1, degree_cutoff + 1)}
-    other = {j: semi.quotient_dim for j in range(1, degree_cutoff + 1)}
-    return Nk0Report(A.name, "OK", degree_cutoff, growth, other, note=semi.note)
+    return Nk0Report(pic_conductor(square, 1, degree_cutoff), seminormalization(square))

@@ -237,9 +237,6 @@ def _wedge_images(codomain, gen_images, wedge):
         yield sign, tuple(sorted(js)), poly
 
 
-NILPOTENCY_PROBE = 24  # the weight jacobian_smooth searches a nilpotent generator to
-
-
 @dataclass
 class SmoothnessVerdict:
     status: str  # SMOOTH | SINGULAR | INDETERMINATE
@@ -255,21 +252,14 @@ def jacobian_smooth(algebra: GradedAlgebra) -> SmoothnessVerdict:
     normal-formed: for a connected graded algebra the Jacobian ideal is the
     unit ideal only if some entry has a constant term (an eliminable
     generator, reported INDETERMINATE as a non-minimal presentation); with
-    every entry in the graded maximal ideal the origin is singular.
-
-    The relations are the complete reduced basis; NILPOTENCY_PROBE bounds
-    only the nilpotency search, which multiplies out a generator's powers
-    until their weight passes it.  The leads do not decide nilpotency: the
-    cusp's lead is y^2, yet y is not nilpotent.
+    every entry in the graded maximal ideal the origin is singular.  The
+    relations are the complete reduced basis.  A singular verdict reports
+    whether some generator is nilpotent, read exactly from the leads of an
+    order that puts that generator first (`GradedAlgebra.is_nilpotent`).
     """
     relations = algebra.reduced_relations()
-    non_reduced = any(
-        algebra.nilpotent_upto(algebra.gen_poly(i), NILPOTENCY_PROBE)
-        for i in range(algebra.ngens)
-    )
     if not relations:
         return SmoothnessVerdict("SMOOTH")
-    zero_div = algebra.zero_divisor_probe() is not None
     forms = DifferentialForms(algebra)
     for rel in relations:
         for i, coeff in forms.partials(rel).items():
@@ -282,9 +272,10 @@ def jacobian_smooth(algebra: GradedAlgebra) -> SmoothnessVerdict:
                     note="a Jacobian entry is a unit: presentation has an "
                     "eliminable generator",
                 )
+    non_reduced = any(algebra.is_nilpotent(algebra.gen_poly(i)) for i in range(algebra.ngens))
     return SmoothnessVerdict(
         "SINGULAR",
         non_reduced=non_reduced,
-        zero_divisors=zero_div,
+        zero_divisors=algebra.zero_divisor_probe() is not None,
         note="nilpotent generator" if non_reduced else "Jacobian ideal is graded-proper",
     )

@@ -286,3 +286,45 @@ def test_fatplane_weight_basis_equals_brute_force_filter():
     fatplane = parse_algebra(read_corpus_text("fatplane", "algebra.alg"))
     for w in range(31):
         assert fatplane.weight_basis(w) == _brute_force_basis(fatplane, w), w
+
+
+def test_is_nilpotent_edge_cases_and_deep_powers(cusp, dualnum):
+    # the cusp's lead is y^2, yet y is not nilpotent: y is not its first
+    # generator, so its own leads do not decide y
+    assert cusp.lead(cusp.reduced_relations()[0]) == (0, 2)
+    assert not any(cusp.is_nilpotent(cusp.gen_poly(i)) for i in range(2))
+    assert dualnum.is_nilpotent(dualnum.gen_poly(0))
+    # a zero normal form is nilpotent, a nonzero constant is not
+    assert dualnum.is_nilpotent({}) and dualnum.is_nilpotent({(2,): QQ(3)})
+    assert not dualnum.is_nilpotent(dualnum.one())
+    # no power bound: e^59 != 0 in k[e]/(e^60)
+    deep = parse_algebra("algebra deep\nvars e:1 f:1\nrel e^60")
+    assert deep.is_nilpotent(deep.gen_poly(0))
+    assert not deep.is_nilpotent(deep.gen_poly(1))
+    assert not deep.is_nilpotent(parse_poly("e + f", deep.gens))
+    # a nilpotent sum of generators that are not nilpotent
+    cube = parse_algebra("algebra cube\nvars x:1 y:1\nrel x^3 + 3 x^2 y + 3 x y^2 + y^3")
+    assert not any(cube.is_nilpotent(cube.gen_poly(i)) for i in range(2))
+    assert cube.is_nilpotent(parse_poly("x + y", cube.gens))
+    assert not cube.is_nilpotent(parse_poly("x - y", cube.gens))
+
+
+def _nilpotent_by_powers(algebra, p, k_max=40):
+    """True if some p^k with k <= k_max vanishes, False if none does."""
+    power = algebra.nf(p)
+    for _ in range(k_max - 1):
+        if not power:
+            return True
+        power = algebra.multiply(power, p)
+    return not power
+
+
+@settings(max_examples=100)
+@given(small_algebras(), st.integers(1, 4), st.data())
+def test_is_nilpotent_agrees_with_a_power_search(spec, w, data):
+    algebra = algebra_of(spec)
+    basis = algebra.weight_basis(w)
+    monos = data.draw(st.lists(st.sampled_from(basis), max_size=2, unique=True)) if basis else []
+    element = {m: QQ(data.draw(st.sampled_from([1, -1, 2]))) for m in monos}
+    for p in [*(algebra.gen_poly(i) for i in range(algebra.ngens)), element]:
+        assert algebra.is_nilpotent(p) == _nilpotent_by_powers(algebra, p), (spec, p)

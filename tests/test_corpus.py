@@ -54,6 +54,17 @@ def test_literature_disagreement_is_fatal(corpus_entries, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["failures"] == [{"entry": "cusp", "diffs": diffs}]
 
 
+def test_deep_nilpotent_is_reported_non_reduced(tmp_path, capsys):
+    # e is nilpotent, though e^29 != 0
+    entry = tmp_path / "deep30"
+    entry.mkdir()
+    (entry / "algebra.alg").write_text("algebra deep30\nvars e:1\nrel e^30\n")
+    (entry / "expected.json").write_text(json.dumps({"meta": {"n_max": 1, "w_max": 2}, "values": {}}))
+    assert cli.main(["report", "--corpus", str(tmp_path), "--format", "json", "--jobs", "1"]) == 0
+    jacobian = json.loads(capsys.readouterr().out)["entries"]["deep30"]["jacobian"]
+    assert jacobian == {"status": "SINGULAR", "non_reduced": True, "zero_divisors": True}
+
+
 def test_krull_dims_are_exact(corpus_entries):
     for entry in corpus_entries.values():
         if entry.algebra is None:

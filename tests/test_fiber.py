@@ -203,9 +203,10 @@ def test_conductor_slices_are_built_once(monkeypatch):
     # Picard growth, seminormalization and the crosscheck share the quotients
     built.clear()
     cusp = ResolutionSquare.parse(read_corpus_text("cusp", "square.sq"))
-    pic_conductor(cusp, 1, 6, 12)
-    seminormalization(cusp, 12)
-    nk0_crosscheck(cusp, 6, 12)
+    cusp.validate(12)
+    pic_conductor(cusp, 1, 6)
+    seminormalization(cusp)
+    nk0_crosscheck(cusp, 6)
     assert built and max(built.values()) == 1
 
 
@@ -325,6 +326,66 @@ def test_nk0_crosscheck(cusp_square, t2t5_square, smooth_square, dual_square):
     assert smooth_report.passed
     assert all(v == 0 for v in smooth_report.pic_growth.values())
     assert nk0_crosscheck(dual_square).status == "UNSUPPORTED"
+
+
+def _units_reports(square):
+    return pic_conductor(square, 2), seminormalization(square), nk0_crosscheck(square)
+
+
+@pytest.mark.parametrize("name", ["cusp", "t2t5", "axes", "free1"])
+def test_units_read_the_exact_top_weight(name):
+    # the sums stop at the quotients' top weight, so certifying further
+    # changes no report
+    fresh = ResolutionSquare.parse(read_corpus_text(name, "square.sq"))
+    reports = _units_reports(fresh)
+    assert fresh._validated_upto < 40
+    certified = ResolutionSquare.parse(read_corpus_text(name, "square.sq")).validate(40)
+    assert _units_reports(certified) == reports
+
+
+def test_nk0_crosscheck_passes_on_monomial_curves():
+    for a, b in MONOMIAL_CURVES:
+        square, _ = monomial_curve_square(a, b)
+        assert nk0_crosscheck(square).passed, (a, b)
+
+
+DEEP_COLLAPSE = """
+algebra deep60
+vars e:1
+rel e^60
+
+algebra q
+
+normalize q e->0
+conductor e
+"""
+
+
+def test_deep_nilpotent_collapse_square(tmp_path):
+    # the kernel (e) is nilpotent, though e^59 != 0
+    path = tmp_path / "deep60.sq"
+    path.write_text(DEEP_COLLAPSE)
+    assert cli.main(["tk", "--square", str(path), "--n-max", "1", "--max-weight", "2"]) == 0
+    assert cli.main(["pic", "--square", str(path)]) == 0
+    square = ResolutionSquare.parse(DEEP_COLLAPSE)
+    semi = seminormalization(square)
+    assert square.kernel_nilpotent
+    assert (semi.status, semi.note) == ("UNSUPPORTED", "not reduced")
+
+
+def test_pic_certifies_the_square_to_the_weight_asked(monkeypatch):
+    asked = []
+    real = ResolutionSquare.validate
+
+    def spy(square, w=None):
+        asked.append((square, w))
+        return real(square, w)
+
+    monkeypatch.setattr(ResolutionSquare, "validate", spy)
+    path = str(default_corpus_dir() / "cusp" / "square.sq")
+    assert cli.main(["pic", "--square", path, "--max-weight", "30"]) == 0
+    square, w = asked[0]
+    assert w == 30 and square._validated_upto >= 30
 
 
 def test_fatplane_square_witnesses():
