@@ -5,7 +5,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from khh.rationals import QQ, add_term
 from khh.algebra import GradedAlgebra
@@ -80,6 +80,7 @@ def test_slice_sanity_grid(cusp_ctx):
 
 
 @settings(max_examples=30)
+@seed(0)
 @given(small_algebras())
 @example(((2, 3), ((((0, 2), 1), ((3, 0), -1)),)))  # the cusp y^2 = x^3
 def test_slice_identities_hold_on_random_algebras(spec):
@@ -204,6 +205,7 @@ def small_rank_one_algebras(draw):
 
 
 @settings(max_examples=50)
+@seed(0)
 @given(small_rank_one_algebras())
 @example(((2, 3), ((0, 2),)))  # the monomial cusp y^2
 @example(((1,), ()))  # the free algebra on one generator

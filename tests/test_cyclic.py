@@ -1,7 +1,7 @@
 """Connes' cyclic complex: basis, b, its checks and the Goodwillie oracle."""
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 
 from khh import cache, cli
 from khh.barcomplex import SliceContext
@@ -105,6 +105,7 @@ def test_cell_cached_under_an_older_version_is_not_served(cusp, tmp_path, monkey
 
 
 @settings(max_examples=80)
+@seed(0)
 @given(small_algebras())
 @example(((2, 3), ((((0, 2), 1), ((3, 0), -1)),)))  # the cusp y^2 = x^3
 @example(((1,), ((((2,), 1),),)))  # the dual numbers

@@ -4,7 +4,7 @@ from collections import Counter
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from khh import cli
 from khh.rationals import QQ
@@ -278,6 +278,7 @@ MONOMIAL_CURVES = [
 
 
 @settings(max_examples=len(MONOMIAL_CURVES))
+@seed(0)
 @given(st.sampled_from(MONOMIAL_CURVES))
 def test_fiber_cone_les_on_monomial_curves(pair):
     # each tk cell compares the cone's homology with the LES bookkeeping and

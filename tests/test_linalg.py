@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from conftest import FractionEchelon, algebra_of, from_dense, hc_space, small_algebras
 from khh import hodge
@@ -181,6 +181,7 @@ def _random_matrix(rng, rows, cols, density=0.5, span=4):
 
 
 @settings(max_examples=60)
+@seed(0)
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 10_000))
 def test_rank_nullity_and_transpose(rows, cols, seed):
     rng = random.Random(seed)
@@ -194,6 +195,7 @@ def test_rank_nullity_and_transpose(rows, cols, seed):
 
 
 @settings(max_examples=40)
+@seed(0)
 @given(st.integers(0, 10_000))
 def test_matrix_product_associative_bit_exact(seed):
     rng = random.Random(seed)
@@ -299,6 +301,7 @@ def _qq(x):
 
 
 @settings(max_examples=80)
+@seed(0)
 @given(_storage_cases())
 # a product entry cancels to 0 mid-row and is touched again; another cancels for good
 @example((1, 3, 2, _qq([[1, 1, 1]]), _qq([[0, 2, QQ(1, 2)]]), _qq([[1, 2], [-1, -2], [1, 0]]),
@@ -341,6 +344,7 @@ def test_int_storage_agrees_with_dense_fraction_reference(case):
 
 
 @settings(max_examples=60)
+@seed(0)
 @given(st.data())
 def test_fraction_and_scaled_int_builds_compare_equal(data):
     rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
@@ -401,6 +405,7 @@ def _is_qq_dict(vec):
 
 
 @settings(max_examples=100)
+@seed(0)
 @given(st.data())
 def test_int_echelon_matches_fraction_echelon(data):
     # a pair d_out @ d_in = 0: d_in of rank <= t, rows of d_out in its left kernel
@@ -460,6 +465,7 @@ def test_int_echelon_matches_fraction_echelon(data):
 
 
 @settings(max_examples=25)
+@seed(0)
 @given(small_algebras())
 @example(((2, 3), ((((0, 2), 1), ((3, 0), -1)),)))  # the cusp y^2 = x^3
 def test_homology_quotients_match_fraction_reference(spec):
@@ -499,6 +505,7 @@ def test_homology_quotients_match_fraction_reference(spec):
 
 
 @settings(max_examples=100)
+@seed(0)
 @given(st.data())
 def test_compressed_rank_matches_full_and_fraction_ranks(data):
     # d_in = (kernel vectors of d_out) @ X, so d_out @ d_in = 0 exactly
