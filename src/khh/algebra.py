@@ -108,12 +108,16 @@ class GradedAlgebra:
                     f"relation {self.poly_str(rel)} has weight 0"
                 )
         self._gb = []  # monic polys with pairwise non-divisible leads
+        self._leads = []  # the lead of each _gb entry, kept in step with it
         self._pairs = []  # heap of (lcm scalar weight, i, j)
         for rel in self.relations:
             self._gb_insert(rel)
         self._complete()
-        self._gb = [g for g in self._gb if g is not None]
-        self._leads = tuple(self.lead(g) for g in self._gb)
+        kept = [i for i, g in enumerate(self._gb) if g is not None]
+        self._gb = [self._gb[i] for i in kept]
+        self._leads = tuple(self._leads[i] for i in kept)
+        # reducing by monic elements with int coefficients keeps ints ints
+        self.integral = all(c.denominator == 1 for g in self._gb for c in g.values())
         self._nf_mono_cache = {}
         self._basis_cache = {}
 
@@ -167,15 +171,15 @@ class GradedAlgebra:
             f, g = self._gb[i], self._gb[j]
             if f is None or g is None:
                 continue
-            lf, lg = self.lead(f), self.lead(g)
+            lf, lg = self._leads[i], self._leads[j]
             if all(a == 0 or b == 0 for a, b in zip(lf, lg)):
                 continue  # coprime leads: the S-polynomial reduces to zero
-            s = self._reduce(self._s_poly(f, g))
+            s = self._reduce(self._s_poly(f, lf, g, lg))
             if s:
                 self._gb_insert(s)
 
-    def _s_poly(self, f, g):
-        lf, lg = self.lead(f), self.lead(g)
+    @staticmethod
+    def _s_poly(f, lf, g, lg):
         lcm = tuple(max(a, b) for a, b in zip(lf, lg))
         mf = vec_sub(lcm, lf)
         mg = vec_sub(lcm, lg)
@@ -189,24 +193,22 @@ class GradedAlgebra:
         """Full reduction against the current basis."""
         out = {}
         work = dict(p)
+        basis = list(zip(self._gb, self._leads))
         while work:
             m = self.lead(work)
             c = work.pop(m)
             if not c:
                 continue
-            hit = None
-            for g in self._gb:
-                if g is not None and mono_divides(self.lead(g), m):
-                    hit = g
+            for g, lead in basis:
+                if g is not None and mono_divides(lead, m):
                     break
-            if hit is None:
+            else:
                 add_term(out, m, c)
                 continue
-            shift = vec_sub(m, self.lead(hit))
-            for gm, gc in hit.items():
-                if gm == self.lead(hit):
-                    continue
-                add_term(work, mono_mul_raw(gm, shift), -(c * gc))
+            shift = vec_sub(m, lead)
+            for gm, gc in g.items():
+                if gm != lead:
+                    add_term(work, mono_mul_raw(gm, shift), -(c * gc))
         return out
 
     def _gb_insert(self, p):
@@ -221,16 +223,16 @@ class GradedAlgebra:
             # retire basis elements whose lead the newcomer divides
             for idx in range(len(self._gb)):
                 g = self._gb[idx]
-                if g is not None and mono_divides(lead_new, self.lead(g)):
+                if g is not None and mono_divides(lead_new, self._leads[idx]):
                     self._gb[idx] = None
                     stack.append(g)
             new_index = len(self._gb)
             self._gb.append(q)
+            self._leads.append(lead_new)
             for idx in range(new_index):
-                g = self._gb[idx]
-                if g is None:
+                if self._gb[idx] is None:
                     continue
-                lg = self.lead(g)
+                lg = self._leads[idx]
                 lcm = tuple(max(a, b) for a, b in zip(lg, lead_new))
                 heapq.heappush(
                     self._pairs, (vec_total(self.mono_weight(lcm)), idx, new_index)
@@ -490,18 +492,25 @@ def slice_memo(method):
     The argument named `w` is coerced through `self.algebra` first, so an
     int weight and its one-vector share an entry and an invalid weight is
     rejected at every memoized entry point.  The key is (method name,
-    arguments); arguments are passed positionally.
+    arguments); arguments are passed positionally.  Only coerced weights
+    enter a key, so a weight tuple whose key is stored has been validated:
+    a hit on the raw arguments skips the coercion.
     """
     at = list(inspect.signature(method).parameters).index("w") - 1  # after self
     name = method.__name__
 
     @functools.wraps(method)
     def memoized(self, *args):
+        memo = self._memo
+        if type(args[at]) is tuple:
+            value = memo.get((name, *args), _MISSING)
+            if value is not _MISSING:
+                return value
         args = (*args[:at], self.algebra._coerce_weight(args[at]), *args[at + 1 :])
         key = (name, *args)
-        value = self._memo.get(key, _MISSING)
+        value = memo.get(key, _MISSING)
         if value is _MISSING:
-            value = self._memo[key] = method(self, *args)
+            value = memo[key] = method(self, *args)
         return value
 
     return memoized

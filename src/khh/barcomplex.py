@@ -17,11 +17,13 @@ pairs, read neither the weight asked nor the convention, so every context
 of one algebra shares them, between its slices and with the other
 contexts, for as long as the algebra lives.
 
-b is defined once, as the stream of face terms `b_faces` yields for one
-tensor; a tensor may recur in it, and its terms add up.  `b_chain` adds
-the stream into a chain's dict, and `b_matrix` feeds it through
-`SparseMatrix.from_images` straight into the slice's rows, with no dict
-per tensor.
+b is defined once, by one kernel, `_b_into`: it writes the faces of each
+source tensor straight into the target rows, reading the shared product
+table and the target index inline, and a face that recurs in one column
+adds up there.  `b_matrix` runs it over a slice basis into the slice's
+int rows, and `b_chain` over the tensors of a chain, weight by weight,
+scaling each column by its tensor's coefficient.  The reversed and
+corrupt conventions go through the same kernel.
 
 Connes' complex C^lambda_n is the quotient of the positive-weight tensors
 (head included) by the signed rotation t = (-1)^n rotation, with the b
@@ -51,14 +53,15 @@ transpose variant bracketed by the cusp cycle search).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, product
 from weakref import WeakKeyDictionary
 
 from .rationals import QQ, add_term
 from .linalg import SparseMatrix
-from .errors import CompositionNonzeroError, ParseError, PreconditionError
-from .algebra import GradedAlgebra, slice_memo, vec_total, vec_sub, vec_leq
+from .errors import CompositionNonzeroError, ParseError, PreconditionError, SanityError
+from .algebra import GradedAlgebra, slice_memo, vec_add, vec_leq, vec_sub, vec_total
 from . import hodge
 
 
@@ -315,29 +318,54 @@ class SliceContext:
             )
         return cached
 
-    def b_faces(self, tensor):
-        """b of one tensor as a stream of (tensor, coeff) face terms, face by
-        face; a tensor may recur, and its terms add up.  The one definition
-        of b: `b_chain` sums the stream, `b_matrix` streams it into rows."""
+    def _b_into(self, rows, sources, n: int, w):
+        """Add b of each degree-n, weight-w tensor sources[j] into column j
+        of rows: a face term t lands in rows[index(n - 1, w)[t]], and a sum
+        that cancels leaves no entry.  The one definition of b (module
+        docstring); a face outside the target basis raises SanityError.
+        """
+        index = self._face_index(n - 1, w)
         if self.conv.reverse_tensors:
             reverse = self._reverse
-            return ((reverse(t), c) for t, c in self._b_faces_std(reverse(tensor)))
-        return self._b_faces_std(tensor)
+            sources = [reverse(t) for t in sources]
+        products, product = self._products, self._product
+        conv = self.conv
+        wrap = 0 if conv.b_drop_wrap else -1 if conv.b_wrap_flip else 1
+        for j, tensor in enumerate(sources):
+            # face i < n merges entries i and i + 1 with sign (-1)^i; face
+            # n, for n >= 1, wraps the last entry onto the head, (-1)^n
+            for i in range(n + 1 if wrap and n else n):
+                if i < n:
+                    a, b = tensor[i], tensor[i + 1]
+                    before, after = tensor[:i], tensor[i + 2 :]
+                    negate = i & 1
+                else:
+                    a, b = tensor[n], tensor[0]
+                    before, after = (), tensor[1:n]
+                    negate = (n & 1) != (wrap < 0)
+                terms = products.get((a, b))
+                if terms is None:
+                    terms = product(a, b)
+                for m, c in terms:
+                    t = before + (m,) + after
+                    try:
+                        row = rows[index[t]]
+                    except KeyError:
+                        raise SanityError(
+                            f"column {j}: face {t!r} lies outside the target basis"
+                        ) from None
+                    add_term(row, j, -c if negate else c)
 
-    def _b_faces_std(self, tensor):
-        n = len(tensor) - 1
-        for i in range(n):
-            sign = -1 if i % 2 else 1
-            before, after = tensor[:i], tensor[i + 2 :]
-            for m, c in self._product(tensor[i], tensor[i + 1]):
-                yield before + (m,) + after, sign * c
-        if n and not self.conv.b_drop_wrap:
-            sign = -1 if n % 2 else 1
-            if self.conv.b_wrap_flip:
-                sign = -sign
-            body = tensor[1:n]
-            for m, c in self._product(tensor[n], tensor[0]):
-                yield (m, *body), sign * c
+    @slice_memo
+    def _face_index(self, n: int, w) -> dict:
+        """The index b's kernel looks its faces up in: `index(n, w)`, keyed
+        by the reversed tensors where b is conjugated by the reversal (the
+        kernel then runs on reversed sources)."""
+        index = self.index(n, w)
+        if not self.conv.reverse_tensors:
+            return index
+        reverse = self._reverse
+        return {reverse(t): i for t, i in index.items()}
 
     def B_tensor(self, tensor):
         if self.conv.reverse_tensors:
@@ -362,11 +390,24 @@ class SliceContext:
     # -- chain-level operations ------------------------------------------
 
     def b_chain(self, chain: BarChain) -> BarChain:
+        """b of a chain, weight by weight: each tensor's faces from `_b_into`,
+        scaled by the tensor's coefficient."""
+        alg = self.algebra
+        by_weight = {}
+        for tensor in chain.terms:
+            w = alg.zero_weight
+            for m in tensor:
+                w = vec_add(w, alg.mono_weight(m))
+            by_weight.setdefault(w, []).append(tensor)
         out = {}
-        for tensor, c in chain.terms.items():
-            for t, v in self.b_faces(tensor):
-                add_term(out, t, c * v)
-        return BarChain(chain.algebra, chain.degree - 1, out)
+        for w, tensors in by_weight.items():
+            rows = defaultdict(dict)
+            self._b_into(rows, tensors, chain.degree, w)
+            basis = self.basis(chain.degree - 1, w)
+            for r, row in rows.items():
+                for j, v in row.items():
+                    add_term(out, basis[r], chain.terms[tensors[j]] * v)
+        return BarChain(alg, chain.degree - 1, out)
 
     def shuffle(self, left: BarChain, right: BarChain) -> BarChain:
         """Shuffle product: graded commutative, b acts as a derivation."""
@@ -406,8 +447,13 @@ class SliceContext:
 
     @slice_memo
     def b_matrix(self, n: int, w) -> SparseMatrix:
-        dst_index = self.index(n - 1, w) if n >= 1 else {}
-        return SparseMatrix.from_images(len(dst_index), self.basis(n, w), self.b_faces, dst_index)
+        sources = self.basis(n, w)
+        rows = [{} for _ in self.basis(n - 1, w)]
+        self._b_into(rows, sources, n, w)
+        if self.algebra.integral:
+            return SparseMatrix._of_rows(len(rows), len(sources), rows)
+        entries = (((i, j), c) for i, row in enumerate(rows) for j, c in row.items())
+        return SparseMatrix(len(rows), len(sources), entries)
 
     @slice_memo
     def idempotent_matrix(self, n: int, w, i: int) -> SparseMatrix:

@@ -37,7 +37,6 @@ from .errors import (
     IdempotentSanityError,
     OracleDisagreementError,
     PreconditionError,
-    SanityError,
 )
 from .algebra import GradedAlgebra, slice_memo, vec_total
 from .barcomplex import BarChain, SliceContext, Convention, convention, chain_str
@@ -278,7 +277,6 @@ def verify_kunneth(
         raise PreconditionError("verify_kunneth expects a rank-1 graded algebra")
     conv = convention(conv) if isinstance(conv, str) else conv
     ext = algebra.with_polynomial_generator("t")
-    base = HomologyEngine(algebra, conv)
     report = KunnethReport(algebra.name, conv.name, n_max, w_max, t_cutoff)
 
     cells = [
@@ -288,18 +286,28 @@ def verify_kunneth(
         for w in range(w_max + 1)
         for j in range(t_cutoff + 1)
     ]
+    # the base side: every HH and HC cell of A that the right side reads
+    base_cells = [(kind, n, w) for kind in ("hh", "hc") for n in range(n_max + 1)
+                  for w in range(w_max + 1)]
     from .workpool import map_cells
 
-    left_values = map_cells(ext, conv.name, cells, jobs)
+    values = map_cells(
+        (ext, algebra), conv.name,
+        [(0, kind, n, (w, j)) for kind, n, w, j in cells]
+        + [(1, kind, n, (w,)) for kind, n, w in base_cells],
+        jobs,
+    )
+    base_values = dict(zip(base_cells, values[len(cells) :]))
 
-    for (kind, n, w, j), left in zip(cells, left_values):
-        try:
-            if kind == "hh":
-                right = base.hh_dim(n, w) + (base.hh_dim(n - 1, w) if j >= 1 else 0)
-            else:
-                right = base.hc_dim(n, w) if j == 0 else base.hh_dim(n, w)
-        except SanityError:
-            right = None
+    def base(kind, n, w):
+        return base_values[kind, n, w] if n >= 0 else 0
+
+    for (kind, n, w, j), left in zip(cells, values):
+        if kind == "hh":
+            terms = [base("hh", n, w)] + ([base("hh", n - 1, w)] if j >= 1 else [])
+        else:
+            terms = [base("hc", n, w) if j == 0 else base("hh", n, w)]
+        right = None if None in terms else sum(terms)
         if left is None or right is None:
             status = "sanity"
         else:

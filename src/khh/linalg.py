@@ -17,8 +17,10 @@ One builder turns a map given on basis elements into a matrix:
 `SparseMatrix.from_images(rows, sources, image, index)` writes column j
 from image(sources[j]), a dict of terms or a stream of (key, coefficient)
 terms, at the rows index assigns them; a stream's repeated keys add up,
-and a sum that cancels leaves no entry.  Bar b streams its faces straight
-into the rows this way, with no dict per tensor.  Bar B, chain maps, the
+and a sum that cancels leaves no entry.  The Eulerian idempotents stream
+their place permutations into the rows this way.  Bar b is the one map
+with a kernel of its own, `SliceContext._b_into`, which writes its faces
+into the rows with the same rules.  Bar B, chain maps, the
 antisymmetrization, ideal slices and form relations pass dicts; class
 maps (de Rham d, induced maps, the HKR and units class matrices) go
 through `QuotientSpace.matrix_of`, which is the same builder over class
@@ -51,6 +53,21 @@ free columns, and hence the pinned representatives, are those of a
 rational echelon with pivots scaled to 1.  No composite is multiplied
 out here: complexes are checked identity by identity, the fiber cone's
 included (b.b by `SliceContext.holds`, plus its chain-map identity).
+
+Singleton lemma (the first phase of structured Gaussian elimination:
+LaMacchia and Odlyzko, "Solving large sparse linear systems over finite
+fields", CRYPTO 1990).  Let column c have exactly one live row r.  Every
+other live row is zero at c, so r is independent of them and serves as
+the pivot row at c as it stands, and taking it out changes no other row.
+Each earlier pivot column had only its own row live while r was live, so
+r is zero there, as a `Factor` pivot row must be.  Markowitz order
+therefore pivots singleton columns first, with no arithmetic, until none
+is left, and eliminates only what remains; on free1[t]'s largest
+compressed b_4 in the Kunneth grid this pivots all 1466 rows.  `rank`
+reads the pivot columns alone and keeps no pivot row.  Natural order does
+not take the lemma: its pivot must be the leftmost entry of its row,
+which the kernel basis and the pinned representatives read, and a
+singleton column need not hold its row's leftmost entry.
 
 Compression (Bauer, Kerber and Reininghaus, *Clear and Compress*; the
 chain-complex view is Kaczynski, Mrozek and Slusarek's reduction).  Let
@@ -340,7 +357,7 @@ class SparseMatrix:
             rows = self._rowdata
             if skip_rows:
                 rows = [row for i, row in enumerate(rows) if i not in skip_rows]
-            self._pivots = frozenset(Factor(self.cols, rows).pivot_rows)
+            self._pivots = frozenset(Factor.markowitz_pivots(rows))
         return len(self._pivots)
 
     def pivot_columns(self):
@@ -392,23 +409,59 @@ class Factor:
         self.ncols = ncols
         self.pivot_rows = {}  # pivot col -> primitive int row, in pivot order
         self._position = {}  # pivot col -> its index in pivot order
-        self._eliminate_rows([dict(row) for row in rows if row], markowitz)
+        self._eliminate_rows([dict(row) for row in rows if row], markowitz, self._append)
 
-    def _eliminate_rows(self, rows, markowitz):
-        """Eliminate private int rows, recording each pivot row as chosen.
+    @staticmethod
+    def markowitz_pivots(rows) -> list:
+        """The pivot columns of the Markowitz factor of rows, in pivot order.
 
-        The next pivot column is the least heap key, refreshed lazily as rows
-        fill in or cancel: (live rows, column) for Markowitz, so singleton
-        columns cascade first, or the column alone for natural order, which
-        leaves each pivot the leftmost entry of its row.  The pivot row is
-        one with a unit entry there if any, then the shortest, then the
-        first; each update is (pv/g)*row - (a/g)*pivot, g = gcd(a, pv).
+        What `rank` needs, and no more: the elimination is the constructor's,
+        but no pivot row is made primitive or kept.
+        """
+        pivots = []
+        Factor._eliminate_rows(
+            [dict(row) for row in rows if row], True, lambda row, c: pivots.append(c)
+        )
+        return pivots
+
+    @staticmethod
+    def _eliminate_rows(rows, markowitz, record):
+        """Eliminate private int rows, passing each pivot (row, column) to
+        record as chosen; record may make the row primitive in place.
+
+        Markowitz order first pivots every singleton column, least column
+        first, on its one live row and with no arithmetic (the singleton
+        lemma in the module docstring), until none is left.  Then the next pivot column is the least heap
+        key, refreshed lazily as rows fill in or cancel: (live rows, column)
+        for Markowitz, or the column alone for natural order, which leaves
+        each pivot the leftmost entry of its row.  The pivot row is one with
+        a unit entry there if any, then the shortest, then the first; each
+        update is (pv/g)*row - (a/g)*pivot, g = gcd(a, pv).
         """
         count = len if markowitz else (lambda rids: 0)
         colrows = {}
         for ridx, row in enumerate(rows):
             for c in row:
                 colrows.setdefault(c, set()).add(ridx)
+        if markowitz:
+            singles = [c for c, rids in colrows.items() if len(rids) == 1]
+            heapify(singles)
+            while singles:
+                c = heappop(singles)
+                rids = colrows.pop(c, None)
+                if not rids:
+                    continue  # its row was pivoted at another column
+                (ridx,) = rids
+                prow = rows[ridx]
+                record(prow, c)
+                for j in prow:
+                    s = colrows.get(j)
+                    if s is not None:
+                        s.discard(ridx)
+                        if len(s) == 1:
+                            heappush(singles, j)
+                        elif not s:
+                            del colrows[j]
         heap = [(count(rids), c) for c, rids in colrows.items()]
         heapify(heap)
         while heap:
@@ -421,7 +474,7 @@ class Factor:
                 continue
             pividx = min(rids, key=lambda r: (abs(rows[r][c]) != 1, len(rows[r]), r))
             prow = rows[pividx]
-            self._append(prow, c)
+            record(prow, c)
             pv = prow[c]
             for j in prow:
                 s = colrows.get(j)

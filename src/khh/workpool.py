@@ -1,8 +1,12 @@
 """Process-pool fan-out: one helper, `map_tasks`, for every parallel verb.
 
-`map_cells` ships one task per slice weight (w, j).  Weights never mix in
-the bar complex, its B operator or the idempotents, so a task holds every
-(kind, n) cell of its weight.  A process that runs weight tasks (a pool
+`map_cells` ships one task per algebra and slice weight.  Weights never
+mix in the bar complex, its B operator or the idempotents, so a task holds
+every (kind, n) cell of its weight.  `verify_kunneth` hands it the cells of
+A[t], at weights (w, j), and then the base side, the cells of A at weights
+(w,) that the Kunneth formula reads; the base tasks go out after every
+A[t] task, so no serial tail is left to the caller, and a worker swaps its
+warm algebra at most once, from A[t] to A.  A process that runs weight tasks (a pool
 worker, or the caller at one job) keeps one algebra, rebuilt only when a
 task's presentation payload (name, generators, weights and relations)
 differs in any part from the last task's.  With it persist the algebra's
@@ -105,22 +109,24 @@ def _run_weight(task):
     return [_run_cell(engine, kind, n, w) for kind, n in cells]
 
 
-def map_cells(algebra: GradedAlgebra, conv_name: str, cells, jobs: int | None):
-    """Compute [(kind, n, w, j)] cells of A (bigraded) in cell order.
+def map_cells(algebras, conv_name: str, cells, jobs: int | None):
+    """Compute [(part, kind, n, w)] cells in cell order: the `kind` cell of
+    degree n at slice weight vector w of algebras[part].
 
-    Cells are (kind, n, w, j) with the slice weight vector (w, j); results
-    are dims or None where an exact sanity identity failed (corrupt
-    conventions).
+    One task holds the cells of one (part, w).  Tasks go out part by part,
+    largest weights of a part first so that its long poles start at once;
+    so a worker meets each algebra in one stretch and swaps its warm
+    algebra at most once per part.  Results are dims, or None where an
+    exact sanity identity failed (corrupt conventions).
     """
-    payload = _algebra_payload(algebra)
+    payloads = [_algebra_payload(algebra) for algebra in algebras]
     by_weight: dict = {}
-    for kind, n, w, j in cells:
-        by_weight.setdefault((w, j), []).append((kind, n))
-    # largest weights first so the long poles start immediately
-    weights = sorted(by_weight, key=lambda wj: -sum(wj))
-    tasks = [(payload, conv_name, wj, by_weight[wj]) for wj in weights]
+    for part, kind, n, w in cells:
+        by_weight.setdefault((part, w), []).append((kind, n))
+    keys = sorted(by_weight, key=lambda pw: (pw[0], -sum(pw[1])))
+    tasks = [(payloads[part], conv_name, w, by_weight[part, w]) for part, w in keys]
     values = {}
-    for wj, results in zip(weights, map_tasks(_run_weight, tasks, jobs)):
-        for (kind, n), value in zip(by_weight[wj], results):
-            values[(kind, n, wj)] = value
-    return [values[(kind, n, (w, j))] for kind, n, w, j in cells]
+    for (part, w), results in zip(keys, map_tasks(_run_weight, tasks, jobs)):
+        for (kind, n), value in zip(by_weight[part, w], results):
+            values[(part, kind, n, w)] = value
+    return [values[cell] for cell in cells]

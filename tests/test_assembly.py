@@ -8,6 +8,7 @@ its own, b applied again to every representative, and every matrix built
 by the `SparseMatrix` constructor.  Every object must come out `==`.
 """
 
+from collections import defaultdict
 from itertools import product
 
 from hypothesis import example, given, seed, settings
@@ -15,14 +16,13 @@ from hypothesis import example, given, seed, settings
 from khh.algebra import vec_leq, vec_sub, vec_total
 from khh.barcomplex import CONVENTIONS, SliceContext
 from khh.linalg import SparseMatrix
-from khh.rationals import add_term
 from conftest import algebra_of, small_algebras
 
 
 class _PerTensorSlices:
     """The former slice assembly; b and B of one tensor come from a
-    separate `SliceContext`, whose `b_faces` is the one definition of b
-    (`b_tensor` adds them up here)."""
+    separate `SliceContext`, whose `_b_into` is the one definition of b
+    (`b_tensor` runs it on one tensor and reads the faces back)."""
 
     def __init__(self, algebra, conv):
         self.algebra = algebra
@@ -70,11 +70,12 @@ class _PerTensorSlices:
     def index(self, n, w):
         return {t: i for i, t in enumerate(self.basis(n, w))}
 
-    def b_tensor(self, tensor):
-        out = {}
-        for t, c in self.ops.b_faces(tensor):
-            add_term(out, t, c)
-        return out
+    def b_tensor(self, tensor, w):
+        n = len(tensor) - 1
+        rows = defaultdict(dict)
+        self.ops._b_into(rows, [tensor], n, w)
+        target = self.ops.basis(n - 1, w)
+        return {target[r]: row[0] for r, row in rows.items() if row}
 
     def _matrix(self, src, dst_index, image):
         entries = {}
@@ -85,7 +86,7 @@ class _PerTensorSlices:
 
     def b_matrix(self, n, w):
         dst = self.index(n - 1, w) if n >= 1 else {}
-        return self._matrix(self.basis(n, w), dst, self.b_tensor)
+        return self._matrix(self.basis(n, w), dst, lambda tensor: self.b_tensor(tensor, w))
 
     def B_matrix(self, n, w):
         return self._matrix(self.basis(n, w), self.index(n + 1, w), self.ops.B_tensor)
@@ -127,7 +128,7 @@ class _PerTensorSlices:
         dst_index, dst_basis = self.cyclic(n - 1, w)
         entries = {}
         for j, tensor in enumerate(src):
-            for t, c in self.b_tensor(tensor).items():
+            for t, c in self.b_tensor(tensor, w).items():
                 hit = dst_index[t]
                 if hit is not None:
                     ij = (hit[0], j)
@@ -168,6 +169,7 @@ def test_one_pass_assembly_on_a_bigraded_extension(cusp):
     for conv in CONVENTIONS:
         _assert_assembly_matches(ext, conv, weights, 3)
     # Connes' b first on a fresh context: the fold builds each bar b_n itself
-    ctx, ref = SliceContext(ext), _PerTensorSlices(ext, "standard")
-    for n in range(4):
-        assert ctx.cyclic_b_matrix(n, (6, 2)) == ref.cyclic_b_matrix(n, (6, 2))
+    for conv in CONVENTIONS:
+        ctx, ref = SliceContext(ext, conv), _PerTensorSlices(ext, conv)
+        for n in range(4):
+            assert ctx.cyclic_b_matrix(n, (6, 2)) == ref.cyclic_b_matrix(n, (6, 2)), conv

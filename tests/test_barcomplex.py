@@ -242,12 +242,16 @@ def test_cusp_t_bases_are_pinned(cusp):
 
 @pytest.mark.parametrize("name", ["cusp", "free1"])
 def test_integral_b_and_B_images_keep_int_coefficients(name, request):
-    # from_images keeps int rows only for int coefficients: a QQ zero
+    # b and from_images keep int rows only for int coefficients: a QQ zero
     # would give the same matrices and silently leave that fast path
-    ctx = SliceContext(request.getfixturevalue(name).with_polynomial_generator("t"))
+    algebra = request.getfixturevalue(name).with_polynomial_generator("t")
+    assert algebra.integral
+    ctx = SliceContext(algebra)
     for w, j, n in product(range(7), range(3), range(1, 4)):
+        ctx.b_matrix(n, (w, j))
         for tensor in ctx.basis(n, (w, j)):
-            coefficients = [c for _, c in ctx.b_faces(tensor)] + [*ctx.B_tensor(tensor).values()]
-            assert all(type(c) is int for c in coefficients), (n, w, j, tensor)
+            assert all(type(c) is int for c in ctx.B_tensor(tensor).values()), (n, w, j, tensor)
         rows = ctx.cyclic_b_matrix(n, (w, j))._rowdata
         assert all(type(c) is int for row in rows for c in row.values()), (n, w, j)
+    # every product b read, hence every coefficient b wrote
+    assert all(type(c) is int for terms in ctx._products.values() for _, c in terms)

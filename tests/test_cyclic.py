@@ -89,16 +89,19 @@ def test_cyclic_bb_check_catches_a_corrupted_matrix(free2, monkeypatch):
 
 
 def test_cell_cached_under_an_older_version_is_not_served(cusp, tmp_path, monkeypatch):
-    monkeypatch.setenv("KHH_CACHE_DIR", str(tmp_path))
+    # version 2 cells came from the rank kernel before the singleton cascade
     payload = _algebra_payload(cusp)
-    monkeypatch.setattr(cache, "VERSION", 1)
-    stale = cache.cell_key(payload, "standard", "hc", 1, (5,))
-    cache.put(stale, 7)
-    assert cache.get(stale) == 7
-    monkeypatch.undo()
-    monkeypatch.setenv("KHH_CACHE_DIR", str(tmp_path))
-    assert cache.VERSION != 1
-    assert HomologyEngine(cusp).hc_dim(1, 5) == 1
+    for old in (1, 2):
+        monkeypatch.setenv("KHH_CACHE_DIR", str(tmp_path / str(old)))
+        monkeypatch.setattr(cache, "VERSION", old)
+        stale = cache.cell_key(payload, "standard", "hc", 1, (5,))
+        cache.put(stale, 7)
+        assert cache.get(stale) == 7
+        monkeypatch.undo()
+        monkeypatch.setenv("KHH_CACHE_DIR", str(tmp_path / str(old)))
+        assert cache.VERSION == 3
+        assert cache.get(cache.cell_key(payload, "standard", "hc", 1, (5,))) is None
+        assert HomologyEngine(cusp).hc_dim(1, 5) == 1
 
 
 # -- differential property: Connes, the total complex and Goodwillie ---------

@@ -10,7 +10,7 @@ import sys
 
 from conftest import read_corpus_text
 from khh.algebra import GradedAlgebra, parse_algebra
-from khh.homology import verify_kunneth
+from khh.homology import HomologyEngine, verify_kunneth
 
 
 def test_base_case_ground_field():
@@ -67,6 +67,30 @@ def test_parallel_matches_serial_on_corrupt_convention(cusp):
     serial = cells(1)
     assert any(c[-1] == "sanity" and c[4] is None for c in serial)
     assert serial == cells(2)
+
+
+def test_base_side_runs_in_the_pool_after_every_extension_task(cusp, monkeypatch):
+    # one engine per weight task: at one job every cusp[t] task comes before
+    # any task of the base side; at two jobs the caller builds none at all
+    built = []
+    init = HomologyEngine.__init__
+
+    def recording(self, algebra, conv="standard"):
+        built.append(algebra.name)
+        init(self, algebra, conv)
+
+    monkeypatch.setattr(HomologyEngine, "__init__", recording)
+    for conv in ("standard", "corrupt-b-drop-wrap"):
+        cells = {}
+        for jobs in (1, 2):
+            built.clear()
+            report = verify_kunneth(cusp, t_cutoff=1, n_max=2, w_max=5, conv=conv, jobs=jobs)
+            cells[jobs] = [(c.kind, c.n, c.w, c.j, c.left, c.right, c.status) for c in report.cells]
+            if jobs == 1:
+                assert built == ["cusp[t]"] * (6 * 2) + ["cusp"] * 6, conv
+            else:
+                assert built == [], conv
+        assert cells[1] == cells[2], conv
 
 
 # one cell list per case, computed in an interpreter of its own

@@ -12,6 +12,7 @@ from khh import hodge
 from khh.homology import HomologyEngine
 from khh.rationals import QQ
 from khh.linalg import (
+    Factor,
     SparseMatrix,
     QuotientSpace,
     rank,
@@ -138,7 +139,7 @@ def test_from_blocks_places_blocks_by_slot():
 
 
 def test_from_images_adds_up_a_stream_of_terms():
-    # an image may be a generator of (key, coefficient) terms, as b's faces are
+    # an image may be a generator of (key, coefficient) terms, as an idempotent's are
     index = {"p": 0, "q": 1, "r": 2}
     images = {
         "u": [("p", 1), ("q", 2), ("p", 3)],  # p repeats: 1 + 3
@@ -523,6 +524,64 @@ def test_compressed_rank_matches_full_and_fraction_ranks(data):
     assert len(skip) == a_out.rank() == len(_ref_echelon(d_out, m).pivot_rows)
     compressed = _sparse(d_in, k).rank(skip_rows=skip)
     assert compressed == _sparse(d_in, k).rank() == len(_ref_echelon(d_in, k).pivot_rows)
+
+
+@st.composite
+def _planted_singleton_chains(draw):
+    """(cols, dense int rows) with singleton chains planted in a random core.
+
+    Chain row i is the only row at its chain column once the chain rows
+    before it are gone: it may meet the later chain columns of its chain
+    and any core column, and no core row meets a chain column.  Chain and
+    core columns interleave, and the rows come shuffled.
+    """
+    nchains, ncore = draw(st.integers(1, 2)), draw(st.integers(0, 5))
+    lengths = [draw(st.integers(1, 4)) for _ in range(nchains)]
+    cols = ncore + sum(lengths)
+    order = draw(st.permutations(range(cols)))
+    core, chains, at = order[:ncore], [], ncore
+    for length in lengths:
+        chains.append(order[at : at + length])
+        at += length
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    rows = [[0] * cols for _ in range(draw(st.integers(0, 5)))]
+    for row in rows:
+        for c in core:
+            row[c] = draw(entry)
+    for chain in chains:
+        for i, c in enumerate(chain):
+            row = [0] * cols
+            row[c] = draw(st.sampled_from([1, -1, 2, -3]))
+            for d in (*chain[i + 1 :], *core):
+                row[d] = draw(entry)
+            rows.append(row)
+    return cols, draw(st.permutations(rows))
+
+
+@settings(max_examples=150)
+@seed(0)
+@given(_planted_singleton_chains(), st.data())
+def test_singleton_cascade_agrees_with_natural_order_and_fractions(case, data):
+    cols, dense = case
+    rows = [{j: v for j, v in enumerate(row) if v} for row in dense]
+    ref = _ref_echelon(dense, cols)
+    markowitz = Factor(cols, rows)
+    assert rows == [{j: v for j, v in enumerate(row) if v} for row in dense]  # untouched
+    rank = len(ref.pivot_rows)
+    assert len(markowitz.pivot_rows) == len(Factor(cols, rows, markowitz=False).pivot_rows) == rank
+    assert len(Factor.markowitz_pivots(rows)) == rank
+    assert from_dense(dense).rank() == rank
+    _assert_primitive_pivot_rows(markowitz)
+    # every row, a combination of rows and a random vector
+    mix = {}
+    for row in rows:
+        c = data.draw(st.integers(-2, 2))
+        for j, v in row.items():
+            mix[j] = mix.get(j, 0) + c * v
+    vectors = [*rows, mix, {j: data.draw(st.integers(-2, 2)) for j in range(cols)}]
+    for vec in vectors:
+        vec = {j: v for j, v in vec.items() if v}
+        assert markowitz.contains(vec) == (not ref.reduce({j: Fraction(v) for j, v in vec.items()}))
 
 
 def test_int_echelon_over_empty_and_negative_pivots():
