@@ -436,13 +436,15 @@ class Factor:
         for Markowitz, or the column alone for natural order, which leaves
         each pivot the leftmost entry of its row.  The pivot row is one with
         a unit entry there if any, then the shortest, then the first; each
-        update is (pv/g)*row - (a/g)*pivot, g = gcd(a, pv).
+        update is (pv/g)*row - (a/g)*pivot, g = gcd(a, pv) with the sign of
+        pv, so a unit pivot never scales the row.
         """
         count = len if markowitz else (lambda rids: 0)
         colrows = {}
         for ridx, row in enumerate(rows):
             for c in row:
                 colrows.setdefault(c, set()).add(ridx)
+        live = len(rows)  # rows neither pivoted nor cancelled to zero
         if markowitz:
             singles = [c for c, rids in colrows.items() if len(rids) == 1]
             heapify(singles)
@@ -454,6 +456,7 @@ class Factor:
                 (ridx,) = rids
                 prow = rows[ridx]
                 record(prow, c)
+                live -= 1
                 for j in prow:
                     s = colrows.get(j)
                     if s is not None:
@@ -464,7 +467,7 @@ class Factor:
                             del colrows[j]
         heap = [(count(rids), c) for c, rids in colrows.items()]
         heapify(heap)
-        while heap:
+        while live:
             cnt, c = heappop(heap)
             rids = colrows.get(c)
             if not rids:
@@ -475,6 +478,7 @@ class Factor:
             pividx = min(rids, key=lambda r: (abs(rows[r][c]) != 1, len(rows[r]), r))
             prow = rows[pividx]
             record(prow, c)
+            live -= 1
             pv = prow[c]
             for j in prow:
                 s = colrows.get(j)
@@ -484,7 +488,7 @@ class Factor:
             for ridx in colrows.pop(c):
                 row = rows[ridx]
                 a = row.pop(c)
-                g = gcd(a, pv)
+                g = gcd(a, pv) if pv > 0 else -gcd(a, pv)
                 ma = pv // g
                 mp = a // g
                 if ma != 1:
@@ -508,6 +512,9 @@ class Factor:
                             if cs is not None:
                                 cs.discard(ridx)
                                 refreshed.add(j)
+                if not row:
+                    live -= 1
+                    continue
                 h = _content(row)
                 if h > 1:
                     for j in row:
