@@ -431,13 +431,14 @@ class Factor:
 
         Markowitz order first pivots every singleton column, least column
         first, on its one live row and with no arithmetic (the singleton
-        lemma in the module docstring), until none is left.  Then the next pivot column is the least heap
-        key, refreshed lazily as rows fill in or cancel: (live rows, column)
-        for Markowitz, or the column alone for natural order, which leaves
-        each pivot the leftmost entry of its row.  The pivot row is one with
-        a unit entry there if any, then the shortest, then the first; each
-        update is (pv/g)*row - (a/g)*pivot, g = gcd(a, pv) with the sign of
-        pv, so a unit pivot never scales the row.
+        lemma in the module docstring), until none is left.  Then the next
+        pivot column is the least heap key, refreshed lazily as rows fill in
+        or cancel: (live rows, column) for Markowitz, or the column alone
+        for natural order, which leaves each pivot the leftmost entry of its
+        row.  The pivot row is one with a unit entry there if any, then the
+        shortest, then the first; each update is (pv/g)*row - (a/g)*pivot,
+        g = gcd(a, pv) with the sign of pv, so a unit pivot never scales the
+        row.  The walk stops once every row is pivoted or cancelled to zero.
         """
         count = len if markowitz else (lambda rids: 0)
         colrows = {}

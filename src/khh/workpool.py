@@ -4,17 +4,19 @@
 mix in the bar complex, its B operator or the idempotents, so a task holds
 every (kind, n) cell of its weight.  `verify_kunneth` hands it the cells of
 A[t], at weights (w, j), and then the base side, the cells of A at weights
-(w,) that the Kunneth formula reads; the base tasks go out after every
-A[t] task, so no serial tail is left to the caller, and a worker swaps its
-warm algebra at most once, from A[t] to A.  A process that runs weight tasks (a pool
-worker, or the caller at one job) keeps one algebra, rebuilt only when a
-task's presentation payload (name, generators, weights and relations)
-differs in any part from the last task's.  With it persist the algebra's
-Groebner basis, its normal-form and weight-basis caches, and the
-bar-complex tables every `SliceContext` of the algebra shares: nf
-products of monomial pairs and the slot trees of the bases.  None of
-these depends on the weight asked or the sign convention, and each is
-bounded by the largest weight the process meets.  The HomologyEngine, its
+(w,) that the Kunneth formula reads.  The base tasks go out after every
+A[t] task, so the caller is left no serial tail and a worker swaps its
+warm algebra at most once, from A[t] to A.
+
+A process that runs weight tasks (a pool worker, or the caller at one
+job) keeps one algebra, rebuilt only when a task's presentation payload
+(name, generators, weights and relations) differs in any part from the
+last task's.  With it persist the algebra's Groebner basis, its
+normal-form and weight-basis caches, and the bar-complex tables every
+`SliceContext` of the algebra shares: nf products of monomial pairs and
+the slot trees of the bases.  None of these depends on the weight asked
+or the sign convention, and each is bounded by the largest weight the
+process meets.  The HomologyEngine, its
 slices and its matrices live for one task and are dropped on return, so
 a worker's memory is one weight's slices plus those bounded tables.
 `khh report` maps the corpus entries over the same helper.  Results come
