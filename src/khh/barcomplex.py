@@ -320,16 +320,17 @@ class SliceContext:
 
     def _b_into(self, rows, sources, n: int, w):
         """Add b of each degree-n, weight-w tensor sources[j] into column j
-        of rows: a face term t lands in rows[index(n - 1, w)[t]], and a sum
-        that cancels leaves no entry.  The one definition of b (module
-        docstring); a face outside the target basis raises SanityError.
+        of rows: a face term lands in the row of its position in
+        `basis(n - 1, w)`, and a sum that cancels leaves no entry.  The one
+        definition of b (module docstring); a face outside the target basis
+        raises SanityError.
         """
+        conv = self.conv
         index = self._face_index(n - 1, w)
-        if self.conv.reverse_tensors:
+        if conv.reverse_tensors:
             reverse = self._reverse
             sources = [reverse(t) for t in sources]
         products, product = self._products, self._product
-        conv = self.conv
         wrap = 0 if conv.b_drop_wrap else -1 if conv.b_wrap_flip else 1
         for j, tensor in enumerate(sources):
             # face i < n merges entries i and i + 1 with sign (-1)^i; face
