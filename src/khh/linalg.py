@@ -433,8 +433,10 @@ class Factor:
         Markowitz order first pivots every singleton column, least column
         first, on its one live row and with no arithmetic (the singleton
         lemma in the module docstring), until none is left.  Then the next
-        pivot column is the least heap key, refreshed lazily as rows fill in
-        or cancel: (live rows, column) for Markowitz, or the column alone
+        pivot column is the least heap key: (live rows, column) for
+        Markowitz, pushed again whenever a column's live rows change and
+        dropped when popped stale, so the count is always exact and a
+        column left with one live row is pivoted next; or the column alone
         for natural order, which leaves each pivot the leftmost entry of its
         row.  The pivot row is one with a unit entry there if any, then the
         shortest, then the first; each update is (pv/g)*row - (a/g)*pivot,
@@ -475,18 +477,18 @@ class Factor:
             if not rids:
                 continue
             if count(rids) != cnt:
-                heappush(heap, (count(rids), c))
-                continue
+                continue  # stale: a key with c's current count is queued
             pividx = min(rids, key=lambda r: (abs(rows[r][c]) != 1, len(rows[r]), r))
             prow = rows[pividx]
             record(prow, c)
             live -= 1
             pv = prow[c]
+            # each column of the pivot row loses a live row
+            refreshed = set(prow) if markowitz else set()
             for j in prow:
                 s = colrows.get(j)
                 if s is not None:
                     s.discard(pividx)
-            refreshed = set()
             for ridx in colrows.pop(c):
                 row = rows[ridx]
                 a = row.pop(c)
