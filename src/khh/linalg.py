@@ -64,8 +64,8 @@ r is zero there, as a `Factor` pivot row must be.  Markowitz order
 therefore pivots singleton columns first, with no arithmetic, until none
 is left, and eliminates only what remains; on free1[t]'s largest
 compressed b_4 in the Kunneth grid at (n, w, j) <= (3, 12, 4) this
-pivots 10661 of its 10851 rows.  `rank` reads the pivot columns alone
-and keeps no pivot row.  Natural order does
+pivots all 10851 of its rows.  `rank` reads the pivot columns alone and
+keeps no pivot row.  Natural order does
 not take the lemma: its pivot must be the leftmost entry of its row,
 which the kernel basis and the pinned representatives read, and a
 singleton column need not hold its row's leftmost entry.
