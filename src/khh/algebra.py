@@ -116,8 +116,6 @@ class GradedAlgebra:
         kept = [i for i, g in enumerate(self._gb) if g is not None]
         self._gb = [self._gb[i] for i in kept]
         self._leads = tuple(self._leads[i] for i in kept)
-        # reducing by monic elements with int coefficients keeps ints ints
-        self.integral = all(c.denominator == 1 for g in self._gb for c in g.values())
         self._nf_mono_cache = {}
         self._basis_cache = {}
 

@@ -53,7 +53,6 @@ transpose variant bracketed by the cusp cycle search).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, product
 from weakref import WeakKeyDictionary
@@ -98,7 +97,8 @@ def convention(name: str) -> Convention:
 
 
 class BarChain:
-    """A homogeneous exact-rational combination of normalized bar tensors."""
+    """An exact-rational combination of normalized bar tensors of one
+    degree; its tensors may differ in weight (`weight` asks for one)."""
 
     __slots__ = ("algebra", "degree", "terms")
 
@@ -121,18 +121,23 @@ class BarChain:
     def is_zero(self):
         return not self.terms
 
+    def by_weight(self) -> dict:
+        """The chain's tensors grouped by weight vector, {weight: [tensor]}."""
+        alg = self.algebra
+        groups = {}
+        for tensor in self.terms:
+            w = alg.zero_weight
+            for m in tensor:
+                w = vec_add(w, alg.mono_weight(m))
+            groups.setdefault(w, []).append(tensor)
+        return groups
+
     def weight(self):
         """Common weight vector of all tensors (None for the zero chain)."""
-        w = None
-        for tensor in self.terms:
-            tw = self.algebra.zero_weight
-            for m in tensor:
-                tw = tuple(a + b for a, b in zip(tw, self.algebra.mono_weight(m)))
-            if w is None:
-                w = tw
-            elif w != tw:
-                raise PreconditionError("chain is not weight-homogeneous")
-        return w
+        groups = self.by_weight()
+        if len(groups) > 1:
+            raise PreconditionError("chain is not weight-homogeneous")
+        return next(iter(groups), None)
 
     def __eq__(self, other):
         return (
@@ -391,24 +396,17 @@ class SliceContext:
     # -- chain-level operations ------------------------------------------
 
     def b_chain(self, chain: BarChain) -> BarChain:
-        """b of a chain, weight by weight: each tensor's faces from `_b_into`,
-        scaled by the tensor's coefficient."""
-        alg = self.algebra
-        by_weight = {}
-        for tensor in chain.terms:
-            w = alg.zero_weight
-            for m in tensor:
-                w = vec_add(w, alg.mono_weight(m))
-            by_weight.setdefault(w, []).append(tensor)
-        out = {}
-        for w, tensors in by_weight.items():
-            rows = defaultdict(dict)
-            self._b_into(rows, tensors, chain.degree, w)
-            basis = self.basis(chain.degree - 1, w)
-            for r, row in rows.items():
+        """b of a chain, weight by weight: `_b_into` over its tensors of each
+        weight, each face scaled by its tensor's coefficient."""
+        n, out = chain.degree, {}
+        for w, tensors in chain.by_weight().items():
+            basis = self.basis(n - 1, w)
+            rows = [{} for _ in basis]
+            self._b_into(rows, tensors, n, w)
+            for t, row in zip(basis, rows):
                 for j, v in row.items():
-                    add_term(out, basis[r], chain.terms[tensors[j]] * v)
-        return BarChain(alg, chain.degree - 1, out)
+                    add_term(out, t, chain.terms[tensors[j]] * v)
+        return BarChain(self.algebra, n - 1, out)
 
     def shuffle(self, left: BarChain, right: BarChain) -> BarChain:
         """Shuffle product: graded commutative, b acts as a derivation."""
@@ -451,10 +449,7 @@ class SliceContext:
         sources = self.basis(n, w)
         rows = [{} for _ in self.basis(n - 1, w)]
         self._b_into(rows, sources, n, w)
-        if self.algebra.integral:
-            return SparseMatrix._of_rows(len(rows), len(sources), rows)
-        entries = (((i, j), c) for i, row in enumerate(rows) for j, c in row.items())
-        return SparseMatrix(len(rows), len(sources), entries)
+        return SparseMatrix._from_rowdata(len(rows), len(sources), rows)
 
     @slice_memo
     def idempotent_matrix(self, n: int, w, i: int) -> SparseMatrix:

@@ -26,10 +26,11 @@ maps (de Rham d, induced maps, the HKR and units class matrices) go
 through `QuotientSpace.matrix_of`, which is the same builder over class
 coordinates.  Lookups are strict: a term outside the target basis is a
 bug in the map, so it raises SanityError (exit 5) and is never dropped.
-Int coefficients go straight into int rows, so images must keep int
-coefficients int (`rationals.add_term` does); any non-int coefficient
-sends the whole matrix through the constructor, which brings QQ entries
-over a common denominator.
+Both hand their rows to `SparseMatrix._from_rowdata`, which adopts int
+rows as they are, so images must keep int coefficients int
+(`rationals.add_term` does); any non-int coefficient sends the whole
+matrix through the constructor, which brings QQ entries over a common
+denominator.
 
 Block matrices are laid out by slot.  `SparseMatrix.from_blocks(row_sizes,
 col_sizes, blocks)` takes each block with its (block row, block column)
@@ -172,6 +173,16 @@ class SparseMatrix:
         mat._adopt(rows, cols, rowdata, den)
         return mat
 
+    @classmethod
+    def _from_rowdata(cls, rows, cols, rowdata):
+        """The matrix of sparse rows {column: coefficient} holding no zero:
+        int rows are adopted as they are, and any other coefficient sends
+        the entries through the constructor."""
+        if all(type(c) is int for row in rowdata for c in row.values()):
+            return cls._of_rows(rows, cols, rowdata)
+        entries = (((i, j), c) for i, row in enumerate(rowdata) for j, c in row.items())
+        return cls(rows, cols, entries)
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -182,12 +193,10 @@ class SparseMatrix:
         of (key, coefficient) terms whose repeated keys add up, written at
         the rows index[key]; pass range(rows) where the keys already are rows
         (never negative, as range would wrap them).  A key outside index
-        raises SanityError, and a sum that cancels stores nothing.  Int
-        coefficients go straight into int rows; any other coefficient sends
-        the entries through the constructor.
+        raises SanityError, and a sum that cancels stores nothing; the rows
+        then go through `_from_rowdata`.
         """
         rowdata = [{} for _ in range(rows)]
-        integral = True
         for j, source in enumerate(sources):
             terms = image(source)
             for key, c in terms.items() if isinstance(terms, dict) else terms:
@@ -198,12 +207,7 @@ class SparseMatrix:
                         f"column {j}: image term {key!r} lies outside the target basis"
                     ) from None
                 add_term(row, j, c)
-                if type(c) is not int:
-                    integral = False
-        if integral:
-            return cls._of_rows(rows, len(sources), rowdata)
-        entries = (((i, j), c) for i, row in enumerate(rowdata) for j, c in row.items())
-        return cls(rows, len(sources), entries)
+        return cls._from_rowdata(rows, len(sources), rowdata)
 
     @classmethod
     def from_blocks(cls, row_sizes, col_sizes, blocks):
