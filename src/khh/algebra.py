@@ -605,7 +605,10 @@ def parse_poly(text: str, gens, line_no=None) -> dict:
         if m.lastgroup == "num":
             if seen_factor or coeff is not None:
                 raise ParseError("coefficient must lead its term", line_no, col)
-            coeff = qq(m.group("num"))
+            try:
+                coeff = qq(m.group("num"))
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", line_no, col) from None
             continue
         sym = m.group("sym")
         idx = gen_index.get(sym)
@@ -677,6 +680,8 @@ def parse_algebra_block(lines) -> GradedAlgebra:
                 sym, wtxt = item.split(":", 1)
                 if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", sym):
                     raise ParseError(f"bad generator name {sym!r}", lineno)
+                if sym in gens:
+                    raise ParseError(f"repeated generator {sym!r}", lineno)
                 try:
                     w = int(wtxt)
                 except ValueError:

@@ -16,6 +16,8 @@ import os
 import tempfile
 from pathlib import Path
 
+from .errors import PreconditionError
+
 # bump whenever a change to the code could change a cached value
 VERSION = 3
 
@@ -25,7 +27,10 @@ def cache_dir() -> Path | None:
     if not value:
         return None
     path = Path(value)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise PreconditionError(f"KHH_CACHE_DIR={value} is not a usable directory: {exc}") from None
     return path
 
 
@@ -53,7 +58,10 @@ def put(key: str, value: int):
     if root is None:
         return
     path = root / f"{key}.json"
-    fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
+    except OSError:
+        return
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump({"value": int(value)}, fh)

@@ -286,6 +286,13 @@ def cusp_bundle_tables(
 # -- text format ---------------------------------------------------------------
 
 
+def _rational(text: str, what: str, lineno: int):
+    try:
+        return qq(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad {what} {text!r}", lineno) from None
+
+
 def parse_curve_file(text: str):
     """`curve a1 a2 a3 a4 a6` plus `point x y` / `point inf` lines.
 
@@ -301,18 +308,16 @@ def parse_curve_file(text: str):
         if parts[0] == "curve":
             if len(parts) != 6:
                 raise ParseError("curve needs exactly a1 a2 a3 a4 a6", lineno)
-            try:
-                curve = EllipticCurve(*[qq(p) for p in parts[1:]])
-            except ValueError:
-                raise ParseError("bad curve coefficient", lineno) from None
+            curve = EllipticCurve(*(_rational(p, "curve coefficient", lineno) for p in parts[1:]))
         elif parts[0] == "point":
             if curve is None:
                 raise ParseError("point before curve", lineno)
             if len(parts) == 2 and parts[1] == "inf":
                 points.append(O)
             elif len(parts) == 3:
+                x, y = (_rational(p, "point coordinate", lineno) for p in parts[1:])
                 try:
-                    pt = curve.point(qq(parts[1]), qq(parts[2]))
+                    pt = curve.point(x, y)
                 except PreconditionError:
                     raise ParseError(
                         f"point ({parts[1]}, {parts[2]}) is not on the curve", lineno

@@ -133,9 +133,13 @@ class ResolutionSquare:
         blocks, extras = split_blocks(text)
         if not blocks:
             raise ParseError("square file needs at least the source algebra block")
-        algebras = [parse_algebra_block(b) for b in blocks]
-        by_name = {a.name: a for a in algebras}
-        source = algebras[0]
+        by_name = {}
+        for block in blocks:
+            algebra = parse_algebra_block(block)
+            if algebra.name in by_name:
+                raise ParseError(f"repeated algebra name {algebra.name!r}", block[0][0])
+            by_name[algebra.name] = algebra
+        source = next(iter(by_name.values()))
         branches = []
         conductor = []
         for lineno, line in extras:
@@ -345,6 +349,7 @@ class ResolutionSquare:
 
     # -- homology-level maps ----------------------------------------------
 
+    @slice_memo
     def class_map(self, n: int, w) -> SparseMatrix:
         """HH_n(A) -> sum of HH_n(branch) on classes, branches stacked."""
         if n < 0:

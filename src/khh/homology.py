@@ -31,8 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rationals import QQ
-from .linalg import SparseMatrix, QuotientSpace, chain_rank, eigenspace
+from .linalg import SparseMatrix, QuotientSpace, chain_rank
 from .errors import (
     IdempotentSanityError,
     OracleDisagreementError,
@@ -190,7 +189,8 @@ class HomologyEngine:
 
     def hodge_split(self, n: int, w) -> HodgeSplit:
         """Dims of the Eulerian idempotent images on the homology slice,
-        cross-checked against psi_2 eigenspaces."""
+        cross-checked against psi_2 eigenspaces, each counted as
+        dim HH - rank(psi_2 - 2^i)."""
         if n < 1:
             raise PreconditionError("hodge_split needs n >= 1")
         w = self.algebra._coerce_weight(w)
@@ -203,7 +203,10 @@ class HomologyEngine:
                 f"hodge pieces sum to {sum(dims)} != dim HH = {total} at (n={n}, w={w})"
             )
         psi2 = space.induced_matrix(hodge.adams_matrix(self.ctx, n, w, 2), space)
-        eigendims = tuple(len(eigenspace(psi2, QQ(2) ** i)) for i in range(1, n + 1))
+        identity = SparseMatrix.identity(total)
+        eigendims = tuple(
+            total - (psi2 - identity.scale(2**i)).rank() for i in range(1, n + 1)
+        )
         if tuple(dims) != eigendims or sum(eigendims) != total:
             raise OracleDisagreementError(
                 f"psi_2 eigenspace dims {eigendims} disagree with idempotent dims "

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from khh import cli
+from khh import cache, cli
+from khh.fiber import ResolutionSquare
 from khh.corpus import default_corpus_dir
 from conftest import read_corpus_text
 
@@ -420,3 +421,66 @@ def test_report_defaults_to_json(tmp_path):
     assert plain.returncode == json_run.returncode == 0
     assert plain.stdout == json_run.stdout
     assert json.loads(plain.stdout)["entries"]["q"]
+
+
+CUSP_SQUARE = "algebra cusp\nvars x:2 y:3\nrel y^2 - x^3\n\nalgebra line\nvars t:1\n\n"
+
+
+@pytest.mark.parametrize("verb, text, where", [
+    ("hh", "algebra a\nvars x:1 y:2\nrel 1/0*x^2 - y\n", "line 3, col 1"),
+    ("tk", CUSP_SQUARE + "normalize line x->1/0*t^2 y->t^3\nconductor x y\n", "line 8, col 1"),
+    ("tk", CUSP_SQUARE + "normalize line x->t^2 y->t^3\nconductor x 1/0*y\n", "line 9, col 1"),
+    ("curve", "curve 0 0 1/0 -1 0\n", "line 1"),
+    ("curve", "curve 0 0 1 -1 0\npoint 1/0 0\n", "line 2"),
+])
+def test_zero_denominator_is_a_parse_error(tmp_path, capsys, verb, text, where):
+    path = tmp_path / "input"
+    path.write_text(text)
+    argv = {
+        "hh": ["hh", "--algebra", str(path), "--n", "0", "--max-weight", "2"],
+        "tk": ["tk", "--square", str(path), "--n-max", "1", "--max-weight", "2"],
+        "curve": ["curve", "--curve", str(path)],
+    }[verb]
+    assert cli.main(argv) == 2
+    assert f"({where})" in capsys.readouterr().err
+
+
+def test_repeated_names_are_parse_errors(tmp_path, capsys):
+    alg = tmp_path / "twice.alg"
+    alg.write_text("algebra a\nvars x:2 x:3\nrel x^2\n")
+    assert cli.main(["hh", "--algebra", str(alg), "--n", "0", "--max-weight", "6"]) == 2
+    assert "repeated generator 'x' (line 2)" in capsys.readouterr().err
+    square = tmp_path / "twice.sq"
+    square.write_text(
+        CUSP_SQUARE + "algebra line\nvars t:1\n\nnormalize line x->t^2 y->t^3\nconductor x y\n"
+    )
+    assert cli.main(["tk", "--square", str(square), "--max-weight", "2"]) == 2
+    assert "repeated algebra name 'line' (line 8)" in capsys.readouterr().err
+    # the parsers reject the repeat, the constructor does not: A[t] over a
+    # generator named t still builds
+    line = ResolutionSquare.parse(CUSP_SQUARE + "normalize line x->t^2 y->t^3\nconductor x y\n")
+    assert line.branches[0][0].with_polynomial_generator("t").gens == ("t", "t")
+
+
+def test_unusable_cache_dir_exits_3(tmp_path, monkeypatch):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    env = {"KHH_CACHE_DIR": str(blocker)}
+    hh = run_cli("hh", "--algebra", corpus_file("cusp", "algebra.alg"),
+                 "--n", "1", "--max-weight", "3", env=env)
+    kunneth = run_cli("kunneth", "--algebra", corpus_file("cusp", "algebra.alg"),
+                      "--n-max", "1", "--max-weight", "4", "--t-cutoff", "1", "--jobs", "2",
+                      env=env)
+    for proc in (hh, kunneth):
+        assert proc.returncode == 3, proc.stderr
+        assert "KHH_CACHE_DIR" in proc.stderr and "Traceback" not in proc.stderr
+    # a temp file that cannot be made stores nothing, as a failed rename does
+    cache_root = tmp_path / "cache"
+    monkeypatch.setenv("KHH_CACHE_DIR", str(cache_root))
+
+    def no_temp_file(*args, **kwargs):
+        raise OSError("no temp file")
+
+    monkeypatch.setattr(cache.tempfile, "mkstemp", no_temp_file)
+    cache.put("key", 7)
+    assert list(cache_root.iterdir()) == [] and cache.get("key") is None

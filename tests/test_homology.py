@@ -315,7 +315,7 @@ def test_slice_memo(cusp, cusp_square, monkeypatch):
         (engine, "_rank", ("bar", 1, -1)),
         (engine, "hodge_class_matrix", (1, -1, 1)),
         (cusp_square, "chain_map_matrix", (1, -1)), (cusp_square, "cone_matrix", (1, -1)),
-        (cusp_square, "cone_holds", (1, -1)),
+        (cusp_square, "cone_holds", (1, -1)), (cusp_square, "class_map", (1, -1)),
         (ctx, "_cyclic", (1, -1)), (ctx, "_face_index", (1, -1)),
         (cusp_square, "_stacked_hom_matrix", (-1,)), (cusp_square, "_stacked_index", (-1,)),
         (cusp_square, "_conductor_slices", (-1,)), (cusp_square, "conductor_quotients", (-1,)),

@@ -558,6 +558,40 @@ def _planted_singleton_chains(draw):
     return cols, draw(st.permutations(rows))
 
 
+def _exact_heap_pivots(rows):
+    """Pivot columns, in order, of Markowitz elimination with no singleton
+    phase: next the least (live rows, column), counted afresh at every
+    step, as an exact-count heap pops it; on the row with a unit entry
+    there if any, then the shortest, then the first; every other row at
+    the column eliminated over Fraction and kept as the primitive int row
+    a positive scale gives, as the fraction-free walk keeps it."""
+    live = {r: dict(row) for r, row in enumerate(row for row in rows if row)}
+    order = []
+    while live:
+        counts = {}
+        for row in live.values():
+            for j in row:
+                counts[j] = counts.get(j, 0) + 1
+        c = min(counts, key=lambda j: (counts[j], j))
+        at_c = [r for r, row in live.items() if c in row]
+        prow = live.pop(min(at_c, key=lambda r: (abs(live[r][c]) != 1, len(live[r]), r)))
+        order.append(c)
+        for r in at_c:
+            row = live.get(r)
+            if row is None:
+                continue  # the pivot row
+            f = Fraction(row[c], prow[c])
+            new = {j: row.get(j, 0) - f * prow.get(j, 0) for j in {*row, *prow}}
+            new = {j: v for j, v in new.items() if v}
+            if not new:
+                del live[r]
+                continue
+            scale = Fraction(lcm(*(v.denominator for v in new.values())))
+            scale /= gcd(*(int(v * scale) for v in new.values()))
+            live[r] = {j: int(v * scale) for j, v in new.items()}
+    return order
+
+
 @settings(max_examples=150)
 @seed(0)
 @given(_planted_singleton_chains(), st.data())
@@ -570,6 +604,8 @@ def test_singleton_cascade_agrees_with_natural_order_and_fractions(case, data):
     rank = len(ref.pivot_rows)
     assert len(markowitz.pivot_rows) == len(Factor(cols, rows, markowitz=False).pivot_rows) == rank
     assert len(Factor.markowitz_pivots(rows)) == rank
+    # the cascade is a fast path of the exact heap's own order
+    assert Factor.markowitz_pivots(rows) == _exact_heap_pivots(rows)
     assert from_dense(dense).rank() == rank
     _assert_primitive_pivot_rows(markowitz)
     # every row, a combination of rows and a random vector
