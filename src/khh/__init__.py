@@ -8,7 +8,7 @@ cohomology tables on elliptic curves.
 """
 
 from .rationals import QQ
-from .linalg import SparseMatrix, rank, kernel_basis, eigenspace
+from .linalg import SparseMatrix, eigenspace
 from .algebra import GradedAlgebra, GradedHom, parse_algebra
 from .barcomplex import BarChain, SliceContext, parse_chain
 from .homology import HomologyEngine, verify_kunneth, verify_cusp_cycles
@@ -27,8 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "QQ",
     "SparseMatrix",
-    "rank",
-    "kernel_basis",
     "eigenspace",
     "GradedAlgebra",
     "GradedHom",

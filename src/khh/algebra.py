@@ -84,7 +84,11 @@ class GradedAlgebra:
     """A connected graded commutative QQ-algebra with a normal-form engine.
 
     Immutable once built: the constructor completes the Groebner basis, and
-    only the normal-form and weight-basis caches grow afterwards.
+    only the normal-form and weight-basis caches grow afterwards.  A
+    relation is a dict monomial -> coefficient or its (monomial, coefficient)
+    terms.  `presentation` is (name, gens, weights, relations), each relation
+    the sorted tuple of its terms, and `GradedAlgebra(*a.presentation)`
+    rebuilds a.
     """
 
     def __init__(self, name, gens, weights, relations):
@@ -100,7 +104,11 @@ class GradedAlgebra:
         self.ngens = len(self.gens)
         self.zero_weight = (0,) * rank
         self._key_cache = {}
-        self.relations = tuple({Mono(m): QQ(c) for m, c in rel.items()} for rel in relations)
+        self.relations = tuple({Mono(m): QQ(c) for m, c in dict(rel).items()} for rel in relations)
+        # hashable and picklable: the worker pool ships it, the slice cache
+        # keys cells by it and the corpus compares algebras by it
+        rels = tuple(tuple(sorted(rel.items())) for rel in self.relations)
+        self.presentation = (self.name, self.gens, self.weights, rels)
         for rel in self.relations:
             w = self._weight_of_poly(rel, check=True)
             if w is not None and vec_total(w) == 0:
@@ -561,8 +569,10 @@ _TOKEN = re.compile(
 )
 
 
-def parse_poly(text: str, gens, line_no=None) -> dict:
-    """Parse a polynomial in the algebra grammar: `^` powers, optional `*`."""
+def parse_poly(text: str, gens, line_no=None, offset=0) -> dict:
+    """Parse a polynomial in the algebra grammar: `^` powers, optional `*`.
+    The text starts at column offset + 1 of its line; errors name columns
+    of the line."""
     gen_index = {g: i for i, g in enumerate(gens)}
     ngens = len(gens)
     pos = 0
@@ -585,10 +595,11 @@ def parse_poly(text: str, gens, line_no=None) -> dict:
     while pos < n:
         m = _TOKEN.match(text, pos)
         if m is None:
-            if text[pos:].strip() == "":
+            at = n - len(text[pos:].lstrip())
+            if at == n:
                 break
-            raise ParseError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
-        col = m.start() + 1
+            raise ParseError(f"unexpected character {text[at]!r}", line_no, offset + at + 1)
+        col = offset + m.start(m.lastgroup) + 1
         pos = m.end()
         if m.lastgroup == "op" and m.group("op") in "+-":
             if seen_factor or coeff is not None:
@@ -620,7 +631,8 @@ def parse_poly(text: str, gens, line_no=None) -> dict:
             pos = caret.end()
             numtok = _TOKEN.match(text, pos)
             if not numtok or numtok.lastgroup != "num" or "/" in numtok.group("num"):
-                raise ParseError("integer exponent expected after '^'", line_no, pos + 1)
+                col = offset + n - len(text[pos:].lstrip()) + 1
+                raise ParseError("integer exponent expected after '^'", line_no, col)
             exp = int(numtok.group("num"))
             pos = numtok.end()
         if exps is None:
@@ -628,9 +640,9 @@ def parse_poly(text: str, gens, line_no=None) -> dict:
         exps[idx] += exp
         seen_factor = True
     if seen_factor or coeff is not None:
-        flush(len(text))
+        flush(offset + n + 1)
     if not terms:
-        raise ParseError("empty polynomial", line_no, 1)
+        raise ParseError("empty polynomial", line_no, offset + 1)
     out = {}
     for m, c in terms:
         add_term(out, m, c)
@@ -693,12 +705,12 @@ def parse_algebra_block(lines) -> GradedAlgebra:
                 gens.append(sym)
                 weights.append((w,))
         elif head == "rel":
-            rels_raw.append((lineno, rest))
+            rels_raw.append((lineno, rest, len(line) - len(rest)))
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
     if name is None:
         raise ParseError("missing `algebra` line", lines[0][0] if lines else 1)
-    rels = [parse_poly(rest, gens, lineno) for lineno, rest in rels_raw]
+    rels = [parse_poly(rest, gens, lineno, offset) for lineno, rest, offset in rels_raw]
     return GradedAlgebra(name, gens, weights, rels)
 
 

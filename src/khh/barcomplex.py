@@ -69,21 +69,20 @@ class Convention:
     """Sign/variant switches; `corrupt` ones exist as negative controls."""
 
     name: str = "standard"
-    b_drop_wrap: bool = False
-    b_wrap_flip: bool = False
+    wrap: int = 1  # the sign of b's wrap term: 1, 0 (dropped) or -1 (flipped)
     reverse_tensors: bool = False
 
     @property
     def corrupt(self) -> bool:
         """A wrong wrap term: b^2 = 0 fails on some slices."""
-        return self.b_drop_wrap or self.b_wrap_flip
+        return self.wrap != 1
 
 
 CONVENTIONS = {
     "standard": Convention(),
     "b-transpose": Convention(name="b-transpose", reverse_tensors=True),
-    "corrupt-b-drop-wrap": Convention(name="corrupt-b-drop-wrap", b_drop_wrap=True),
-    "corrupt-b-wrap-flip": Convention(name="corrupt-b-wrap-flip", b_wrap_flip=True),
+    "corrupt-b-drop-wrap": Convention(name="corrupt-b-drop-wrap", wrap=0),
+    "corrupt-b-wrap-flip": Convention(name="corrupt-b-wrap-flip", wrap=-1),
 }
 
 
@@ -336,7 +335,7 @@ class SliceContext:
             reverse = self._reverse
             sources = [reverse(t) for t in sources]
         products, product = self._products, self._product
-        wrap = 0 if conv.b_drop_wrap else -1 if conv.b_wrap_flip else 1
+        wrap = conv.wrap
         for j, tensor in enumerate(sources):
             # face i < n merges entries i and i + 1 with sign (-1)^i; face
             # n, for n >= 1, wraps the last entry onto the head, (-1)^n

@@ -2,7 +2,11 @@
 
 Enabled by pointing KHH_CACHE_DIR at a directory: each computed cell lands
 in its own small JSON file keyed by a fingerprint of (cache version,
-algebra presentation, convention, computation kind, degree, weight).
+algebra presentation, convention, computation kind, degree, weight).  The
+presentation is `GradedAlgebra.presentation`, the tuple (name, generators,
+weights, relations as sorted term tuples) that rebuilds the algebra; the
+algebra computes it once, and the worker pool ships the same tuple.
+`cell_path` resolves the directory once per cell.
 Writes go through a temp-file rename so concurrent workers never observe
 partial files.  Cached values are exact non-negative integers; anything
 else found on disk is a miss, so the cache changes nothing but wall time.
@@ -34,16 +38,16 @@ def cache_dir() -> Path | None:
     return path
 
 
-def cell_key(payload, conv_name: str, kind: str, n: int, w) -> str:
-    blob = repr((VERSION, payload, conv_name, kind, n, tuple(w))).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def get(key: str):
+def cell_path(presentation, conv_name: str, kind: str, n: int, w) -> Path | None:
+    """The file of one cell, or None when no cache directory is set."""
     root = cache_dir()
     if root is None:
         return None
-    path = root / f"{key}.json"
+    blob = repr((VERSION, presentation, conv_name, kind, n, tuple(w))).encode()
+    return root / f"{hashlib.sha256(blob).hexdigest()}.json"
+
+
+def get(path: Path):
     try:
         value = json.loads(path.read_text())["value"]
     except (OSError, ValueError, KeyError, TypeError):
@@ -53,13 +57,9 @@ def get(key: str):
     return value
 
 
-def put(key: str, value: int):
-    root = cache_dir()
-    if root is None:
-        return
-    path = root / f"{key}.json"
+def put(path: Path, value: int):
     try:
-        fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     except OSError:
         return
     try:

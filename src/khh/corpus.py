@@ -20,7 +20,6 @@ from .homology import HomologyEngine
 from .kahler import DifferentialForms, jacobian_smooth
 from .fiber import ResolutionSquare, nk0_crosscheck
 from .curve import parse_curve_file, cusp_bundle_tables
-from .workpool import _algebra_payload
 
 
 def default_corpus_dir() -> Path:
@@ -86,7 +85,7 @@ def compute_observed(entry: CorpusEntry) -> dict:
     sq = entry.square
     if entry.algebra is not None:
         alg = entry.algebra
-        if sq is not None and _algebra_payload(sq.algebra) == _algebra_payload(alg):
+        if sq is not None and sq.algebra.presentation == alg.presentation:
             # the fiber reuses the bases, matrices and ranks computed here
             engine = sq.engine_A
         else:

@@ -41,6 +41,7 @@ pairing the two.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from math import comb
@@ -143,22 +144,22 @@ class ResolutionSquare:
         branches = []
         conductor = []
         for lineno, line in extras:
-            parts = line.split()
-            head = parts[0]
+            parts = [(m.start(), m.group()) for m in re.finditer(r"\S+", line)]
+            head = parts[0][1]
             if head == "normalize":
                 if len(parts) < 2:
                     raise ParseError("normalize needs a target algebra", lineno)
-                target = by_name.get(parts[1])
+                target = by_name.get(parts[1][1])
                 if target is None:
-                    raise ParseError(f"unknown target algebra {parts[1]!r}", lineno)
+                    raise ParseError(f"unknown target algebra {parts[1][1]!r}", lineno)
                 images = {}
-                for item in parts[2:]:
+                for start, item in parts[2:]:
                     if "->" not in item:
                         raise ParseError(f"expected gen->poly, got {item!r}", lineno)
                     gen, poly = item.split("->", 1)
                     if gen not in source.gens:
                         raise ParseError(f"unknown generator {gen!r}", lineno)
-                    images[gen] = parse_poly(poly, target.gens, lineno)
+                    images[gen] = parse_poly(poly, target.gens, lineno, start + len(gen) + 2)
                 missing = [g for g in source.gens if g not in images]
                 if missing:
                     raise ParseError(f"missing images for {missing}", lineno)
@@ -167,8 +168,8 @@ class ResolutionSquare:
                 )
                 branches.append((target, hom))
             elif head == "conductor":
-                for item in parts[1:]:
-                    conductor.append(parse_poly(item, source.gens, lineno))
+                for start, item in parts[1:]:
+                    conductor.append(parse_poly(item, source.gens, lineno, start))
             else:
                 raise ParseError(f"unknown directive {head!r}", lineno)
         return cls(source, branches, conductor)

@@ -68,15 +68,14 @@ class HomologyEngine:
 
     def _cached_cell(self, kind, n, w, compute):
         from . import cache
-        from .workpool import _algebra_payload
 
-        if cache.cache_dir() is None:
+        path = cache.cell_path(self.algebra.presentation, self.conv.name, kind, n, w)
+        if path is None:
             return compute()
-        key = cache.cell_key(_algebra_payload(self.algebra), self.conv.name, kind, n, w)
-        value = cache.get(key)
+        value = cache.get(path)
         if value is None:
             value = compute()
-            cache.put(key, value)
+            cache.put(path, value)
         return value
 
     @slice_memo

@@ -718,16 +718,6 @@ class QuotientSpace:
         return target.matrix_of([op.apply(rep) for rep in self.reps])
 
 
-def rank(matrix: SparseMatrix) -> int:
-    """Exact rank over QQ."""
-    return matrix.rank()
-
-
-def kernel_basis(matrix: SparseMatrix):
-    """Exact right null space basis; len = cols - rank, each v has Mv = 0."""
-    return matrix.kernel_basis()
-
-
 def chain_rank(differential, m: int, composes) -> int:
     """rank d_m, given d_k as differential(k), kept by the caller with its
     cached pivots, and "d_{k-1} d_k = 0 is verified" as composes(k).  Where

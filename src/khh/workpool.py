@@ -8,17 +8,19 @@ A[t], at weights (w, j), and then the base side, the cells of A at weights
 A[t] task, so the caller is left no serial tail and a worker swaps its
 warm algebra at most once, from A[t] to A.
 
-A process that runs weight tasks (a pool worker, or the caller at one
-job) keeps one algebra, rebuilt only when a task's presentation payload
-(name, generators, weights and relations) differs in any part from the
-last task's.  With it persist the algebra's Groebner basis, its
-normal-form and weight-basis caches, and the bar-complex tables every
-`SliceContext` of the algebra shares: nf products of monomial pairs and
-the slot trees of the bases.  None of these depends on the weight asked
-or the sign convention, and each is bounded by the largest weight the
-process meets.  The HomologyEngine, its
-slices and its matrices live for one task and are dropped on return, so
-a worker's memory is one weight's slices plus those bounded tables.
+A task carries its algebra as `GradedAlgebra.presentation`: the tuple
+(name, generators, weights, relations) that `GradedAlgebra(*presentation)`
+rebuilds.  A process that runs weight tasks (a pool worker, or the caller
+at one job) keeps one algebra, built from the last task's presentation and
+rebuilt only when a task's presentation differs from it in any part.
+With it persist the algebra's Groebner basis, its normal-form and
+weight-basis caches, and the bar-complex tables every `SliceContext` of
+the algebra shares: nf products of monomial pairs and the slot trees of
+the bases.  None of these depends on the weight asked or the sign
+convention, and each is bounded by the largest weight the process meets.
+The HomologyEngine, its slices and its matrices live for one task and are
+dropped on return, so a worker's memory is one weight's slices plus those
+bounded tables.
 `khh report` maps the corpus entries over the same helper.  Results come
 back in task order, so reports stay deterministic no matter how many
 workers run.
@@ -26,6 +28,7 @@ workers run.
 
 from __future__ import annotations
 
+import functools
 import os
 
 from .algebra import GradedAlgebra
@@ -62,22 +65,6 @@ def map_tasks(fn, tasks, jobs: int | None) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _algebra_payload(algebra: GradedAlgebra):
-    rels = tuple(
-        tuple(sorted((m, (c.numerator, c.denominator)) for m, c in rel.items()))
-        for rel in algebra.relations
-    )
-    return (algebra.name, algebra.gens, algebra.weights, rels, algebra.weight_rank)
-
-
-def _rebuild_algebra(payload) -> GradedAlgebra:
-    from .rationals import QQ
-
-    name, gens, weights, rels, _ = payload
-    relations = [{m: QQ(num, den) for m, (num, den) in rel} for rel in rels]
-    return GradedAlgebra(name, gens, weights, relations)
-
-
 def _run_cell(engine, kind, n, w):
     """One cell's dimension, or None where an exact sanity identity failed."""
     try:
@@ -90,24 +77,24 @@ def _run_cell(engine, kind, n, w):
         return None  # reported as a located sanity failure by the caller
 
 
-_warm = None  # (payload, algebra) of the last weight task in this process
+@functools.lru_cache(maxsize=1)
+def _algebra(presentation) -> GradedAlgebra:
+    """The process's warm algebra: rebuilt only when the presentation differs."""
+    return GradedAlgebra(*presentation)
 
 
 def _run_weight(task):
     """The cells of one slice weight, on an engine that lives for this task.
 
-    The algebra is the process's warm one when the payload equals the last
-    task's, so its caches and shared slice tables carry over from task to
-    task; any other payload replaces it.  Engines are never kept: their
-    slices and matrices belong to this task's weight alone.
+    The algebra is the process's warm one when the presentation equals the
+    last task's, so its caches and shared slice tables carry over from task
+    to task; any other presentation replaces it.  Engines are never kept:
+    their slices and matrices belong to this task's weight alone.
     """
     from .homology import HomologyEngine
 
-    global _warm
-    payload, conv_name, w, cells = task
-    if _warm is None or _warm[0] != payload:
-        _warm = (payload, _rebuild_algebra(payload))
-    engine = HomologyEngine(_warm[1], conv_name)
+    presentation, conv_name, w, cells = task
+    engine = HomologyEngine(_algebra(presentation), conv_name)
     return [_run_cell(engine, kind, n, w) for kind, n in cells]
 
 
@@ -121,12 +108,13 @@ def map_cells(algebras, conv_name: str, cells, jobs: int | None):
     algebra at most once per part.  Results are dims, or None where an
     exact sanity identity failed (corrupt conventions).
     """
-    payloads = [_algebra_payload(algebra) for algebra in algebras]
     by_weight: dict = {}
     for part, kind, n, w in cells:
         by_weight.setdefault((part, w), []).append((kind, n))
     keys = sorted(by_weight, key=lambda pw: (pw[0], -sum(pw[1])))
-    tasks = [(payloads[part], conv_name, w, by_weight[part, w]) for part, w in keys]
+    tasks = [
+        (algebras[part].presentation, conv_name, w, by_weight[part, w]) for part, w in keys
+    ]
     values = {}
     for (part, w), results in zip(keys, map_tasks(_run_weight, tasks, jobs)):
         for (kind, n), value in zip(by_weight[part, w], results):

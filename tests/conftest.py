@@ -11,7 +11,6 @@ from khh.algebra import GradedAlgebra, parse_algebra
 from khh.corpus import default_corpus_dir, load_corpus
 from khh.homology import _check_space_dim
 from khh.linalg import QuotientSpace, SparseMatrix
-from khh.rationals import QQ
 
 # every property test draws the same examples on every run; a failure found
 # this way is frozen as an @example on its test.  Each @given test also
@@ -67,10 +66,7 @@ def algebra_of(spec):
     """The GradedAlgebra of a `small_algebras` example."""
     weights, relations = spec
     gens = ("x", "y", "z")[: len(weights)]
-    return GradedAlgebra(
-        "random", gens, [(w,) for w in weights],
-        [{m: QQ(c) for m, c in rel} for rel in relations],
-    )
+    return GradedAlgebra("random", gens, [(w,) for w in weights], relations)
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,14 @@
 """Presented graded algebras: parsing, normal forms, weight bases, maps."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from conftest import _monomials, algebra_of, read_corpus_text, small_algebras
 from khh.rationals import QQ, add_term
-from khh.algebra import GradedHom, parse_algebra, parse_poly
+from khh.algebra import GradedAlgebra, GradedHom, parse_algebra, parse_poly
 from khh.errors import (
     InhomogeneousRelationError,
     ParseError,
@@ -284,6 +285,24 @@ def test_weight_basis_walk_equals_brute_force_filter(spec):
     algebra = algebra_of(spec)
     for w in range(13):
         assert algebra.weight_basis(w) == _brute_force_basis(algebra, w), (spec, w)
+
+
+@settings(max_examples=60)
+@seed(0)
+@given(small_algebras())
+def test_presentation_rebuilds_the_algebra(spec):
+    # the worker pool and the slice cache know an algebra by its presentation
+    base = algebra_of(spec)
+    for algebra, bound in ((base, (8,)), (base.with_polynomial_generator("t"), (6, 2))):
+        rebuilt = GradedAlgebra(*algebra.presentation)
+        assert rebuilt.presentation == algebra.presentation
+        hash(algebra.presentation)  # the warm-algebra cache keys by it
+        assert rebuilt.weight_rank == algebra.weight_rank == len(bound)
+        assert rebuilt._leads == algebra._leads, spec
+        for w in algebra.weight_vectors_upto(bound):
+            assert rebuilt.weight_basis(w) == algebra.weight_basis(w), (spec, w)
+        for m in product(range(4), repeat=algebra.ngens):
+            assert rebuilt.nf_mono(m) == algebra.nf_mono(m), (spec, m)
 
 
 def test_fatplane_weight_basis_equals_brute_force_filter():

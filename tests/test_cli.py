@@ -427,9 +427,12 @@ CUSP_SQUARE = "algebra cusp\nvars x:2 y:3\nrel y^2 - x^3\n\nalgebra line\nvars t
 
 
 @pytest.mark.parametrize("verb, text, where", [
-    ("hh", "algebra a\nvars x:1 y:2\nrel 1/0*x^2 - y\n", "line 3, col 1"),
-    ("tk", CUSP_SQUARE + "normalize line x->1/0*t^2 y->t^3\nconductor x y\n", "line 8, col 1"),
-    ("tk", CUSP_SQUARE + "normalize line x->t^2 y->t^3\nconductor x 1/0*y\n", "line 9, col 1"),
+    ("hh", "algebra a\nvars x:1 y:2\nrel 1/0*x^2 - y\n", "line 3, col 5"),
+    ("tk", CUSP_SQUARE + "normalize line x->1/0*t^2 y->t^3\nconductor x y\n", "line 8, col 19"),
+    ("tk", CUSP_SQUARE + "normalize line x->t^2 y->t^3\nconductor x 1/0*y\n", "line 9, col 13"),
+    # a column is the file line's, at the offending token itself
+    ("hh", "algebra f\nvars x:1\nrel x + %\n", "line 3, col 9"),
+    ("hh", "algebra a\nvars x:1 y:2\nrel x^2 - q\n", "line 3, col 11"),
     ("curve", "curve 0 0 1/0 -1 0\n", "line 1"),
     ("curve", "curve 0 0 1 -1 0\npoint 1/0 0\n", "line 2"),
 ])
@@ -482,5 +485,6 @@ def test_unusable_cache_dir_exits_3(tmp_path, monkeypatch):
         raise OSError("no temp file")
 
     monkeypatch.setattr(cache.tempfile, "mkstemp", no_temp_file)
-    cache.put("key", 7)
-    assert list(cache_root.iterdir()) == [] and cache.get("key") is None
+    path = cache.cell_path(("q", (), (), ()), "standard", "hh", 0, (0,))
+    cache.put(path, 7)
+    assert list(cache_root.iterdir()) == [] and cache.get(path) is None

@@ -1,5 +1,7 @@
 """Connes' cyclic complex: basis, b, its checks and the Goodwillie oracle."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, seed, settings
 
@@ -9,7 +11,6 @@ from khh.corpus import default_corpus_dir
 from khh.errors import CompositionNonzeroError, OracleDisagreementError
 from khh.homology import HomologyEngine
 from khh.linalg import SparseMatrix
-from khh.workpool import _algebra_payload
 from conftest import algebra_of, hc_space, small_algebras
 
 
@@ -90,18 +91,30 @@ def test_cyclic_bb_check_catches_a_corrupted_matrix(free2, monkeypatch):
 
 def test_cell_cached_under_an_older_version_is_not_served(cusp, tmp_path, monkeypatch):
     # version 2 cells came from the rank kernel before the singleton cascade
-    payload = _algebra_payload(cusp)
     for old in (1, 2):
         monkeypatch.setenv("KHH_CACHE_DIR", str(tmp_path / str(old)))
         monkeypatch.setattr(cache, "VERSION", old)
-        stale = cache.cell_key(payload, "standard", "hc", 1, (5,))
+        stale = cache.cell_path(cusp.presentation, "standard", "hc", 1, (5,))
         cache.put(stale, 7)
         assert cache.get(stale) == 7
         monkeypatch.undo()
         monkeypatch.setenv("KHH_CACHE_DIR", str(tmp_path / str(old)))
         assert cache.VERSION == 3
-        assert cache.get(cache.cell_key(payload, "standard", "hc", 1, (5,))) is None
+        assert cache.get(cache.cell_path(cusp.presentation, "standard", "hc", 1, (5,))) is None
         assert HomologyEngine(cusp).hc_dim(1, 5) == 1
+    # a cell resolves the cache directory once, cold and warm alike
+    mkdirs = []
+    mkdir = Path.mkdir
+
+    def counting(path, *args, **kwargs):
+        mkdirs.append(path)
+        return mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counting)
+    for _ in ("cold", "warm"):
+        mkdirs.clear()
+        assert HomologyEngine(cusp).hh_dim(2, 7) == 1
+        assert mkdirs == [tmp_path / "2"]
 
 
 # -- differential property: Connes, the total complex and Goodwillie ---------

@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 from conftest import read_corpus_text
+from khh import workpool
 from khh.algebra import GradedAlgebra, parse_algebra
 from khh.homology import HomologyEngine, verify_kunneth
 
@@ -71,25 +72,33 @@ def test_parallel_matches_serial_on_corrupt_convention(cusp):
 
 def test_base_side_runs_in_the_pool_after_every_extension_task(cusp, monkeypatch):
     # one engine per weight task: at one job every cusp[t] task comes before
-    # any task of the base side; at two jobs the caller builds none at all
-    built = []
+    # any task of the base side, on two warm algebras built from the tasks'
+    # presentations, cusp[t] then cusp; at two jobs the caller builds none
+    built, warm = [], []
     init = HomologyEngine.__init__
 
     def recording(self, algebra, conv="standard"):
         built.append(algebra.name)
         init(self, algebra, conv)
 
+    def building(*presentation):
+        warm.append(presentation[0])
+        return GradedAlgebra(*presentation)
+
     monkeypatch.setattr(HomologyEngine, "__init__", recording)
+    monkeypatch.setattr(workpool, "GradedAlgebra", building)
     for conv in ("standard", "corrupt-b-drop-wrap"):
         cells = {}
         for jobs in (1, 2):
             built.clear()
+            warm.clear()
             report = verify_kunneth(cusp, t_cutoff=1, n_max=2, w_max=5, conv=conv, jobs=jobs)
             cells[jobs] = [(c.kind, c.n, c.w, c.j, c.left, c.right, c.status) for c in report.cells]
             if jobs == 1:
                 assert built == ["cusp[t]"] * (6 * 2) + ["cusp"] * 6, conv
+                assert warm == ["cusp[t]", "cusp"], conv
             else:
-                assert built == [], conv
+                assert built == warm == [], conv
         assert cells[1] == cells[2], conv
 
 

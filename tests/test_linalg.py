@@ -15,8 +15,6 @@ from khh.linalg import (
     Factor,
     SparseMatrix,
     QuotientSpace,
-    rank,
-    kernel_basis,
     chain_rank,
     eigenspace,
 )
@@ -25,29 +23,29 @@ from khh.errors import NotSquareError, PreconditionError, SanityError
 
 
 def test_rank_empty_matrix():
-    assert rank(SparseMatrix.zero(0, 0)) == 0
+    assert SparseMatrix.zero(0, 0).rank() == 0
 
 
 def test_rank_identity():
-    assert rank(SparseMatrix.identity(3)) == 3
+    assert SparseMatrix.identity(3).rank() == 3
 
 
 def test_rank_dependent_rows():
-    assert rank(from_dense([[1, 2], [2, 4]])) == 1
+    assert from_dense([[1, 2], [2, 4]]).rank() == 1
 
 
 def test_kernel_of_injective_map():
-    assert kernel_basis(SparseMatrix.identity(2)) == []
+    assert SparseMatrix.identity(2).kernel_basis() == []
 
 
 def test_kernel_of_zero_map():
-    vectors = kernel_basis(SparseMatrix.zero(2, 3))
+    vectors = SparseMatrix.zero(2, 3).kernel_basis()
     assert len(vectors) == 3
 
 
 def test_kernel_single_row():
     m = from_dense([[1, 1, 0]])
-    vectors = kernel_basis(m)
+    vectors = m.kernel_basis()
     assert len(vectors) == 2
     for v in vectors:
         assert not m.apply(v)
