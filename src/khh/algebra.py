@@ -581,11 +581,10 @@ def parse_poly(text: str, gens, line_no=None, offset=0) -> dict:
     coeff = None
     exps = None
     seen_factor = False
+    dangling = None  # (op, col) of the last operator, until an operand follows it
 
-    def flush(col):
+    def flush():
         nonlocal sign, coeff, exps, seen_factor
-        if exps is None and coeff is None:
-            raise ParseError("empty term", line_no, col)
         c = qq(1) if coeff is None else coeff
         m = tuple(exps) if exps is not None else (0,) * ngens
         terms.append((m, QQ(sign) * c))
@@ -601,18 +600,19 @@ def parse_poly(text: str, gens, line_no=None, offset=0) -> dict:
             raise ParseError(f"unexpected character {text[at]!r}", line_no, offset + at + 1)
         col = offset + m.start(m.lastgroup) + 1
         pos = m.end()
-        if m.lastgroup == "op" and m.group("op") in "+-":
-            if seen_factor or coeff is not None:
-                flush(col)
-            if m.group("op") == "-":
+        if m.lastgroup == "op":
+            op = m.group("op")
+            if dangling is not None and dangling[0] == "*":
+                raise ParseError(f"{op!r} after '*'", line_no, col)
+            if op == "^" or (op == "*" and not (seen_factor or coeff is not None)):
+                raise ParseError(f"dangling {op!r}", line_no, col)
+            if op in "+-" and (seen_factor or coeff is not None):
+                flush()
+            if op == "-":
                 sign = -sign
+            dangling = (op, col)
             continue
-        if m.lastgroup == "op" and m.group("op") == "*":
-            if not seen_factor and coeff is None:
-                raise ParseError("dangling '*'", line_no, col)
-            continue
-        if m.lastgroup == "op" and m.group("op") == "^":
-            raise ParseError("dangling '^'", line_no, col)
+        dangling = None
         if m.lastgroup == "num":
             if seen_factor or coeff is not None:
                 raise ParseError("coefficient must lead its term", line_no, col)
@@ -639,8 +639,10 @@ def parse_poly(text: str, gens, line_no=None, offset=0) -> dict:
             exps = [0] * ngens
         exps[idx] += exp
         seen_factor = True
+    if dangling:
+        raise ParseError(f"dangling {dangling[0]!r}", line_no, dangling[1])
     if seen_factor or coeff is not None:
-        flush(offset + n + 1)
+        flush()
     if not terms:
         raise ParseError("empty polynomial", line_no, offset + 1)
     out = {}

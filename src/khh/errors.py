@@ -84,3 +84,7 @@ class IdempotentSanityError(SanityError):
 
 class OracleDisagreementError(SanityError):
     """Two independent computation paths produced different values."""
+
+
+class WorkerDiedError(KhhError):
+    """A pool worker process ended before answering its task."""

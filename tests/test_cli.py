@@ -433,6 +433,11 @@ CUSP_SQUARE = "algebra cusp\nvars x:2 y:3\nrel y^2 - x^3\n\nalgebra line\nvars t
     # a column is the file line's, at the offending token itself
     ("hh", "algebra f\nvars x:1\nrel x + %\n", "line 3, col 9"),
     ("hh", "algebra a\nvars x:1 y:2\nrel x^2 - q\n", "line 3, col 11"),
+    # an operator left dangling is an error at its own column
+    ("hh", "algebra a\nvars x:1 y:2\nrel x ++\n", "line 3, col 8"),
+    ("hh", "algebra a\nvars x:1 y:2\nrel x -\n", "line 3, col 7"),
+    ("hh", "algebra a\nvars x:1 y:2\nrel x *\n", "line 3, col 7"),
+    ("hh", "algebra a\nvars x:1 y:2\nrel x**y\n", "line 3, col 7"),
     ("curve", "curve 0 0 1/0 -1 0\n", "line 1"),
     ("curve", "curve 0 0 1 -1 0\npoint 1/0 0\n", "line 2"),
 ])

@@ -8,7 +8,9 @@ import json
 import subprocess
 import sys
 
-from conftest import read_corpus_text
+from hypothesis import given, seed, settings
+
+from conftest import algebra_of, read_corpus_text, small_algebras
 from khh import workpool
 from khh.algebra import GradedAlgebra, parse_algebra
 from khh.homology import HomologyEngine, verify_kunneth
@@ -24,6 +26,16 @@ def test_cusp_small_window(cusp):
     report = verify_kunneth(cusp, t_cutoff=2, n_max=2, w_max=7, jobs=1)
     assert report.passed
     assert len(report.cells) == 2 * 3 * 8 * 3
+
+
+@settings(max_examples=10)
+@seed(0)
+@given(small_algebras())
+def test_kunneth_holds_on_random_algebras(spec):
+    # HH and HC of A[t] against the formula on A, at (n, w, j) <= (2, 5, 2),
+    # through the pool at two jobs
+    report = verify_kunneth(algebra_of(spec), t_cutoff=2, n_max=2, w_max=5, jobs=2)
+    assert report.passed, spec
 
 
 def test_free1_small_window(free1):
